@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import engine as eng
 from . import model as mdl
@@ -73,6 +72,8 @@ def _confidence_features(params: mdl.ParamVector, inputs, labels) -> np.ndarray:
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, iters: int = 100):
     """Newton-Raphson logistic fit on standardized features; deterministic."""
+    from scipy.special import expit  # deferred: importing scipy.special is slow
+
     mean, std = x.mean(axis=0), x.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     xs = np.column_stack([(x - mean) / std, np.ones(len(x))])

@@ -86,12 +86,10 @@ def _stage_setup(args):
 
 
 def _cmd_train(args) -> int:
-    config, out, data, _ = _stage_setup(args)
+    config, out, data, external_test = _stage_setup(args)
     arch = harness.architecture(config, data)
     seeds = harness.cell_seeds(config, args.seed)
-    request = harness.deletion_request(config)
-    test_fraction = 0.0 if config.dataset.get("kind") == "mnist_idx" else config.test_fraction
-    split = ds.make_split(data, request, seed=seeds.init, test_fraction=test_fraction)
+    split = harness.seed_split(config, data, external_test, seeds)
     train_pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
     params, _ = eng.train(arch, train_pool.pair(), seeds, harness.train_config(config))
     ds.save_split(split, os.path.join(out, f"split_seed{args.seed}.json"))
@@ -102,16 +100,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_retrain(args) -> int:
-    config, out, data, _ = _stage_setup(args)
+    config, out, data, external_test = _stage_setup(args)
     arch = harness.architecture(config, data)
     seeds = harness.cell_seeds(config, args.seed)
     split_path = os.path.join(out, f"split_seed{args.seed}.json")
     if os.path.exists(split_path):
         split = ds.load_split(split_path)
     else:
-        request = harness.deletion_request(config)
-        test_fraction = 0.0 if config.dataset.get("kind") == "mnist_idx" else config.test_fraction
-        split = ds.make_split(data, request, seed=seeds.init, test_fraction=test_fraction)
+        split = harness.seed_split(config, data, external_test, seeds)
         ds.save_split(split, split_path)
     retain = data.subset(split.retain_idx)
     params = eng.coupled_retrain(arch, retain.pair(), seeds, harness.train_config(config))

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import subspace as sub
 from .accounting import BlockBudget
@@ -177,6 +176,8 @@ def check_block_noise_equivalence(
     cov = draws.T @ draws / n_samples
     dev = float(np.max(np.abs(cov - sigma2 * np.eye(basis.d))))
     threshold = 3.0 * math.sqrt(2.0 / n_samples) * sigma2
+    from scipy import stats  # deferred: importing scipy.stats takes about a second
+
     pvalues = tuple(
         float(stats.kstest(draws[:, j], "norm", args=(0.0, math.sqrt(sigma2))).pvalue)
         for j in range(basis.d)

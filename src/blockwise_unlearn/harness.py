@@ -216,18 +216,20 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
+def seed_split(config, data, external_test, seeds) -> ds.ScenarioSplit:
+    """One seed's split; rows are held out for testing only when no external
+    test set was loaded."""
+    test_fraction = config.test_fraction if external_test is None else 0.0
+    return ds.make_split(
+        data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
+    )
+
+
 def _prepare_seed_stage(config, data, external_test, seed_index):
     """Train the full model, split, and build the coupled retrain baseline."""
     seeds = cell_seeds(config, seed_index)
-    request = deletion_request(config)
-    if external_test is None:
-        split = ds.make_split(
-            data, request, seed=seeds.init, test_fraction=config.test_fraction
-        )
-        test_set = data.subset(split.test_idx)
-    else:
-        split = ds.make_split(data, request, seed=seeds.init, test_fraction=0.0)
-        test_set = external_test
+    split = seed_split(config, data, external_test, seeds)
+    test_set = external_test if external_test is not None else data.subset(split.test_idx)
     retain = data.subset(split.retain_idx)
     forget = data.subset(split.forget_idx)
     arch = architecture(config, data)

@@ -8,6 +8,7 @@ float64 and deterministic given the inputs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -78,6 +79,40 @@ def param_dim(spec: MlpSpec) -> int:
     )
 
 
+class _Layout:
+    """Where each entry of one layer map lives in the flat vector: `slots` maps
+    a name to (start, stop, shape), `layers` holds the (weight, bias) slots of
+    each fc layer, or None when the map is not an MLP's."""
+
+    __slots__ = ("d", "slots", "layers")
+
+    def __init__(self, lm: tuple) -> None:
+        self.slots = {
+            name: (offset, offset + math.prod(shape), tuple(shape))
+            for name, shape, offset in lm
+        }
+        try:
+            self.layers = tuple(
+                (self.slots[f"fc{i + 1}.w"], self.slots[f"fc{i + 1}.b"])
+                for i in range(len(lm) // 2)
+            )
+        except KeyError:
+            self.layers = None
+        _, last_shape, last_offset = lm[-1]
+        self.d = last_offset + math.prod(last_shape)
+
+
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _layout(lm: tuple) -> _Layout:
+    """The layout of a layer map, computed on its first use and cached by the map."""
+    layout = _LAYOUTS.get(lm)
+    if layout is None:
+        layout = _LAYOUTS[lm] = _Layout(lm)
+    return layout
+
+
 @dataclass
 class ParamVector:
     """Flat parameters with the layer map describing their structure."""
@@ -87,8 +122,7 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        last_name, last_shape, last_offset = self.layer_map[-1]
-        d = last_offset + int(np.prod(last_shape))
+        d = _layout(self.layer_map).d
         if self.values.shape != (d,):
             raise DomainError(
                 f"parameter vector length {self.values.shape} does not match layer map ({d})"
@@ -99,11 +133,8 @@ class ParamVector:
         return self.values.shape[0]
 
     def view(self, name: str) -> np.ndarray:
-        for entry_name, shape, offset in self.layer_map:
-            if entry_name == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise KeyError(name)
+        start, stop, shape = _layout(self.layer_map).slots[name]
+        return self.values[start:stop].reshape(shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layer_map)
@@ -120,15 +151,14 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks), layer_map(spec))
 
 
-def zeros_like(params: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros_like(params.values), params.layer_map)
-
-
 def _weights(params: ParamVector):
-    n_layers = len(params.layer_map) // 2
+    layers = _layout(params.layer_map).layers
+    if not layers:
+        raise KeyError("layer map has no fc layers")
+    v = params.values
     return [
-        (params.view(f"fc{i + 1}.w"), params.view(f"fc{i + 1}.b"))
-        for i in range(n_layers)
+        (v[ws:we].reshape(w_shape), v[bs:be])
+        for (ws, we, w_shape), (bs, be, _) in layers
     ]
 
 
@@ -137,18 +167,23 @@ def _check_finite(params: ParamVector) -> None:
         raise NumericalError("non-finite parameter values")
 
 
+def _forward_pass(layers, inputs: np.ndarray):
+    """Input of every layer and the logits."""
+    activations = [inputs]
+    h = inputs
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+        activations.append(h)
+    w, b = layers[-1]
+    return activations, h @ w.T + b
+
+
 def _forward_cached(params: ParamVector, batch: Batch):
     layers = _weights(params)
     num_classes = layers[-1][0].shape[0]
     if np.any(batch.labels < 0) or np.any(batch.labels >= num_classes):
         raise DomainError("label out of range for the output layer")
-    activations = [batch.inputs]
-    h = batch.inputs
-    for w, b in layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
-        activations.append(h)
-    w, b = layers[-1]
-    logits = h @ w.T + b
+    activations, logits = _forward_pass(layers, batch.inputs)
     return layers, activations, logits
 
 
@@ -189,14 +224,15 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector
     delta /= n
 
     grad = np.empty_like(params.values)
-    gview = ParamVector(grad, params.layer_map)
+    layer_slots = _layout(params.layer_map).layers
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        np.matmul(delta.T, activations[i], out=gview.view(f"fc{i + 1}.w"))
-        gview.view(f"fc{i + 1}.b")[:] = delta.sum(axis=0)
+        (ws, we, w_shape), (bs, be, _) = layer_slots[i]
+        np.matmul(delta.T, activations[i], out=grad[ws:we].reshape(w_shape))
+        grad[bs:be] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ w) * (activations[i] > 0.0)
-    return loss, gview
+    return loss, ParamVector(grad, params.layer_map)
 
 
 def clip(v: np.ndarray, c: float) -> np.ndarray:
@@ -223,8 +259,10 @@ def clip(v: np.ndarray, c: float) -> np.ndarray:
 
 def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Argmax class ids; ties resolve to the lowest class index."""
-    batch = Batch(inputs, np.zeros(len(inputs), dtype=np.int64))
-    _, _, logits = _forward_cached(params, batch)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] < 1:
+        raise DomainError("predict needs (n, dim) inputs with at least one row")
+    _, logits = _forward_pass(_weights(params), inputs)
     return np.argmax(logits, axis=1)
 
 
@@ -265,10 +303,30 @@ def load_params(path) -> ParamVector:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"corrupt checkpoint header: {exc}") from exc
-        d = int(header["d"])
+        d, lm = _header_fields(header)
         payload = fh.read(d * 8)
         if len(payload) != d * 8:
             raise FormatError("truncated checkpoint payload")
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        lm = tuple((n, tuple(s), int(o)) for n, s, o in header["layer_map"])
         return ParamVector(values, lm)
+
+
+def _header_fields(header) -> tuple[int, tuple]:
+    """`d` and the layer map of a checkpoint header, checked for shape and type."""
+
+    def is_count(x) -> bool:
+        return type(x) is int and x >= 0
+
+    try:
+        d, entries = header["d"], header["layer_map"]
+        lm = tuple((name, tuple(shape), offset) for name, shape, offset in entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed checkpoint header: {exc!r}") from exc
+    if not (is_count(d) and lm and all(
+        isinstance(name, str) and is_count(offset) and all(is_count(s) for s in shape)
+        for name, shape, offset in lm
+    )):
+        raise FormatError("malformed checkpoint header: ill-typed d or layer_map")
+    if _layout(lm).d != d:
+        raise FormatError(f"checkpoint d = {d} does not match its layer map")
+    return d, lm

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import blockwise_unlearn
 from blockwise_unlearn import cli
 
+from test_datasets import write_idx_fixture
 from test_harness import base_config_doc, write_config
+from test_model import GOOD_HEADER, write_checkpoint
 
 
 def run_cli(*argv):
@@ -135,6 +142,74 @@ class TestPipelineCommands:
         text = capsys.readouterr().out
         assert "retrain" in text and "blockwise" in text
         assert (out / "summary.json").exists()
+
+
+class TestIdxStages:
+    def test_stage_split_matches_run_without_test_files(self, tmp_path, capsys):
+        # an IDX config with no test files holds out test rows from the train
+        # file, in the stages as in `run`
+        rng = np.random.default_rng(4)
+        labels = np.repeat(np.arange(3, dtype=np.uint8), 80)
+        images = rng.integers(0, 60, size=(240, 4, 4), dtype=np.uint8)
+        images[np.arange(240), labels, labels] = 250
+        img, lbl = write_idx_fixture(tmp_path, images, labels)
+        doc = base_config_doc(str(tmp_path / "run"))
+        doc["dataset"] = {"kind": "mnist_idx", "train_images": str(img),
+                          "train_labels": str(lbl)}
+        doc["n_seeds"] = 1
+        doc["k_values"] = [1]
+        config_path = write_config(tmp_path, doc)
+        stage, grid = tmp_path / "stage", tmp_path / "run"
+
+        assert run_cli("train", "--config", str(config_path), "--out", str(stage)) == 0
+        assert run_cli("retrain", "--config", str(config_path), "--out", str(stage)) == 0
+        assert run_cli("run", "--config", str(config_path)) == 0
+        stage_split = json.loads((stage / "split_seed0.json").read_text())
+        assert stage_split == json.loads((grid / "split_seed0.json").read_text())
+        assert len(stage_split["test_idx"]) == 60
+
+        report_path = tmp_path / "audit.json"
+        assert run_cli(
+            "audit", "--config", str(config_path),
+            "--checkpoint", str(stage / "model_full_seed0.ckpt"),
+            "--splits", str(stage / "split_seed0.json"),
+            "--retrain-checkpoint", str(stage / "model_retrain_seed0.ckpt"),
+            "--out", str(report_path),
+        ) == 0
+        assert json.loads(report_path.read_text())["ta"] is not None
+
+
+class TestMalformedCheckpoint:
+    def test_audit_exits_with_error_not_traceback(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, {"layer_map": GOOD_HEADER["layer_map"]}, b"\x00" * 64)
+        capsys.readouterr()
+        rc = run_cli(
+            "audit", "--config", str(config_path), "--checkpoint", str(bad),
+            "--splits", str(out / "split_seed0.json"),
+        )
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint header")
+        assert "Traceback" not in err
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockwise_unlearn.__file__)))
+    code = (
+        "import sys, blockwise_unlearn; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestDivergenceCheckCommand:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,22 @@ class TestForward:
         with pytest.raises(DomainError):
             mdl.forward(params, mdl.Batch(np.zeros((1, 2)), np.array([2])))
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_range_checked_in_every_batch(self, label):
+        params = mdl.init_params(TINY, seed=5)
+        batch = mdl.Batch(np.zeros((2, 2)), np.array([0, label]))
+        with pytest.raises(DomainError):
+            mdl.forward(params, batch)
+        with pytest.raises(DomainError):
+            mdl.loss_and_grad(params, batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_loss_and_grad_rejects_non_finite_params(self, bad):
+        params = mdl.init_params(TINY, seed=5)
+        params.values[-1] = bad
+        with pytest.raises(NumericalError):
+            mdl.loss_and_grad(params, tiny_batch())
+
     def test_deterministic(self):
         params = mdl.init_params(TINY, seed=5)
         la, sa = mdl.forward(params, tiny_batch())
@@ -164,6 +183,42 @@ class TestBackward:
         assert np.allclose(g1, g2, atol=1e-14)
 
 
+class TestParamVector:
+    def test_view_writes_through_for_every_entry(self):
+        spec = mdl.MlpSpec((3, 5, 4, 2))
+        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        for i, (name, shape, offset) in enumerate(params.layer_map):
+            view = params.view(name)
+            assert view.shape == shape
+            view[...] = i + 1.0
+            size = int(np.prod(shape))
+            assert np.all(params.values[offset : offset + size] == i + 1.0)
+        assert np.all(params.values > 0.0)
+
+    def test_view_unknown_name(self):
+        params = mdl.init_params(TINY, seed=0)
+        with pytest.raises(KeyError):
+            params.view("nope")
+
+    def test_length_must_match_layer_map(self):
+        with pytest.raises(DomainError):
+            mdl.ParamVector(np.zeros(mdl.param_dim(TINY) + 1), mdl.layer_map(TINY))
+
+    def test_view_on_loaded_params(self, tmp_path):
+        params = mdl.init_params(mdl.MlpSpec((3, 7, 2)), seed=9)
+        path = tmp_path / "model.ckpt"
+        mdl.save_params(params, path)
+        loaded = mdl.load_params(path)
+        for name, shape, _ in params.layer_map:
+            assert np.array_equal(loaded.view(name), params.view(name))
+        loaded.view("fc2.b")[:] = 7.0
+        assert np.all(loaded.values[-2:] == 7.0)
+        batch = mdl.Batch(np.ones((2, 3)), np.array([0, 1]))
+        assert mdl.forward(loaded, batch)[1] == mdl.forward(
+            mdl.ParamVector(loaded.values.copy(), params.layer_map), batch
+        )[1]
+
+
 class TestClip:
     def test_inside_ball_untouched(self):
         v = np.array([3.0, 4.0])
@@ -220,6 +275,17 @@ class TestAccuracy:
         )
         assert mdl.accuracy(params, x, y) == correct / 40
 
+    @pytest.mark.parametrize("inputs", [np.zeros(2), np.zeros((0, 2)), np.zeros((1, 1, 2))])
+    def test_predict_rejects_bad_shapes(self, inputs):
+        params = mdl.init_params(TINY, seed=0)
+        with pytest.raises(DomainError):
+            mdl.predict(params, inputs)
+
+    def test_empty_set(self):
+        params = mdl.init_params(TINY, seed=0)
+        with pytest.raises(DomainError):
+            mdl.accuracy(params, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
     def test_ties_go_to_lowest_class(self):
         spec = mdl.MlpSpec((1, 2, 3))
         params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
@@ -247,5 +313,52 @@ class TestCheckpoint:
         mdl.save_params(params, path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(FormatError):
+            mdl.load_params(path)
+
+
+def write_checkpoint(path, header, payload=b""):
+    """A checkpoint file with an arbitrary JSON header, in the documented layout."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"BWUNCKPT" + struct.pack("<II", 1, len(raw)) + raw + payload)
+
+
+GOOD_HEADER = {"d": 4, "layer_map": [["fc1.w", [1, 2], 0], ["fc1.b", [2], 2]]}
+
+
+class TestCheckpointHeader:
+    def test_documented_layout_loads(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        write_checkpoint(path, GOOD_HEADER, struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+        params = mdl.load_params(path)
+        assert np.array_equal(params.view("fc1.b"), [3.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"layer_map": GOOD_HEADER["layer_map"]},
+            {"d": 4},
+            [4, GOOD_HEADER["layer_map"]],
+            {"d": "4", "layer_map": GOOD_HEADER["layer_map"]},
+            {"d": 4.0, "layer_map": GOOD_HEADER["layer_map"]},
+            {"d": -1, "layer_map": GOOD_HEADER["layer_map"]},
+            {"d": 4, "layer_map": 7},
+            {"d": 4, "layer_map": []},
+            {"d": 4, "layer_map": [["fc1.w", [1, 2]]]},
+            {"d": 4, "layer_map": [["fc1.w", 2, 0]]},
+            {"d": 4, "layer_map": [["fc1.w", ["1", 2], 0]]},
+            {"d": 4, "layer_map": [[1, [1, 2], 0]]},
+            {"d": 4, "layer_map": [["fc1.w", [1, 2], 0.5]]},
+            {"d": 5, "layer_map": GOOD_HEADER["layer_map"]},
+        ],
+        ids=[
+            "missing-d", "missing-layer-map", "not-an-object", "d-string", "d-float",
+            "d-negative", "layer-map-int", "layer-map-empty", "entry-short",
+            "shape-int", "shape-string", "name-int", "offset-float", "d-mismatch",
+        ],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, header, b"\x00" * 64)
         with pytest.raises(FormatError):
             mdl.load_params(path)

@@ -145,7 +145,7 @@ def _cmd_unlearn(args) -> int:
     basis = None
     if k > 1:
         basis = sub.build_basis(
-            harness._STRATEGY_NAMES[config.basis_strategy],
+            config.basis_strategy,
             full_params.layer_map, k, seed=harness.basis_seed(config, args.seed),
         )
         sub.save_basis(basis, os.path.join(out, f"basis_k{k}_seed{args.seed}.json"))

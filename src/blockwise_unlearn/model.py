@@ -168,14 +168,23 @@ def _check_finite(params: ParamVector) -> None:
 
 
 def _forward_pass(layers, inputs: np.ndarray):
-    """Input of every layer and the logits."""
+    """Input of every layer and the logits.
+
+    Each layer allocates one array: the bias add and the ReLU run in place on
+    the matmul's result, the same operations in the same order as
+    `np.maximum(h @ w.T + b, 0.0)`, so the values are identical.
+    """
     activations = [inputs]
     h = inputs
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
     w, b = layers[-1]
-    return activations, h @ w.T + b
+    logits = h @ w.T
+    logits += b
+    return activations, logits
 
 
 def _forward_cached(params: ParamVector, batch: Batch):
@@ -268,9 +277,16 @@ def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
 
 def accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
+    if labels.size == 0:
         raise DomainError("accuracy of an empty dataset is undefined")
-    return float(np.mean(predict(params, inputs) == labels))
+    pred = predict(params, inputs)
+    if labels.shape != pred.shape:
+        raise DomainError(
+            f"accuracy needs one label per input row, got labels of shape "
+            f"{labels.shape} for {len(pred)} rows"
+        )
+    # the count of hits is exact, so this rounds count / n once, as the mean does
+    return int(np.count_nonzero(pred == labels)) / len(labels)
 
 
 def save_params(params: ParamVector, path) -> None:

@@ -107,6 +107,19 @@ class TestPipelineCommands:
         assert len(lines) == 1 + 4 + 20
         assert lines[0].startswith("step,phase,block,loss")
 
+    def test_unlearn_stage_uses_config_basis_strategy(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        doc["basis_strategy"] = "layer_cyclic"
+        config_path = write_config(tmp_path, doc)
+        assert run_cli(
+            "unlearn", "--config", str(config_path), "--seed", "0",
+            "--method", "blockwise", "--blocks", "2",
+        ) == 0
+        basis = json.loads((out / "basis_k2_seed0.json").read_text())
+        assert basis["strategy"] == "layer_cyclic"
+
     def test_unlearn_nft_runs_stages_if_missing(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = base_config_doc(str(out))

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from blockwise_unlearn import harness
+from blockwise_unlearn import audit, harness
+from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.errors import DomainError, FormatError
 
 
@@ -57,6 +58,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             harness.config_from_dict(doc)
 
+    @pytest.mark.parametrize("strategy", sub.STRATEGIES)
+    def test_every_basis_strategy_accepted(self, tmp_path, strategy):
+        doc = base_config_doc(str(tmp_path))
+        doc["basis_strategy"] = strategy
+        assert harness.config_from_dict(doc).basis_strategy == strategy
+
+    @pytest.mark.parametrize("strategy", ["qr", "RANDOM_ORTHONORMAL", ["permutation"]])
+    def test_unknown_basis_strategy(self, tmp_path, strategy):
+        doc = base_config_doc(str(tmp_path))
+        doc["basis_strategy"] = strategy
+        with pytest.raises(DomainError):
+            harness.config_from_dict(doc)
+
     def test_env_override(self, tmp_path, monkeypatch):
         config = harness.config_from_dict(base_config_doc("default_dir"))
         monkeypatch.setenv(harness.ENV_OUTPUT_DIR, str(tmp_path / "env_dir"))
@@ -76,6 +90,30 @@ class TestConfig:
         config = harness.config_from_dict(base_config_doc("x"))
         spec = harness.budget_spec(config, 1.0, 1e-5)
         assert spec.c0 == 0.025
+
+
+def report_cell(method, k, rte_minutes):
+    report = audit.AuditReport(ua=10.0, ra=90.0, ta=88.0, mia_efficacy=50.0)
+    return harness.CellResult(
+        key=harness.cell_key(method, 1.0, k, 0), method=method, epsilon=1.0,
+        delta=1e-5, k=k, seed_index=0, report=report, final_test_acc=88.0,
+        min_unlearn_test_acc=None, rte_minutes=rte_minutes,
+    )
+
+
+class TestFormatReport:
+    def test_rte_in_seconds_and_no_fake_retrain_zero(self):
+        result = harness.ExperimentResult(cells=[
+            report_cell("retrain", 0, 0.0),
+            report_cell("blockwise", 4, 0.0125 / 60.0),
+            report_cell("blockwise", 4, 0.0375 / 60.0),
+        ])
+        # rows are sorted by method name
+        header, blockwise, retrain = harness.format_report(result).splitlines()
+        assert header.split()[-1] == "RTE(s)"
+        assert retrain.startswith("retrain") and retrain.split()[-1] == "--"
+        assert blockwise.split()[-1] == "0.025"
+        assert len({len(header), len(retrain), len(blockwise)}) == 1
 
 
 class TestRunExperiment:

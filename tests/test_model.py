@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,89 @@ class TestAccuracy:
         spec = mdl.MlpSpec((1, 2, 3))
         params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
         assert mdl.predict(params, np.array([[1.0]]))[0] == 0
+
+    # one label used to broadcast against the 5 rows, three to fail inside
+    # numpy, a (5, 1) column to broadcast to (5, 5) and a scalar to fail in len()
+    @pytest.mark.parametrize("labels", [np.zeros(1), np.zeros(3), np.zeros((5, 1)),
+                                        np.int64(0)])
+    def test_labels_must_match_rows(self, labels):
+        params = mdl.init_params(TINY, seed=0)
+        with pytest.raises(DomainError):
+            mdl.accuracy(params, np.zeros((5, 2)), labels)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 999])
+    def test_equals_mean_of_hits(self, n):
+        spec = mdl.MlpSpec((3, 8, 4))
+        params = mdl.init_params(spec, seed=2)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3))
+        for _ in range(5):
+            y = rng.integers(0, 4, size=n)
+            expected = float(np.mean(mdl.predict(params, x) == y))
+            got = mdl.accuracy(params, x, y)
+            assert type(got) is float and got == expected
+
+
+def reference_forward(params, x):
+    """The forward pass written out of place, one fresh array per operation:
+    the input of every layer and the logits."""
+    n_layers = len(params.layer_map) // 2
+    activations = [x]
+    for i in range(1, n_layers):
+        h = activations[-1] @ params.view(f"fc{i}.w").T + params.view(f"fc{i}.b")
+        activations.append(np.maximum(h, 0.0))
+    logits = activations[-1] @ params.view(f"fc{n_layers}.w").T
+    return activations, logits + params.view(f"fc{n_layers}.b")
+
+
+class TestInPlaceForward:
+    @pytest.mark.parametrize("widths, rows", [
+        ((3, 5, 2), 1), ((3, 5, 2), 17), ((8, 16, 5), 64),
+        ((6, 9, 7, 4), 1), ((6, 9, 7, 4), 33), ((4, 1, 3), 5),
+    ])
+    def test_equals_out_of_place_chain(self, widths, rows):
+        spec = mdl.MlpSpec(widths)
+        rng = np.random.default_rng(sum(widths) + rows)
+        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+                                 mdl.layer_map(spec))
+        x = rng.standard_normal((rows, widths[0]))
+        activations, logits = mdl._forward_pass(mdl._weights(params), x)
+        ref_activations, ref_logits = reference_forward(params, x)
+        assert np.array_equal(logits, ref_logits)
+        # the backward pass reads every layer's input after the whole forward
+        # pass, so no later layer may have written into an earlier one
+        assert activations[0] is x and len(activations) == len(ref_activations)
+        for got, ref in zip(activations, ref_activations):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_caller_inputs_unmodified(self, dtype):
+        spec = mdl.MlpSpec((3, 6, 5, 4))
+        params = mdl.init_params(spec, seed=1)
+        params.view("fc1.b")[:] = 0.5
+        x = (np.random.default_rng(2).standard_normal((9, 3)) * 4).astype(dtype)
+        labels = np.arange(9) % 4
+        before = x.copy()
+        mdl.predict(params, x)
+        mdl.accuracy(params, x, labels)
+        mdl.forward(params, mdl.Batch(x, labels))
+        mdl.loss_and_grad(params, mdl.Batch(x, labels))
+        assert x.dtype == dtype and np.array_equal(x, before)
+
+    def test_predict_peak_memory_below_two_hidden_arrays(self):
+        # numpy reports its data buffers to tracemalloc, so the peak counts
+        # every array the pass allocates; out of place it held three at once
+        spec = mdl.MlpSpec((8, 16, 5))
+        params = mdl.init_params(spec, seed=0)
+        x = np.random.default_rng(0).standard_normal((4000, 8))
+        mdl.predict(params, x)
+        tracemalloc.start()
+        try:
+            mdl.predict(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4000 * 16 * 8
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,16 +150,21 @@ def compute_metrics(
     if len(forget[1]) > 0:
         ua = 100.0 * (1.0 - mdl.accuracy(params, forget[0], forget[1]))
     mia = mia_efficacy(params, retain, forget, test, seed=mia_seed)
-    ua_delta = ra_delta = ta_delta = None
-    if retrain_params is not None:
-        base = compute_metrics(retrain_params, retain, forget, test, mia_seed=mia_seed)
-        ra_delta = ra - base.ra
-        ta_delta = ta - base.ta
-        if ua is not None and base.ua is not None:
-            ua_delta = ua - base.ua
-    return AuditReport(
-        ua=ua, ra=ra, ta=ta, mia_efficacy=mia, rte_minutes=rte_minutes,
-        ua_delta=ua_delta, ra_delta=ra_delta, ta_delta=ta_delta,
+    report = AuditReport(ua=ua, ra=ra, ta=ta, mia_efficacy=mia, rte_minutes=rte_minutes)
+    if retrain_params is None:
+        return report
+    base = compute_metrics(retrain_params, retain, forget, test, mia_seed=mia_seed)
+    return against_baseline(report, base)
+
+
+def against_baseline(report: AuditReport, base: AuditReport) -> AuditReport:
+    """`report` with its deltas against the retrain baseline's report `base`,
+    so one audit of the retrain model serves every cell of a seed."""
+    ua_delta = None
+    if report.ua is not None and base.ua is not None:
+        ua_delta = report.ua - base.ua
+    return replace(
+        report, ua_delta=ua_delta, ra_delta=report.ra - base.ra, ta_delta=report.ta - base.ta
     )
 
 

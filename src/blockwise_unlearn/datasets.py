@@ -162,15 +162,33 @@ def load_split(path) -> ScenarioSplit:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"split file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("split file must hold a JSON object")
     try:
-        return ScenarioSplit(
-            retain_idx=np.array(doc["retain_idx"], dtype=np.int64),
-            forget_idx=np.array(doc["forget_idx"], dtype=np.int64),
-            test_idx=np.array(doc["test_idx"], dtype=np.int64),
-            seed=int(doc["seed"]),
-        )
+        indices = {name: doc[name] for name in ("retain_idx", "forget_idx", "test_idx")}
+        seed = doc["seed"]
     except KeyError as exc:
         raise FormatError(f"split file missing field {exc}") from exc
+    if type(seed) is not int:
+        raise FormatError(f"split seed must be an integer, got {seed!r}")
+    return ScenarioSplit(
+        **{name: _index_array(name, value) for name, value in indices.items()}, seed=seed
+    )
+
+
+def _index_array(name: str, value) -> np.ndarray:
+    """A split field as an int64 array: a flat list of non-negative integers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise FormatError(f"split field {name} is not a flat index list") from exc
+    if arr.ndim != 1:
+        raise FormatError(f"split field {name} is not a flat index list")
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.dtype.kind != "i" or arr.min() < 0:
+        raise FormatError(f"split field {name} must hold non-negative integers")
+    return arr.astype(np.int64)
 
 
 def make_split(

@@ -67,15 +67,6 @@ class RunConfig:
     fine_tune_weight_decay: float = 0.0
     seeds: Seeds = field(default_factory=Seeds)
     step_cap: int = 1000
-    # optional per-block (gamma, lam) overrides, keyed by 0-based block index;
-    # overriding the dynamics invalidates the plan's certificate unless the
-    # plan was recomputed for those constants
-    block_overrides: dict[int, tuple[float, float]] | None = None
-
-    def block_dynamics(self, block: int) -> tuple[float, float]:
-        if self.block_overrides and block in self.block_overrides:
-            return self.block_overrides[block]
-        return self.plan.gamma, self.plan.lam
 
     def resolved_fine_tune_steps(self) -> int:
         noisy = self.plan.total_steps
@@ -168,13 +159,17 @@ class _Batcher:
 
 
 def _evaluate(params, eval_sets: EvalSets):
-    out = []
-    for pair in (eval_sets.test, eval_sets.retain, eval_sets.forget):
-        if pair is None or len(pair[1]) == 0:
-            out.append(None)
-        else:
-            out.append(mdl.accuracy(params, pair[0], pair[1]))
-    return tuple(out)
+    """Test, retain and forget accuracy from one forward pass over the present
+    sets; an absent or empty set scores None."""
+    sets = (eval_sets.test, eval_sets.retain, eval_sets.forget)
+    present = [pair for pair in sets if pair is not None and len(pair[1]) > 0]
+    if not present:
+        return None, None, None
+    counts = iter(mdl.hits(params, present))
+    return tuple(
+        None if pair is None or len(pair[1]) == 0 else next(counts) / len(pair[1])
+        for pair in sets
+    )
 
 
 def nft_step(
@@ -264,14 +259,13 @@ def run_blockwise(
     rows: list[StepRow] = []
     step = 0
     for i in range(plan.k):
-        gamma_i, lam_i = config.block_dynamics(i)
         for _ in range(plan.steps_per_block):
             batch = batcher.next()
             params, loss, diag = nft_step(
                 params,
                 batch,
-                gamma=gamma_i,
-                lam=lam_i,
+                gamma=plan.gamma,
+                lam=plan.lam,
                 c1=plan.c1_per_block,
                 sigma2=plan.sigma2,
                 rng=noise_rng,

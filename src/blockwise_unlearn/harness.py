@@ -282,10 +282,11 @@ def run_experiment(
             test=test_set.pair(), retain=retain.pair(), forget=forget.pair()
         )
 
-        baseline_report = audit.compute_metrics(
+        baseline = audit.compute_metrics(
             retrain_params, retain.pair(), forget.pair(), test_set.pair(),
-            retrain_params=retrain_params, mia_seed=seeds.init,
+            mia_seed=seeds.init,
         )
+        baseline_report = audit.against_baseline(baseline, baseline)
         base_key = cell_key(METHOD_RETRAIN, 0.0, 0, seed_index)
         result.cells.append(
             CellResult(
@@ -330,10 +331,12 @@ def run_experiment(
                     touched_global = split.retain_idx[record.touched_rows]
                     if np.intersect1d(touched_global, split.forget_idx).size:
                         raise DomainError("forget rows fed a gradient")
-                    report = audit.compute_metrics(
-                        record.final_params, retain.pair(), forget.pair(),
-                        test_set.pair(), retrain_params=retrain_params,
-                        rte_minutes=rte, mia_seed=seeds.init,
+                    report = audit.against_baseline(
+                        audit.compute_metrics(
+                            record.final_params, retain.pair(), forget.pair(),
+                            test_set.pair(), rte_minutes=rte, mia_seed=seeds.init,
+                        ),
+                        baseline,
                     )
                     csv_path = os.path.join(out, f"{key}.csv")
                     record.write_csv(csv_path)

@@ -266,27 +266,88 @@ def clip(v: np.ndarray, c: float) -> np.ndarray:
     return out * (1.0 - 1e-15)
 
 
+def _scores(layers, inputs_list) -> np.ndarray:
+    """(classes, rows) logits of every set's rows, in order, feature-major.
+
+    The first layer writes each set's product into that set's column range of
+    one buffer, so the inputs are never stacked; the bias add, the ReLU and the
+    later layers then run once over all rows.  With few classes, `w @ h` into
+    a (classes, rows) array is several times faster than the row-major
+    `h @ w.T` of `_forward_pass`.
+    """
+    w, b = layers[0]
+    h = np.empty((w.shape[0], sum(len(x) for x in inputs_list)))
+    start = 0
+    for x in inputs_list:
+        np.matmul(w, x.T, out=h[:, start : start + len(x)])
+        start += len(x)
+    h += b[:, None]
+    for w, b in layers[1:]:
+        np.maximum(h, 0.0, out=h)
+        h = w @ h
+        h += b[:, None]
+    return h
+
+
+def _classes(scores: np.ndarray) -> np.ndarray:
+    """Column-wise argmax of (classes, rows) scores; ties go to the lowest
+    class index, and a NaN score raises."""
+    best = scores[0].copy()
+    pred = np.zeros(scores.shape[1], dtype=np.int64)
+    for c in range(1, scores.shape[0]):
+        row = scores[c]
+        pred[row > best] = c
+        np.maximum(best, row, out=best)
+    # np.maximum carries a NaN of any class into best
+    if np.isnan(best).any():
+        raise NumericalError("non-finite logits")
+    return pred
+
+
+def _rows(inputs, width: int) -> np.ndarray:
+    """`inputs` as float64 (n, width) rows, n >= 1; float64 input is not copied."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != width:
+        raise DomainError(
+            f"scoring needs (n, {width}) inputs with at least one row, "
+            f"got shape {x.shape}"
+        )
+    return x
+
+
+def hits(params: ParamVector, sets) -> list[int]:
+    """Correct predictions in each (inputs, labels) set, from one forward pass
+    over the rows of all of them."""
+    layers = _weights(params)
+    width = layers[0][0].shape[1]
+    inputs, labels = [], []
+    for x, y in sets:
+        x = _rows(x, width)
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (len(x),):
+            raise DomainError(
+                f"scoring needs one label per input row, got labels of shape "
+                f"{y.shape} for {len(x)} rows"
+            )
+        inputs.append(x)
+        labels.append(y)
+    pred = _classes(_scores(layers, inputs))
+    counts, start = [], 0
+    for y in labels:
+        counts.append(int(np.count_nonzero(pred[start : start + len(y)] == y)))
+        start += len(y)
+    return counts
+
+
 def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Argmax class ids; ties resolve to the lowest class index."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise DomainError("predict needs (n, dim) inputs with at least one row")
-    _, logits = _forward_pass(_weights(params), inputs)
-    return np.argmax(logits, axis=1)
+    layers = _weights(params)
+    return _classes(_scores(layers, [_rows(inputs, layers[0][0].shape[1])]))
 
 
 def accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise DomainError("accuracy of an empty dataset is undefined")
-    pred = predict(params, inputs)
-    if labels.shape != pred.shape:
-        raise DomainError(
-            f"accuracy needs one label per input row, got labels of shape "
-            f"{labels.shape} for {len(pred)} rows"
-        )
     # the count of hits is exact, so this rounds count / n once, as the mean does
-    return int(np.count_nonzero(pred == labels)) / len(labels)
+    return hits(params, [(inputs, labels)])[0] / len(inputs)
 
 
 def save_params(params: ParamVector, path) -> None:

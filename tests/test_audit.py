@@ -52,6 +52,21 @@ class TestComputeMetrics:
         assert report.ra_delta == 0.0
         assert report.ta_delta == 0.0
 
+    def test_deltas_are_differences_to_the_baseline_report(self):
+        retain, forget, test = split_pairs()
+        params = trained_params()
+        retrained = mdl.init_params(ARCH, seed=5)
+        report = audit.compute_metrics(params, retain, forget, test, mia_seed=2)
+        base = audit.compute_metrics(retrained, retain, forget, test, mia_seed=2)
+        derived = audit.against_baseline(report, base)
+        assert derived == audit.compute_metrics(
+            params, retain, forget, test, retrain_params=retrained, mia_seed=2
+        )
+        assert derived.ua_delta == report.ua - base.ua
+        assert derived.ra_delta == report.ra - base.ra
+        assert derived.ta_delta == report.ta - base.ta
+        assert (derived.ua, derived.mia_efficacy) == (report.ua, report.mia_efficacy)
+
     def test_ua_complement_identity(self):
         retain, forget, test = split_pairs()
         params = trained_params()

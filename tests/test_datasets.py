@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -160,3 +161,43 @@ class TestSplits:
                 retain_idx=np.array([0, 1]), forget_idx=np.array([1, 2]),
                 test_idx=np.array([3]), seed=0,
             )
+
+
+class TestLoadSplitFields:
+    GOOD = {"retain_idx": [0, 2], "forget_idx": [1], "test_idx": [], "seed": 4}
+
+    def write(self, tmp_path, **fields):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({**self.GOOD, **fields}))
+        return path
+
+    def test_well_formed_fields_load(self, tmp_path):
+        split = ds.load_split(self.write(tmp_path))
+        assert split.retain_idx.dtype == np.int64 and split.retain_idx.tolist() == [0, 2]
+        assert split.test_idx.dtype == np.int64 and split.test_idx.size == 0
+        assert split.seed == 4
+
+    @pytest.mark.parametrize("value", [
+        ["a"], [1, "a"], [1.5], [True], [[1, 2]], [[1], [2, 3]], [[]],
+        [-1], [0, -3], [2**63], [2**70], "abc", None, 5, {"a": 1},
+    ])
+    def test_bad_index_field(self, tmp_path, value):
+        with pytest.raises(FormatError):
+            ds.load_split(self.write(tmp_path, retain_idx=value))
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, None, True, [0]])
+    def test_bad_seed(self, tmp_path, seed):
+        with pytest.raises(FormatError):
+            ds.load_split(self.write(tmp_path, seed=seed))
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(FormatError):
+            ds.load_split(path)
+
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({k: v for k, v in self.GOOD.items() if k != "seed"}))
+        with pytest.raises(FormatError):
+            ds.load_split(path)

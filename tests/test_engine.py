@@ -204,27 +204,54 @@ class TestRuns:
             eng.run_blockwise(params, small_config(k=2, basis=basis),
                               (BLOBS.inputs, BLOBS.labels))
 
-    def test_per_block_dynamics_override(self):
-        params = mdl.init_params(ARCH, seed=1)
-        basis = sub.build_basis(sub.PERMUTATION, params.layer_map, 2, seed=7)
-        plan = toy_plan(k=2, sigma2=0.0, steps=1, lam=0.0)
-        # freeze block 2 entirely by zeroing its learning rate
-        cfg = small_config(k=2, basis=basis, plan=plan, fine_tune_steps=0,
-                           block_overrides={1: (0.0, 0.0)})
-        rec = eng.run_blockwise(params, cfg, (BLOBS.inputs, BLOBS.labels))
-        second_block = basis.index_sets[1]
-        assert np.array_equal(rec.final_params.values[second_block],
-                              params.values[second_block])
-        first_block = basis.index_sets[0]
-        assert not np.array_equal(rec.final_params.values[first_block],
-                                  params.values[first_block])
-
     def test_touched_rows_within_retain(self):
         params = mdl.init_params(ARCH, seed=1)
         retain = (BLOBS.inputs[:100], BLOBS.labels[:100])
         rec = eng.run_nft(params, small_config(), retain)
         assert rec.touched_rows.size > 0
         assert rec.touched_rows.min() >= 0 and rec.touched_rows.max() < 100
+
+
+class TestEvaluation:
+    def test_one_pass_equals_per_set_accuracy(self):
+        params = mdl.init_params(ARCH, seed=1)
+        sets = eng.EvalSets(test=(BLOBS.inputs[:50], BLOBS.labels[:50]),
+                            retain=(BLOBS.inputs[50:451], BLOBS.labels[50:451]),
+                            forget=(BLOBS.inputs[451:452], BLOBS.labels[451:452]))
+        expected = tuple(mdl.accuracy(params, *pair)
+                         for pair in (sets.test, sets.retain, sets.forget))
+        assert eng._evaluate(params, sets) == expected
+
+    def test_absent_and_empty_sets_score_none(self, monkeypatch):
+        params = mdl.init_params(ARCH, seed=1)
+        empty = (np.empty((0, 4)), np.empty(0, dtype=np.int64))
+        retain = (BLOBS.inputs[:30], BLOBS.labels[:30])
+        got = eng._evaluate(params, eng.EvalSets(test=None, retain=retain, forget=empty))
+        assert got == (None, mdl.accuracy(params, *retain), None)
+        calls = []
+        monkeypatch.setattr(mdl, "hits", lambda *a: calls.append(a))
+        assert eng._evaluate(params, eng.EvalSets(forget=empty)) == (None, None, None)
+        assert eng._evaluate(params, eng.EvalSets()) == (None, None, None)
+        assert calls == []
+
+    def test_one_scoring_pass_per_recorded_step(self, monkeypatch):
+        params = mdl.init_params(ARCH, seed=1)
+        basis = sub.build_basis(sub.PERMUTATION, params.layer_map, 2, seed=7)
+        sets = eng.EvalSets(test=(BLOBS.inputs[:40], BLOBS.labels[:40]),
+                            retain=(BLOBS.inputs[40:], BLOBS.labels[40:]),
+                            forget=(BLOBS.inputs[:10], BLOBS.labels[:10]))
+        calls = []
+        hits = mdl.hits
+
+        def counting_hits(params, eval_sets):
+            calls.append(len(eval_sets))
+            return hits(params, eval_sets)
+
+        monkeypatch.setattr(mdl, "hits", counting_hits)
+        rec = eng.run_blockwise(params, small_config(k=2, basis=basis),
+                                (BLOBS.inputs[40:], BLOBS.labels[40:]), sets)
+        assert len(rec.rows) == 2 * 2 + 5
+        assert calls == [3] * len(rec.rows)
 
 
 class TestCsv:

@@ -204,6 +204,20 @@ class TestRunExperiment:
         # the retrain baseline is still present
         assert any(c.method == "retrain" for c in result.cells)
 
+    def test_each_model_audited_once(self, tmp_path, monkeypatch):
+        fits = []
+        mia_efficacy = audit.mia_efficacy
+
+        def counting_mia(params, *args, **kwargs):
+            fits.append(params.values.tobytes())
+            return mia_efficacy(params, *args, **kwargs)
+
+        monkeypatch.setattr(audit, "mia_efficacy", counting_mia)
+        config = harness.config_from_dict(base_config_doc(str(tmp_path / "out")))
+        result = harness.run_experiment(config)
+        # 2 seeds x (retrain baseline + 2 unlearned models), one attacker fit each
+        assert not result.errors and len(fits) == len(set(fits)) == 6
+
     def test_forget_rows_never_fed_gradients(self, tmp_path):
         out = str(tmp_path / "out")
         config = harness.config_from_dict(base_config_doc(out))

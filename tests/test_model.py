@@ -291,6 +291,10 @@ class TestAccuracy:
         spec = mdl.MlpSpec((1, 2, 3))
         params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
         assert mdl.predict(params, np.array([[1.0]]))[0] == 0
+        params.view("fc2.b")[:] = 0.7
+        x = np.random.default_rng(0).standard_normal((6, 1))
+        assert mdl.predict(params, x).tolist() == [0] * 6
+        assert mdl.hits(params, [(x, np.zeros(6)), (x[:2], np.ones(2))]) == [6, 0]
 
     # one label used to broadcast against the 5 rows, three to fail inside
     # numpy, a (5, 1) column to broadcast to (5, 5) and a scalar to fail in len()
@@ -446,3 +450,93 @@ class TestCheckpointHeader:
         write_checkpoint(path, header, b"\x00" * 64)
         with pytest.raises(FormatError):
             mdl.load_params(path)
+
+
+def reference_predict(params, x):
+    """Row-major argmax of the out-of-place chain."""
+    return np.argmax(reference_forward(params, x)[1], axis=1)
+
+
+class TestScoring:
+    @pytest.mark.parametrize("widths, sizes", [
+        ((3, 5, 2), (1,)), ((3, 5, 2), (17, 1, 4)), ((8, 16, 5), (64, 1, 1)),
+        ((6, 9, 7, 4), (1, 33)), ((4, 1, 3), (5, 2, 9)), ((784, 32, 10), (1, 40, 7)),
+    ])
+    def test_equals_row_major_argmax(self, widths, sizes):
+        spec = mdl.MlpSpec(widths)
+        rng = np.random.default_rng(sum(widths) + sum(sizes))
+        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+                                 mdl.layer_map(spec))
+        sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
+                for n in sizes]
+        # BLAS may sum the first layer's products in another order than the
+        # row-major pass (it does at 784 inputs), so logits agree to rounding
+        scores = mdl._scores(mdl._weights(params), [x for x, _ in sets])
+        ref = np.concatenate([reference_forward(params, x)[1] for x, _ in sets])
+        np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        expected = [reference_predict(params, x) for x, _ in sets]
+        for (x, _), ref in zip(sets, expected):
+            pred = mdl.predict(params, x)
+            assert pred.dtype == np.int64 and np.array_equal(pred, ref)
+        assert mdl.hits(params, sets) == [
+            int(np.count_nonzero(ref == y)) for (_, y), ref in zip(sets, expected)
+        ]
+
+    def test_tie_between_later_classes_goes_to_the_lower(self):
+        spec = mdl.MlpSpec((2, 3, 4))
+        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        params.view("fc2.b")[:] = [0.0, 2.0, 1.0, 2.0]
+        assert mdl.predict(params, np.ones((3, 2))).tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("nan_class", [0, 1, 2])
+    def test_nan_logit_raises(self, nan_class):
+        # np.argmax would return the NaN's class instead of failing
+        spec = mdl.MlpSpec((2, 4, 3))
+        params = mdl.init_params(spec, seed=0)
+        params.view("fc2.b")[nan_class] = np.nan
+        x = np.ones((4, 2))
+        with pytest.raises(NumericalError):
+            mdl.predict(params, x)
+        with pytest.raises(NumericalError):
+            mdl.hits(params, [(x, np.zeros(4))])
+        with pytest.raises(NumericalError):
+            mdl.accuracy(params, x, np.zeros(4))
+
+    def test_nan_in_one_row_raises(self):
+        params = mdl.init_params(TINY, seed=0)
+        x = np.ones((5, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(NumericalError):
+            mdl.hits(params, [(np.ones((2, 2)), np.zeros(2)), (x, np.zeros(5))])
+
+    @pytest.mark.parametrize("bad", [
+        (np.zeros((0, 2)), np.zeros(0)),       # no rows
+        (np.zeros(2), np.zeros(2)),            # 1-D inputs
+        (np.zeros((1, 1, 2)), np.zeros(1)),    # 3-D inputs
+        (np.zeros((3, 5)), np.zeros(3)),       # wrong input width
+        (np.zeros((3, 2)), np.zeros(2)),       # too few labels
+        (np.zeros((3, 2)), np.zeros((3, 1))),  # a label column
+    ])
+    def test_empty_or_misshaped_set_rejected(self, bad):
+        params = mdl.init_params(TINY, seed=0)
+        good = (np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(DomainError):
+            mdl.hits(params, [good, bad])
+        with pytest.raises(DomainError):
+            mdl.accuracy(params, *bad)
+
+    def test_sets_are_scored_without_stacking_the_inputs(self):
+        # the three inputs take 3 MB; a stacked copy of them would too
+        spec = mdl.MlpSpec((64, 8, 3))
+        params = mdl.init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        sets = [(rng.standard_normal((2000, 64)), rng.integers(0, 3, size=2000))
+                for _ in range(3)]
+        mdl.hits(params, sets)
+        tracemalloc.start()
+        try:
+            mdl.hits(params, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

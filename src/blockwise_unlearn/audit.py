@@ -59,17 +59,6 @@ class DeltaEstimate:
         }
 
 
-def _confidence_features(params: mdl.ParamVector, inputs, labels) -> np.ndarray:
-    """Per-sample (max softmax probability, cross-entropy loss) features."""
-    batch = mdl.Batch(inputs, labels)
-    logits, _ = mdl.forward(params, batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    max_prob = np.exp(log_probs.max(axis=1))
-    ce = -log_probs[np.arange(len(batch)), batch.labels]
-    return np.column_stack([max_prob, ce])
-
-
 def _fit_logistic(x: np.ndarray, y: np.ndarray, iters: int = 100):
     """Newton-Raphson logistic fit on standardized features; deterministic."""
     from scipy.special import expit  # deferred: importing scipy.special is slow
@@ -95,6 +84,54 @@ def _predict_member(mean, std, w, x: np.ndarray) -> np.ndarray:
     return (xs @ w) > 0.0
 
 
+def _attack_features(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row (max softmax probability, cross-entropy loss) features of
+    (classes, rows) logits, from a row-wise log-softmax of a (rows, classes)
+    copy, as the row-major forward pass lays its logits out."""
+    logits = np.ascontiguousarray(logits.T)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    max_prob = np.exp(log_probs.max(axis=1))
+    ce = -log_probs[np.arange(len(labels)), labels]
+    return np.column_stack([max_prob, ce])
+
+
+def _attack(member_x: np.ndarray, non_member_x: np.ndarray, forget_x: np.ndarray) -> float:
+    """Percent of the forget rows that an attacker fitted on balanced member
+    and non-member features calls non-members."""
+    x = np.vstack([member_x, non_member_x])
+    y = np.concatenate([np.ones(len(member_x)), np.zeros(len(non_member_x))])
+    mean, std, w = _fit_logistic(x, y)
+    predicted_member = _predict_member(mean, std, w, forget_x)
+    return 100.0 * int(np.sum(~predicted_member)) / len(forget_x)
+
+
+def _score(params, retain, forget, test, seed):
+    """(RA, TA, UA, MIA efficacy) of one model from one scoring pass over the
+    retain, test and forget rows; UA and MIA efficacy are None for an empty
+    forget set."""
+    n_retain, n_test, n_forget = len(retain[1]), len(test[1]), len(forget[1])
+    sets = [retain, test, forget] if n_forget else [retain, test]
+    logits, counts = mdl.logits_and_hits(params, sets)
+    # rounded as 100 * accuracy, the count over the rows rounded first
+    ra = 100.0 * (counts[0] / n_retain)
+    ta = 100.0 * (counts[1] / n_test)
+    if not n_forget:
+        return ra, ta, None, None
+    ua = 100.0 * (1.0 - counts[2] / n_forget)
+    rng = np.random.default_rng(seed)
+    n_attack = min(n_retain, n_test)
+    member_rows = rng.permutation(n_retain)[:n_attack]
+    non_member_rows = rng.permutation(n_test)[:n_attack]
+    retain_y, test_y, forget_y = (np.asarray(y, dtype=np.int64) for _, y in sets)
+    mia = _attack(
+        _attack_features(logits[:, member_rows], retain_y[member_rows]),
+        _attack_features(logits[:, n_retain + non_member_rows], test_y[non_member_rows]),
+        _attack_features(logits[:, n_retain + n_test :], forget_y),
+    )
+    return ra, ta, ua, mia
+
+
 def mia_efficacy(
     params: mdl.ParamVector,
     retain: tuple[np.ndarray, np.ndarray],
@@ -114,23 +151,7 @@ def mia_efficacy(
         return None
     if len(retain[1]) == 0 or len(heldout_test[1]) == 0:
         raise DomainError("attacker training needs retained and held-out rows")
-    rng = np.random.default_rng(seed)
-    n_attack = min(len(retain[1]), len(heldout_test[1]))
-    member_rows = rng.permutation(len(retain[1]))[:n_attack]
-    non_member_rows = rng.permutation(len(heldout_test[1]))[:n_attack]
-
-    member_x = _confidence_features(params, retain[0][member_rows], retain[1][member_rows])
-    non_member_x = _confidence_features(
-        params, heldout_test[0][non_member_rows], heldout_test[1][non_member_rows]
-    )
-    x = np.vstack([member_x, non_member_x])
-    y = np.concatenate([np.ones(n_attack), np.zeros(n_attack)])
-    mean, std, w = _fit_logistic(x, y)
-
-    forget_x = _confidence_features(params, forget[0], forget[1])
-    predicted_member = _predict_member(mean, std, w, forget_x)
-    true_negatives = int(np.sum(~predicted_member))
-    return 100.0 * true_negatives / len(forget[1])
+    return _score(params, retain, forget, heldout_test, seed)[3]
 
 
 def compute_metrics(
@@ -143,13 +164,9 @@ def compute_metrics(
     mia_seed: int = 0,
 ) -> AuditReport:
     """Accuracy metrics plus attacker efficacy, optionally relative to the
-    retrain baseline.  UA is 100 * (1 - accuracy on the forget rows)."""
-    ra = 100.0 * mdl.accuracy(params, retain[0], retain[1])
-    ta = 100.0 * mdl.accuracy(params, test[0], test[1])
-    ua = None
-    if len(forget[1]) > 0:
-        ua = 100.0 * (1.0 - mdl.accuracy(params, forget[0], forget[1]))
-    mia = mia_efficacy(params, retain, forget, test, seed=mia_seed)
+    retrain baseline, from one scoring pass over the model's rows.  UA is
+    100 * (1 - accuracy on the forget rows)."""
+    ra, ta, ua, mia = _score(params, retain, forget, test, mia_seed)
     report = AuditReport(ua=ua, ra=ra, ta=ta, mia_efficacy=mia, rte_minutes=rte_minutes)
     if retrain_params is None:
         return report

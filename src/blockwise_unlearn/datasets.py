@@ -32,6 +32,8 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise DomainError(f"row index outside [0, {len(self)})")
         return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
 
     def pair(self) -> tuple[np.ndarray, np.ndarray]:

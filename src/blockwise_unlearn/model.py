@@ -315,10 +315,9 @@ def _rows(inputs, width: int) -> np.ndarray:
     return x
 
 
-def hits(params: ParamVector, sets) -> list[int]:
-    """Correct predictions in each (inputs, labels) set, from one forward pass
-    over the rows of all of them."""
-    layers = _weights(params)
+def _checked_sets(layers, sets) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The inputs, as float64 rows, and the int64 labels of each (inputs, labels)
+    set, with one label per row."""
     width = layers[0][0].shape[1]
     inputs, labels = [], []
     for x, y in sets:
@@ -331,12 +330,41 @@ def hits(params: ParamVector, sets) -> list[int]:
             )
         inputs.append(x)
         labels.append(y)
-    pred = _classes(_scores(layers, inputs))
+    return inputs, labels
+
+
+def _hit_counts(pred: np.ndarray, labels) -> list[int]:
     counts, start = [], 0
     for y in labels:
         counts.append(int(np.count_nonzero(pred[start : start + len(y)] == y)))
         start += len(y)
     return counts
+
+
+def hits(params: ParamVector, sets) -> list[int]:
+    """Correct predictions in each (inputs, labels) set, from one forward pass
+    over the rows of all of them."""
+    layers = _weights(params)
+    inputs, labels = _checked_sets(layers, sets)
+    return _hit_counts(_classes(_scores(layers, inputs)), labels)
+
+
+def logits_and_hits(params: ParamVector, sets) -> tuple[np.ndarray, list[int]]:
+    """`hits(params, sets)` and the (classes, rows) logits it counts from, one
+    column per row of the sets, in order.
+
+    Unlike `hits`, the parameters must be finite and every label must lie in
+    [0, classes), as in `forward`.
+    """
+    _check_finite(params)
+    layers = _weights(params)
+    inputs, labels = _checked_sets(layers, sets)
+    num_classes = layers[-1][0].shape[0]
+    for y in labels:
+        if y.min() < 0 or y.max() >= num_classes:
+            raise DomainError("label out of range for the output layer")
+    logits = _scores(layers, inputs)
+    return logits, _hit_counts(_classes(logits), labels)
 
 
 def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
@@ -347,7 +375,7 @@ def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
 
 def accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     # the count of hits is exact, so this rounds count / n once, as the mean does
-    return hits(params, [(inputs, labels)])[0] / len(inputs)
+    return logits_and_hits(params, [(inputs, labels)])[1][0] / len(inputs)
 
 
 def save_params(params: ParamVector, path) -> None:

@@ -91,6 +91,29 @@ class BlockBasis:
                 merged, np.arange(self.d)
             ):
                 raise DomainError("index sets do not partition the coordinates")
+        else:
+            self._check_rotations()
+
+    def _check_rotations(self) -> None:
+        """The rotation groups tile the layer map exactly, and each rotation is
+        an (m, m) matrix whose k row groups partition range(m)."""
+        if (
+            layer_map_dim(self.layer_map) != self.d
+            or self.groups != tuple(_layer_groups(self.layer_map))
+            or len(self.rotations) != len(self.groups)
+        ):
+            raise DomainError("rotation groups do not tile the layer map")
+        sizes = np.zeros(self.k, dtype=np.int64)
+        for g, rot in zip(self.groups, self.rotations):
+            if np.shape(rot.q) != (g.m, g.m):
+                raise DomainError(f"rotation of shape {np.shape(rot.q)} for {g.m} rows")
+            if len(rot.row_groups) != self.k or not np.array_equal(
+                np.sort(np.concatenate(rot.row_groups)), np.arange(g.m)
+            ):
+                raise DomainError(f"row groups do not partition the {g.m} rows into k blocks")
+            sizes += [len(r) * g.cols for r in rot.row_groups]
+        if tuple(sizes) != self.sizes:
+            raise DomainError(f"block sizes {self.sizes} do not match the row groups")
 
     @property
     def is_index(self) -> bool:
@@ -448,10 +471,20 @@ def load_basis(path) -> BlockBasis:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"basis file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("basis file is not a JSON object")
     if doc.get("format") != _FORMAT:
         raise FormatError(f"unexpected container format {doc.get('format')!r}")
     if doc.get("version") != _VERSION:
         raise FormatError(f"unsupported basis version {doc.get('version')!r}")
+    try:
+        return _basis_from_doc(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # DomainError is a ValueError: a well-formed file of an invalid basis
+        raise FormatError(f"malformed basis file: {exc!r}") from exc
+
+
+def _basis_from_doc(doc: dict) -> BlockBasis:
     layer_map = tuple((n, tuple(s), int(o)) for n, s, o in doc["layer_map"])
     common = dict(
         strategy=doc["strategy"], d=int(doc["d"]), k=int(doc["k"]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from blockwise_unlearn import audit
 from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
 from blockwise_unlearn import model as mdl
-from blockwise_unlearn.errors import DomainError
+from blockwise_unlearn.errors import DomainError, NumericalError
 
 
 BLOBS = ds.generate_blobs(1200, classes=4, dim=8, separation=6.0, seed=17)
@@ -141,6 +142,127 @@ class TestMiaEfficacy:
         a = audit.mia_efficacy(params, retain, forget, test, seed=11)
         b = audit.mia_efficacy(params, retain, forget, test, seed=11)
         assert a == b
+
+
+def reference_audit(params, retain, forget, test, seed):
+    """(RA, TA, UA, MIA efficacy) the way the audit used to score a model: one
+    accuracy pass per set, then row-major attacker features from `forward`
+    over the sampled members, the sampled non-members and the forget rows."""
+
+    def features(x, y):
+        logits, _ = mdl.forward(params, mdl.Batch(x, y))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return np.column_stack([np.exp(log_probs.max(axis=1)),
+                                -log_probs[np.arange(len(y)), y]])
+
+    ra = 100.0 * mdl.accuracy(params, *retain)
+    ta = 100.0 * mdl.accuracy(params, *test)
+    if len(forget[1]) == 0:
+        return ra, ta, None, None
+    ua = 100.0 * (1.0 - mdl.accuracy(params, *forget))
+    rng = np.random.default_rng(seed)
+    n = min(len(retain[1]), len(test[1]))
+    members = rng.permutation(len(retain[1]))[:n]
+    non_members = rng.permutation(len(test[1]))[:n]
+    x = np.vstack([features(retain[0][members], retain[1][members]),
+                   features(test[0][non_members], test[1][non_members])])
+    mean, std, w = audit._fit_logistic(x, np.concatenate([np.ones(n), np.zeros(n)]))
+    called_member = audit._predict_member(mean, std, w, features(*forget))
+    return ra, ta, ua, 100.0 * int(np.sum(~called_member)) / len(forget[1])
+
+
+def classwise_pairs():
+    data = ds.generate_blobs(900, classes=4, dim=8, separation=3.0, seed=31)
+    split = ds.make_split(data, ds.ClassWise(2), seed=0, test_fraction=0.2)
+    return tuple(data.subset(i).pair()
+                 for i in (split.retain_idx, split.forget_idx, split.test_idx))
+
+
+class TestFusedAudit:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("scenario", ["random", "classwise"])
+    def test_equals_per_set_scoring(self, seed, scenario):
+        retain, forget, test = split_pairs() if scenario == "random" else classwise_pairs()
+        models = [trained_params(), mdl.init_params(ARCH, seed=seed)]
+        for params in models:
+            expected = reference_audit(params, retain, forget, test, seed)
+            report = audit.compute_metrics(params, retain, forget, test, mia_seed=seed)
+            assert (report.ra, report.ta, report.ua, report.mia_efficacy) == expected
+            assert audit.mia_efficacy(params, retain, forget, test, seed=seed) == expected[3]
+
+    def test_wider_model_equals_per_set_scoring(self):
+        # two hidden layers and more test than retain rows
+        rng = np.random.default_rng(5)
+        spec = mdl.MlpSpec((20, 24, 12, 5))
+        params = mdl.ParamVector(0.3 * rng.standard_normal(mdl.param_dim(spec)),
+                                 mdl.layer_map(spec))
+        retain, forget, test = (
+            (rng.standard_normal((n, 20)), rng.integers(0, 5, size=n)) for n in (90, 13, 140)
+        )
+        report = audit.compute_metrics(params, retain, forget, test, mia_seed=3)
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
+            params, retain, forget, test, 3
+        )
+
+    def test_empty_forget_set_equals_per_set_scoring(self):
+        retain, _, test = split_pairs()
+        params = trained_params()
+        empty = (np.empty((0, 8)), np.empty(0, dtype=np.int64))
+        report = audit.compute_metrics(params, retain, empty, test)
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
+            params, retain, empty, test, 0
+        )
+        assert report.ua is None and report.mia_efficacy is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_raise(self, bad):
+        retain, forget, test = split_pairs()
+        params = trained_params()
+        params.values[5] = bad
+        with pytest.raises(NumericalError):
+            audit.compute_metrics(params, retain, forget, test)
+        with pytest.raises(NumericalError):
+            audit.mia_efficacy(params, retain, forget, test)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_label_out_of_range_raises(self, label, which):
+        # in the retain set, a row the attacker does not sample, so the check
+        # must cover every scored row, not only the attacker's
+        sets = list(split_pairs())
+        x, y = sets[which]
+        row = -1
+        if which == 0:
+            n_attack = min(len(y), len(sets[2][1]))
+            sampled = np.random.default_rng(0).permutation(len(y))[:n_attack]
+            row = int(np.setdiff1d(np.arange(len(y)), sampled)[0])
+        y = y.copy()
+        y[row] = label
+        sets[which] = (x, y)
+        params = trained_params()
+        with pytest.raises(DomainError):
+            audit.compute_metrics(params, *sets)
+        with pytest.raises(DomainError):
+            audit.mia_efficacy(params, *sets)
+
+    def test_sets_are_scored_without_stacking_the_inputs(self):
+        # the three inputs take 3 MB; a stacked copy of them would too
+        spec = mdl.MlpSpec((64, 8, 3))
+        params = mdl.init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        retain, forget, test = (
+            (rng.standard_normal((2000, 64)), rng.integers(0, 3, size=2000)) for _ in range(3)
+        )
+        audit.compute_metrics(params, retain, forget, test)
+        tracemalloc.start()
+        try:
+            audit.compute_metrics(params, retain, forget, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gathering the attacker's sampled input rows alone would take 1 MB
+        assert peak < 1_000_000
 
 
 class TestEstimateDelta:

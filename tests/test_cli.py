@@ -211,6 +211,25 @@ class TestMalformedCheckpoint:
         assert err.startswith("error: malformed checkpoint header")
         assert "Traceback" not in err
 
+    def test_audit_split_index_outside_dataset(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        split = json.loads((out / "split_seed0.json").read_text())
+        split["retain_idx"].append(10**6)
+        bad_split = tmp_path / "split.json"
+        bad_split.write_text(json.dumps(split))
+        capsys.readouterr()
+        rc = run_cli(
+            "audit", "--config", str(config_path),
+            "--checkpoint", str(out / "model_full_seed0.ckpt"), "--splits", str(bad_split),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 def test_package_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(blockwise_unlearn.__file__)))

@@ -52,6 +52,17 @@ class TestBlobs:
             ds.generate_blobs(1, 2, 3, 1.0, seed=0)
 
 
+class TestSubset:
+    DATA = ds.generate_blobs(50, classes=2, dim=3, separation=1.0, seed=0)
+
+    # numpy raises a raw IndexError for 10**6 and wraps -1 to the last row
+    @pytest.mark.parametrize("idx", [[10**6], [0, 50], [-1], [3, -50]])
+    def test_index_outside_rows_rejected(self, idx):
+        with pytest.raises(DomainError):
+            self.DATA.subset(idx)
+        assert len(self.DATA.subset([])) == 0
+
+
 def write_idx_fixture(tmp_path, images, labels, image_magic=ds.IDX_IMAGE_MAGIC,
                       label_magic=ds.IDX_LABEL_MAGIC, truncate_images=0):
     """Raw big-endian IDX bytes, assembled by hand with struct."""

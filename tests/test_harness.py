@@ -206,13 +206,14 @@ class TestRunExperiment:
 
     def test_each_model_audited_once(self, tmp_path, monkeypatch):
         fits = []
-        mia_efficacy = audit.mia_efficacy
+        fit_logistic = audit._fit_logistic
 
-        def counting_mia(params, *args, **kwargs):
-            fits.append(params.values.tobytes())
-            return mia_efficacy(params, *args, **kwargs)
+        def counting_fit(x, *args, **kwargs):
+            # the attacker's training features identify the audited model
+            fits.append(x.tobytes())
+            return fit_logistic(x, *args, **kwargs)
 
-        monkeypatch.setattr(audit, "mia_efficacy", counting_mia)
+        monkeypatch.setattr(audit, "_fit_logistic", counting_fit)
         config = harness.config_from_dict(base_config_doc(str(tmp_path / "out")))
         result = harness.run_experiment(config)
         # 2 seeds x (retrain baseline + 2 unlearned models), one attacker fit each

@@ -317,6 +317,17 @@ class TestAccuracy:
             got = mdl.accuracy(params, x, y)
             assert type(got) is float and got == expected
 
+    @pytest.mark.parametrize("label", [-1, 4, 7])
+    def test_label_out_of_range(self, label):
+        # a label no class can predict would otherwise score as a plain miss
+        params = mdl.init_params(mdl.MlpSpec((3, 8, 4)), seed=2)
+        labels = np.array([0, 1, label, 3])
+        with pytest.raises(DomainError):
+            mdl.accuracy(params, np.zeros((4, 3)), labels)
+        with pytest.raises(DomainError):
+            mdl.logits_and_hits(params, [(np.zeros((2, 3)), [0, 1]),
+                                         (np.zeros((4, 3)), labels)])
+
 
 def reference_forward(params, x):
     """The forward pass written out of place, one fresh array per operation:
@@ -524,6 +535,25 @@ class TestScoring:
             mdl.hits(params, [good, bad])
         with pytest.raises(DomainError):
             mdl.accuracy(params, *bad)
+
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (6, 9, 7, 4), (784, 32, 10)])
+    def test_logits_and_hits_are_the_scoring_pass(self, widths):
+        spec = mdl.MlpSpec(widths)
+        rng = np.random.default_rng(sum(widths))
+        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+                                 mdl.layer_map(spec))
+        sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
+                for n in (7, 1, 30)]
+        logits, counts = mdl.logits_and_hits(params, sets)
+        assert counts == mdl.hits(params, sets)
+        assert np.array_equal(logits, mdl._scores(mdl._weights(params), [x for x, _ in sets]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_logits_and_hits_reject_non_finite_params(self, bad):
+        params = mdl.init_params(TINY, seed=0)
+        params.values[0] = bad
+        with pytest.raises(NumericalError):
+            mdl.logits_and_hits(params, [(np.ones((3, 2)), np.zeros(3))])
 
     def test_sets_are_scored_without_stacking_the_inputs(self):
         # the three inputs take 3 MB; a stacked copy of them would too

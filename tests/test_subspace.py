@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -281,3 +284,72 @@ class TestSerialization:
         path.write_text("not json")
         with pytest.raises(FormatError):
             sub.load_basis(path)
+
+    @staticmethod
+    def saved_k4(tmp_path):
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, mlp_like_map([5, 6, 4]), 4, seed=3)
+        path = tmp_path / "basis.json"
+        sub.save_basis(basis, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit", [
+        "deleted_group", "truncated_q", "k_not_a_number", "q_not_a_string",
+        "row_groups_missing_a_row", "group_resized",
+    ])
+    def test_malformed_rotation_file(self, tmp_path, edit):
+        # with a group missing, decompose would read uninitialised block memory
+        path, doc = self.saved_k4(tmp_path)
+        group = doc["groups"][1]
+        if edit == "deleted_group":
+            del doc["groups"][0]
+        elif edit == "truncated_q":
+            group["q"] = group["q"][:-8]
+        elif edit == "k_not_a_number":
+            doc["k"] = "x"
+        elif edit == "q_not_a_string":
+            group["q"] = 5
+        elif edit == "row_groups_missing_a_row":
+            group["row_groups"][0] = group["row_groups"][1]
+        else:
+            group["m"] -= 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            sub.load_basis(path)
+
+    @pytest.mark.parametrize("doc", ["[]", '{"format": "blockwise-unlearn-basis", '
+                                           '"version": 1}'])
+    def test_non_object_or_incomplete_file(self, tmp_path, doc):
+        path = tmp_path / "basis.json"
+        path.write_text(doc)
+        with pytest.raises(FormatError):
+            sub.load_basis(path)
+
+
+class TestRotationChecks:
+    BASIS = sub.build_basis(sub.RANDOM_ORTHONORMAL, mlp_like_map([5, 6, 4]), 4, seed=3)
+
+    def rebuilt(self, **changes):
+        return dataclasses.replace(self.BASIS, **changes)
+
+    def test_groups_must_tile_the_layer_map(self):
+        with pytest.raises(DomainError):
+            self.rebuilt(groups=self.BASIS.groups[1:], rotations=self.BASIS.rotations[1:])
+        with pytest.raises(DomainError):
+            self.rebuilt(rotations=self.BASIS.rotations[:-1])
+
+    def test_rotation_must_be_square_over_the_rows(self):
+        rot = self.BASIS.rotations[0]
+        bad = dataclasses.replace(rot, q=rot.q[:, :-1])
+        with pytest.raises(DomainError):
+            self.rebuilt(rotations=(bad,) + self.BASIS.rotations[1:])
+
+    @pytest.mark.parametrize("row_groups", [
+        lambda rg: rg[:-1],                              # k - 1 groups
+        lambda rg: (rg[1],) + rg[1:],                    # a row twice, one missing
+        lambda rg: rg[:-1] + (np.append(rg[-1], 99),),   # a row out of range
+    ])
+    def test_row_groups_must_partition_the_rows(self, row_groups):
+        rot = self.BASIS.rotations[0]
+        bad = dataclasses.replace(rot, row_groups=row_groups(rot.row_groups))
+        with pytest.raises(DomainError):
+            self.rebuilt(rotations=(bad,) + self.BASIS.rotations[1:])

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: plan (pure accounting), train / retrain / unlearn (single-seed
-pipeline stages sharing an output directory), audit, calibrate-delta,
-divergence-check, and run (the full experiment grid from a config file).
+Subcommands: plan (pure accounting), train / retrain / unlearn (one seed of
+the grid, stage by stage, writing the files `run` writes for that seed),
+audit, calibrate-delta, divergence-check, and run (the full experiment grid
+from a config file).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import engine as eng
 from . import harness
 from . import model as mdl
 from . import subspace as sub
-from .errors import UnlearnError
+from .errors import DomainError, FormatError, UnlearnError
 
 
 def _write_json(doc, path: str | None) -> None:
@@ -78,102 +79,74 @@ def _stage_args(p, needs_seed=True) -> None:
 
 
 def _stage_setup(args):
+    """Config, output directory, dataset and the prepared seed of a stage."""
     config = harness.load_config(args.config)
     out = harness.resolve_output_dir(config, args.out)
     os.makedirs(out, exist_ok=True)
     data, external_test = harness.load_dataset(config)
-    return config, out, data, external_test
+    prepared = harness.prepare_seed(config, data, external_test, args.seed)
+    return config, out, data, prepared
+
+
+def _save_model(out, name, seed_index, params, split) -> int:
+    """Write a stage's model and the seed's split under the names `run` uses."""
+    ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
+    path = os.path.join(out, f"model_{name}_seed{seed_index}.ckpt")
+    mdl.save_params(params, path)
+    print(path)
+    return 0
 
 
 def _cmd_train(args) -> int:
-    config, out, data, external_test = _stage_setup(args)
+    config, out, data, (seeds, split, pool, _) = _stage_setup(args)
     arch = harness.architecture(config, data)
-    seeds = harness.cell_seeds(config, args.seed)
-    split = harness.seed_split(config, data, external_test, seeds)
-    train_pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
-    params, _ = eng.train(arch, train_pool.pair(), seeds, harness.train_config(config))
-    ds.save_split(split, os.path.join(out, f"split_seed{args.seed}.json"))
-    path = os.path.join(out, f"model_full_seed{args.seed}.ckpt")
-    mdl.save_params(params, path)
-    print(path)
-    return 0
+    params, _ = eng.train(arch, pool, seeds, harness.train_config(config))
+    return _save_model(out, "full", args.seed, params, split)
 
 
 def _cmd_retrain(args) -> int:
-    config, out, data, external_test = _stage_setup(args)
+    config, out, data, (seeds, split, _, eval_sets) = _stage_setup(args)
     arch = harness.architecture(config, data)
-    seeds = harness.cell_seeds(config, args.seed)
-    split_path = os.path.join(out, f"split_seed{args.seed}.json")
-    if os.path.exists(split_path):
-        split = ds.load_split(split_path)
-    else:
-        split = harness.seed_split(config, data, external_test, seeds)
-        ds.save_split(split, split_path)
-    retain = data.subset(split.retain_idx)
-    params = eng.coupled_retrain(arch, retain.pair(), seeds, harness.train_config(config))
-    path = os.path.join(out, f"model_retrain_seed{args.seed}.ckpt")
-    mdl.save_params(params, path)
-    print(path)
-    return 0
+    params = eng.coupled_retrain(arch, eval_sets.retain, seeds, harness.train_config(config))
+    return _save_model(out, "retrain", args.seed, params, split)
 
 
 def _cmd_unlearn(args) -> int:
-    config, out, data, external_test = _stage_setup(args)
-    seeds = harness.cell_seeds(config, args.seed)
+    config, out, _, (seeds, split, _, eval_sets) = _stage_setup(args)
     ckpt = os.path.join(out, f"model_full_seed{args.seed}.ckpt")
-    split_path = os.path.join(out, f"split_seed{args.seed}.json")
-    if not (os.path.exists(ckpt) and os.path.exists(split_path)):
+    if not os.path.exists(ckpt):
         _cmd_train(args)
-    full_params = mdl.load_params(ckpt)
-    split = ds.load_split(split_path)
-    retain = data.subset(split.retain_idx)
-    forget = data.subset(split.forget_idx)
-    test_set = external_test if external_test is not None else data.subset(split.test_idx)
-
     epsilon, delta = config.budgets[0]
     if args.epsilon is not None:
         epsilon = args.epsilon
     if args.delta is not None:
         delta = args.delta
     k = args.blocks if args.method == harness.METHOD_BLOCKWISE else 1
-    spec = harness.budget_spec(config, epsilon, delta)
-    steps = config.unlearn.get("steps")
-    plan = acc.make_plan(
-        spec, k, steps=None if steps is None else int(steps),
-        scale_c0=bool(config.unlearn.get("scale_c0", True)),
-    )
-    basis = None
-    if k > 1:
-        basis = sub.build_basis(
-            config.basis_strategy,
-            full_params.layer_map, k, seed=harness.basis_seed(config, args.seed),
-        )
-        sub.save_basis(basis, os.path.join(out, f"basis_k{k}_seed{args.seed}.json"))
-    eval_sets = eng.EvalSets(
-        test=test_set.pair(), retain=retain.pair(), forget=forget.pair()
-    )
-    record, rte = harness._unlearn_cell(
-        config, harness.architecture(config, data), plan, basis, seeds,
-        full_params, retain, eval_sets,
+    _, rte = harness.run_cell(
+        config, out, mdl.load_params(ckpt), seeds, split, eval_sets,
+        method=args.method, epsilon=epsilon, delta=delta, k=k, seed_index=args.seed,
     )
     key = harness.cell_key(args.method, epsilon, k, args.seed)
-    record.write_csv(os.path.join(out, f"{key}.csv"))
-    mdl.save_params(record.final_params, os.path.join(out, f"{key}.ckpt"))
-    manifest = {
-        "key": key,
-        "method": args.method,
-        "epsilon": epsilon,
-        "delta": delta,
-        "k": k,
-        "plan": plan.to_dict(),
-        "rte_minutes": rte,
-        "checkpoint": f"{key}.ckpt",
-        "csv": f"{key}.csv",
-    }
-    with open(os.path.join(out, f"{key}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _record_timing(os.path.join(out, "timings.json"), key, rte)
     print(os.path.join(out, f"{key}.ckpt"))
     return 0
+
+
+def _record_timing(path, key, minutes) -> None:
+    """Add one cell's unlearning wall time to a timings file, keeping the
+    cells already recorded there."""
+    timings = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            try:
+                timings = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"timings file is not valid JSON: {exc}") from exc
+        if not isinstance(timings, dict):
+            raise FormatError("timings file is not a JSON object")
+    timings[key] = minutes
+    with open(path, "w") as fh:
+        json.dump(timings, fh, indent=2, sort_keys=True)
 
 
 def _cmd_audit(args) -> int:
@@ -219,6 +192,8 @@ def _cmd_calibrate_delta(args) -> int:
 
 
 def _cmd_divergence_check(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     report: dict = {}
 

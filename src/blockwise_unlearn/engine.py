@@ -13,7 +13,7 @@ a rerun with equal seeds reproduces the trajectory bit for bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -324,33 +324,14 @@ def run_blockwise(
     )
 
 
-def run_nft(
-    params0: mdl.ParamVector,
-    config: RunConfig,
-    retain: tuple[np.ndarray, np.ndarray],
-    eval_sets: EvalSets = EvalSets(),
-) -> RunRecord:
-    """Plain noisy fine-tuning: the k = 1 schedule with no basis.
-
-    There is no initial model clipping; the starting point is used as is.
-    """
-    if config.plan.k != 1:
-        raise DomainError("run_nft expects a single-block plan")
-    if config.basis is not None:
-        config = replace(config, basis=None)
-    return run_blockwise(params0, config, retain, eval_sets)
-
-
 def train(
     arch: mdl.MlpSpec,
     data: tuple[np.ndarray, np.ndarray],
     seeds: Seeds,
     config: TrainConfig,
-    eval_sets: EvalSets | None = None,
-    params0: mdl.ParamVector | None = None,
 ) -> tuple[mdl.ParamVector, RunRecord]:
     """SGD-with-momentum training, deterministic in the seeds."""
-    params = params0.copy() if params0 is not None else mdl.init_params(arch, seeds.init)
+    params = mdl.init_params(arch, seeds.init)
     order_rng = np.random.default_rng(seeds.data_order)
     batcher = _Batcher(data[0], data[1], config.batch_size, order_rng)
     velocity = np.zeros_like(params.values)
@@ -360,19 +341,15 @@ def train(
         params, velocity, loss, gnorm = _momentum_step(
             params, velocity, batch, config.lr, config.momentum, config.weight_decay
         )
-        if eval_sets is not None:
-            test_acc, retain_acc, forget_acc = _evaluate(params, eval_sets)
-        else:
-            test_acc = retain_acc = forget_acc = None
         rows.append(
             StepRow(
                 step=step,
                 phase=PHASE_TRAIN,
                 block=None,
                 loss=loss,
-                test_acc=test_acc,
-                retain_acc=retain_acc,
-                forget_acc=forget_acc,
+                test_acc=None,
+                retain_acc=None,
+                forget_acc=None,
                 noise_norm=0.0,
                 grad_norm_pre=gnorm,
                 grad_norm_post=gnorm,

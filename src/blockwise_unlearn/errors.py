@@ -22,4 +22,4 @@ class NumericalError(UnlearnError):
 
 
 class FormatError(UnlearnError):
-    """A serialized artifact (dataset file, checkpoint, basis) is malformed."""
+    """A serialized artifact (config, dataset, checkpoint, split or timings file) is malformed."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.n_seeds < 1:
             raise DomainError("n_seeds must be >= 1")
+        if self.seed0 < 0:
+            raise DomainError(f"seed0 must be >= 0, got {self.seed0}")
         if self.basis_strategy not in sub.STRATEGIES:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
         if any(k < 1 for k in self.k_values):
@@ -174,6 +176,8 @@ def budget_spec(config: ExperimentConfig, epsilon: float, delta: float) -> acc.B
 
 
 def cell_seeds(config: ExperimentConfig, seed_index: int) -> eng.Seeds:
+    if seed_index < 0:
+        raise DomainError(f"seed index must be >= 0, got {seed_index}")
     base = config.seed0 + seed_index
     return eng.Seeds(init=base, data_order=base + 10_000, noise=base + 20_000)
 
@@ -195,7 +199,6 @@ class CellResult:
     k: int
     seed_index: int
     report: audit.AuditReport
-    final_test_acc: float
     min_unlearn_test_acc: float | None
     rte_minutes: float
     csv_path: str | None = None
@@ -208,33 +211,52 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def seed_split(config, data, external_test, seeds) -> ds.ScenarioSplit:
-    """One seed's split; rows are held out for testing only when no external
-    test set was loaded."""
+def prepare_seed(config, data, external_test, seed_index):
+    """One seed's coupled seeds, split, training pool (the retain and forget
+    rows, in index order) and evaluation sets.  Rows are held out for testing
+    only when no external test set was loaded.
+
+    Returns (seeds, split, pool, eval_sets); pool is an (inputs, labels) pair.
+    """
+    seeds = cell_seeds(config, seed_index)
     test_fraction = config.test_fraction if external_test is None else 0.0
-    return ds.make_split(
+    split = ds.make_split(
         data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
     )
-
-
-def _prepare_seed_stage(config, data, external_test, seed_index):
-    """Train the full model, split, and build the coupled retrain baseline."""
-    seeds = cell_seeds(config, seed_index)
-    split = seed_split(config, data, external_test, seeds)
     test_set = external_test if external_test is not None else data.subset(split.test_idx)
-    retain = data.subset(split.retain_idx)
-    forget = data.subset(split.forget_idx)
-    arch = architecture(config, data)
-    tcfg = train_config(config)
-    full_params, _ = eng.train(arch, data.subset(np.sort(np.concatenate(
-        [split.retain_idx, split.forget_idx]))).pair(), seeds, tcfg)
-    retrain_params = eng.coupled_retrain(arch, retain.pair(), seeds, tcfg)
-    return seeds, split, retain, forget, test_set, arch, full_params, retrain_params
+    pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
+    eval_sets = eng.EvalSets(
+        test=test_set.pair(),
+        retain=data.subset(split.retain_idx).pair(),
+        forget=data.subset(split.forget_idx).pair(),
+    )
+    return seeds, split, pool.pair(), eval_sets
 
 
-def _unlearn_cell(
-    config, arch, plan, basis, seeds, full_params, retain, eval_sets
+def run_cell(
+    config, out, full_params, seeds, split, eval_sets,
+    *, method, epsilon, delta, k, seed_index,
 ) -> tuple[eng.RunRecord, float]:
+    """Unlearn one cell from the full model and write its CSV, checkpoint and
+    manifest under `out`.
+
+    Builds the plan and, for k > 1, the basis; runs the block schedule on the
+    retain rows and checks that no forget row fed a gradient.  Returns the run
+    record and the unlearning wall time in minutes.
+    """
+    key = cell_key(method, epsilon, k, seed_index)
+    steps = config.unlearn.get("steps")
+    plan = acc.make_plan(
+        budget_spec(config, epsilon, delta), k,
+        steps=None if steps is None else int(steps),
+        scale_c0=bool(config.unlearn.get("scale_c0", True)),
+    )
+    basis = None
+    if k > 1:
+        basis = sub.build_basis(
+            config.basis_strategy, full_params.layer_map, k,
+            seed=basis_seed(config, seed_index),
+        )
     f = config.finetune
     run_cfg = eng.RunConfig(
         plan=plan,
@@ -248,8 +270,29 @@ def _unlearn_cell(
         step_cap=config.step_cap,
     )
     start = time.perf_counter()
-    record = eng.run_blockwise(full_params, run_cfg, retain.pair(), eval_sets)
+    record = eng.run_blockwise(full_params, run_cfg, eval_sets.retain, eval_sets)
     rte = (time.perf_counter() - start) / 60.0
+    if np.intersect1d(split.retain_idx[record.touched_rows], split.forget_idx).size:
+        raise DomainError("forget rows fed a gradient")
+
+    record.write_csv(os.path.join(out, f"{key}.csv"))
+    mdl.save_params(record.final_params, os.path.join(out, f"{key}.ckpt"))
+    manifest = {
+        "key": key,
+        "method": method,
+        "epsilon": epsilon,
+        "delta": delta,
+        "k": k,
+        "seed_index": seed_index,
+        "seeds": asdict(seeds),
+        "plan": plan.to_dict(),
+        "checkpoint": f"{key}.ckpt",
+        "csv": f"{key}.csv",
+        "basis_strategy": None if basis is None else config.basis_strategy,
+        "basis_seed": None if basis is None else basis.seed,
+    }
+    with open(os.path.join(out, f"{key}_manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
     return record, rte
 
 
@@ -261,13 +304,17 @@ def run_experiment(
     data, external_test = load_dataset(config)
     result = ExperimentResult()
     timings: dict[str, float] = {}
+    k_values = config.k_values if config.method == METHOD_BLOCKWISE else (1,)
 
     for seed_index in range(config.n_seeds):
         try:
-            (seeds, split, retain, forget, test_set, arch,
-             full_params, retrain_params) = _prepare_seed_stage(
+            seeds, split, pool, eval_sets = prepare_seed(
                 config, data, external_test, seed_index
             )
+            arch, tcfg = architecture(config, data), train_config(config)
+            full_params, _ = eng.train(arch, pool, seeds, tcfg)
+            del pool  # a copy of most rows, which the cells do not need
+            retrain_params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)
         except Exception as exc:  # noqa: BLE001 - recorded, other seeds proceed
             result.errors[f"seed{seed_index}"] = f"{type(exc).__name__}: {exc}"
             continue
@@ -278,26 +325,17 @@ def run_experiment(
         )
         ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
 
-        eval_sets = eng.EvalSets(
-            test=test_set.pair(), retain=retain.pair(), forget=forget.pair()
-        )
-
-        baseline = audit.compute_metrics(
-            retrain_params, retain.pair(), forget.pair(), test_set.pair(),
-            mia_seed=seeds.init,
-        )
-        baseline_report = audit.against_baseline(baseline, baseline)
-        base_key = cell_key(METHOD_RETRAIN, 0.0, 0, seed_index)
+        audit_sets = (eval_sets.retain, eval_sets.forget, eval_sets.test)
+        baseline = audit.compute_metrics(retrain_params, *audit_sets, mia_seed=seeds.init)
         result.cells.append(
             CellResult(
-                key=base_key,
+                key=cell_key(METHOD_RETRAIN, 0.0, 0, seed_index),
                 method=METHOD_RETRAIN,
                 epsilon=0.0,
                 delta=0.0,
                 k=0,
                 seed_index=seed_index,
-                report=baseline_report,
-                final_test_acc=baseline_report.ta,
+                report=audit.against_baseline(baseline, baseline),
                 min_unlearn_test_acc=None,
                 rte_minutes=0.0,
             )
@@ -305,66 +343,22 @@ def run_experiment(
         if config.method == METHOD_RETRAIN:
             continue
 
-        k_values = config.k_values if config.method == METHOD_BLOCKWISE else (1,)
         for epsilon, delta in config.budgets:
             for k in k_values:
                 key = cell_key(config.method, epsilon, k, seed_index)
                 try:
-                    spec = budget_spec(config, epsilon, delta)
-                    steps = config.unlearn.get("steps")
-                    plan = acc.make_plan(
-                        spec, k,
-                        steps=None if steps is None else int(steps),
-                        scale_c0=bool(config.unlearn.get("scale_c0", True)),
+                    record, rte = run_cell(
+                        config, out, full_params, seeds, split, eval_sets,
+                        method=config.method, epsilon=epsilon, delta=delta, k=k,
+                        seed_index=seed_index,
                     )
-                    basis = None
-                    if k > 1:
-                        basis = sub.build_basis(
-                            config.basis_strategy,
-                            full_params.layer_map,
-                            k,
-                            seed=basis_seed(config, seed_index),
-                        )
-                    record, rte = _unlearn_cell(
-                        config, arch, plan, basis, seeds, full_params, retain, eval_sets
-                    )
-                    touched_global = split.retain_idx[record.touched_rows]
-                    if np.intersect1d(touched_global, split.forget_idx).size:
-                        raise DomainError("forget rows fed a gradient")
                     report = audit.against_baseline(
                         audit.compute_metrics(
-                            record.final_params, retain.pair(), forget.pair(),
-                            test_set.pair(), rte_minutes=rte, mia_seed=seeds.init,
+                            record.final_params, *audit_sets,
+                            rte_minutes=rte, mia_seed=seeds.init,
                         ),
                         baseline,
                     )
-                    csv_path = os.path.join(out, f"{key}.csv")
-                    record.write_csv(csv_path)
-                    mdl.save_params(
-                        record.final_params, os.path.join(out, f"{key}.ckpt")
-                    )
-                    manifest = {
-                        "key": key,
-                        "method": config.method,
-                        "epsilon": epsilon,
-                        "delta": delta,
-                        "k": k,
-                        "seed_index": seed_index,
-                        "seeds": {
-                            "init": seeds.init,
-                            "data_order": seeds.data_order,
-                            "noise": seeds.noise,
-                        },
-                        "plan": plan.to_dict(),
-                        "checkpoint": f"{key}.ckpt",
-                        "csv": f"{key}.csv",
-                        "basis_strategy": (
-                            None if basis is None else config.basis_strategy
-                        ),
-                        "basis_seed": None if basis is None else basis.seed,
-                    }
-                    with open(os.path.join(out, f"{key}_manifest.json"), "w") as fh:
-                        json.dump(manifest, fh, indent=2, sort_keys=True)
                     result.cells.append(
                         CellResult(
                             key=key,
@@ -374,11 +368,10 @@ def run_experiment(
                             k=k,
                             seed_index=seed_index,
                             report=report,
-                            final_test_acc=report.ta,
                             min_unlearn_test_acc=100.0
                             * record.min_accuracy("unlearn"),
                             rte_minutes=rte,
-                            csv_path=csv_path,
+                            csv_path=os.path.join(out, f"{key}.csv"),
                         )
                     )
                     timings[key] = rte

@@ -213,11 +213,6 @@ def forward(params: ParamVector, batch: Batch):
     return logits, loss
 
 
-def backward(params: ParamVector, batch: Batch) -> ParamVector:
-    """Gradient of the mean loss with respect to every parameter."""
-    return loss_and_grad(params, batch)[1]
-
-
 def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
     """Mean loss and its gradient from a single forward/backward pass."""
     _check_finite(params)

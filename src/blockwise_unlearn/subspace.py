@@ -14,13 +14,11 @@ together with the weight rows; other entries form their own group.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError
 
 RANDOM_ORTHONORMAL = "random_orthonormal"
 PERMUTATION = "permutation"
@@ -28,9 +26,6 @@ LAYER_CYCLIC = "layer_cyclic"
 HEAD_BODY = "head_body"
 
 STRATEGIES = (RANDOM_ORTHONORMAL, PERMUTATION, LAYER_CYCLIC, HEAD_BODY)
-
-_FORMAT = "blockwise-unlearn-basis"
-_VERSION = 1
 
 LayerMap = tuple[tuple[str, tuple[int, ...], int], ...]
 
@@ -424,87 +419,3 @@ def as_dense(basis: BlockBasis) -> np.ndarray:
             a[:, col] = lift_block(eye[j], basis, i)
             col += 1
     return a
-
-
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode("ascii")
-
-
-def _decode(text: str, dtype, shape) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
-    arr = np.frombuffer(raw, dtype=dtype).copy()
-    return arr.reshape(shape)
-
-
-def save_basis(basis: BlockBasis, path) -> None:
-    """Write a versioned JSON container (matrices row-major float64 base64)."""
-    doc = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "strategy": basis.strategy,
-        "seed": basis.seed,
-        "d": basis.d,
-        "k": basis.k,
-        "sizes": list(basis.sizes),
-        "layer_map": [[n, list(s), o] for n, s, o in basis.layer_map],
-    }
-    if basis.is_index:
-        doc["index_sets"] = [_encode(s.astype("<i8")) for s in basis.index_sets]
-    else:
-        doc["groups"] = [
-            {
-                "m": g.m,
-                "cols": g.cols,
-                "parts": [list(p) for p in g.parts],
-                "q": _encode(rot.q.astype("<f8")),
-                "row_groups": [_encode(r.astype("<i8")) for r in rot.row_groups],
-            }
-            for g, rot in zip(basis.groups, basis.rotations)
-        ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_basis(path) -> BlockBasis:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"basis file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("basis file is not a JSON object")
-    if doc.get("format") != _FORMAT:
-        raise FormatError(f"unexpected container format {doc.get('format')!r}")
-    if doc.get("version") != _VERSION:
-        raise FormatError(f"unsupported basis version {doc.get('version')!r}")
-    try:
-        return _basis_from_doc(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # DomainError is a ValueError: a well-formed file of an invalid basis
-        raise FormatError(f"malformed basis file: {exc!r}") from exc
-
-
-def _basis_from_doc(doc: dict) -> BlockBasis:
-    layer_map = tuple((n, tuple(s), int(o)) for n, s, o in doc["layer_map"])
-    common = dict(
-        strategy=doc["strategy"], d=int(doc["d"]), k=int(doc["k"]),
-        seed=doc["seed"], sizes=tuple(int(s) for s in doc["sizes"]),
-        layer_map=layer_map,
-    )
-    if "index_sets" in doc:
-        sets = tuple(
-            _decode(s, "<i8", (r,)) for s, r in zip(doc["index_sets"], common["sizes"])
-        )
-        return BlockBasis(index_sets=sets, **common)
-    groups, rotations = [], []
-    for gdoc in doc["groups"]:
-        m, cols = int(gdoc["m"]), int(gdoc["cols"])
-        groups.append(
-            _Group(m=m, cols=cols, parts=tuple(tuple(p) for p in gdoc["parts"]))
-        )
-        q = _decode(gdoc["q"], "<f8", (m, m))
-        row_groups = tuple(
-            _decode(r, "<i8", (-1,)) for r in gdoc["row_groups"]
-        )
-        rotations.append(_Rotation(q=q, row_groups=row_groups))
-    return BlockBasis(groups=tuple(groups), rotations=tuple(rotations), **common)

@@ -259,7 +259,7 @@ def test_criterion_09_gradient_finite_differences():
             h = np.maximum(z, 0.0)
         if gap < 1e-3:
             continue
-        grad = mdl.backward(params, batch).values
+        grad = mdl.loss_and_grad(params, batch)[1].values
         fd = np.empty_like(grad)
         for j in range(grad.size):
             plus, minus = params.values.copy(), params.values.copy()

@@ -85,7 +85,6 @@ class TestPipelineCommands:
         ) == 0
         assert (out / "blockwise_eps1_k2_seed0.ckpt").exists()
         assert (out / "blockwise_eps1_k2_seed0.csv").exists()
-        assert (out / "basis_k2_seed0.json").exists()
         manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
         assert manifest["plan"]["total_steps"] == 4
         capsys.readouterr()
@@ -117,8 +116,49 @@ class TestPipelineCommands:
             "unlearn", "--config", str(config_path), "--seed", "0",
             "--method", "blockwise", "--blocks", "2",
         ) == 0
-        basis = json.loads((out / "basis_k2_seed0.json").read_text())
-        assert basis["strategy"] == "layer_cyclic"
+        manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
+        assert manifest["basis_strategy"] == "layer_cyclic"
+
+    def test_stages_write_the_files_run_writes(self, tmp_path, capsys):
+        doc = base_config_doc(str(tmp_path / "run"))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        stage = tmp_path / "stage"
+        for argv in (["train"], ["retrain"],
+                     *(["unlearn", "--blocks", str(k)] for k in doc["k_values"])):
+            assert run_cli(*argv, "--config", str(config_path), "--out", str(stage)) == 0
+        assert run_cli("run", "--config", str(config_path)) == 0
+        grid = tmp_path / "run"
+        run_only = {"summary.json", "report.txt"}
+        names = sorted(p.name for p in stage.iterdir())
+        assert names == sorted(p.name for p in grid.iterdir() if p.name not in run_only)
+        for name in names:
+            if name != "timings.json":
+                assert (stage / name).read_bytes() == (grid / name).read_bytes(), name
+        timings = json.loads((stage / "timings.json").read_text())
+        assert set(timings) == set(json.loads((grid / "timings.json").read_text()))
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"], ["retrain", "--seed", "-1"],
+        ["unlearn", "--seed", "-1"],
+        ["calibrate-delta", "--seed", "-5", "--runs", "2", "--rho", "0.5"],
+        ["divergence-check", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        if argv[0] != "divergence-check":
+            config_path = write_config(tmp_path, base_config_doc(str(tmp_path / "out")))
+            argv = [*argv, "--config", str(config_path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed0_in_config_is_an_error(self, tmp_path, capsys):
+        doc = base_config_doc(str(tmp_path / "out"))
+        doc["seed0"] = -1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("run", "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed0") and "Traceback" not in err
 
     def test_unlearn_nft_runs_stages_if_missing(self, tmp_path, capsys):
         out = tmp_path / "out"

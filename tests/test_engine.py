@@ -39,7 +39,7 @@ class TestNftStep:
         # zero up to rounding; with lam = 0 and sigma2 = 0 the step is a no-op
         params = mdl.ParamVector(np.zeros(mdl.param_dim(ARCH)), mdl.layer_map(ARCH))
         batch = mdl.Batch(np.ones((3, 4)), np.array([0, 1, 2]))
-        assert np.max(np.abs(mdl.backward(params, batch).values)) <= 1e-15
+        assert np.max(np.abs(mdl.loss_and_grad(params, batch)[1].values)) <= 1e-15
         new, _, diag = eng.nft_step(
             params, batch, gamma=0.1, lam=0.0, c1=1.0, sigma2=0.0,
             rng=np.random.default_rng(0),
@@ -50,7 +50,7 @@ class TestNftStep:
     def test_unclipped_step_is_sgd_with_decay(self):
         params = mdl.init_params(ARCH, seed=1)
         batch = mdl.Batch(BLOBS.inputs[:16], BLOBS.labels[:16])
-        g = mdl.backward(params, batch).values
+        g = mdl.loss_and_grad(params, batch)[1].values
         c1 = 10.0 * np.linalg.norm(g)  # clip is the identity
         new, _, diag = eng.nft_step(
             params, batch, gamma=0.05, lam=0.2, c1=c1, sigma2=0.0,
@@ -121,13 +121,13 @@ def small_config(k=1, basis=None, **kw):
 
 class TestRuns:
     def test_k1_blockwise_equals_nft(self):
+        # plain noisy fine-tuning (no basis) equals the k = 1 block schedule
+        # over the identity basis
         params = mdl.init_params(ARCH, seed=1)
         retain = (BLOBS.inputs, BLOBS.labels)
-        rec_nft = eng.run_nft(params, small_config(), retain)
-        rec_block = eng.run_blockwise(params, small_config(), retain)
+        rec_nft = eng.run_blockwise(params, small_config(), retain)
         ident = full_index_basis(params)
         rec_ident = eng.run_blockwise(params, small_config(basis=ident), retain)
-        assert np.array_equal(rec_nft.final_params.values, rec_block.final_params.values)
         assert np.array_equal(rec_nft.final_params.values, rec_ident.final_params.values)
         assert [r.loss for r in rec_nft.rows] == [r.loss for r in rec_ident.rows]
 
@@ -135,14 +135,14 @@ class TestRuns:
         params = mdl.init_params(ARCH, seed=1)
         retain = (BLOBS.inputs, BLOBS.labels)
         plan = toy_plan(sigma2=0.0, steps=6)
-        rec = eng.run_nft(params, small_config(plan=plan, fine_tune_steps=0), retain)
+        rec = eng.run_blockwise(params, small_config(plan=plan, fine_tune_steps=0), retain)
         # replay manually with the same batch order
         order_rng = np.random.default_rng(2)
         replay = params.copy()
         batcher = eng._Batcher(BLOBS.inputs, BLOBS.labels, 32, order_rng)
         for _ in range(6):
             batch = batcher.next()
-            g = mdl.backward(replay, batch).values
+            g = mdl.loss_and_grad(replay, batch)[1].values
             gc = mdl.clip(g, plan.c1_per_block)
             delta = -plan.gamma * (gc + plan.lam * replay.values)
             replay = mdl.ParamVector(replay.values + delta, replay.layer_map)
@@ -189,12 +189,12 @@ class TestRuns:
         params = mdl.init_params(ARCH, seed=1)
         cfg = small_config(plan=toy_plan(steps=30), step_cap=10, fine_tune_steps=None)
         with pytest.raises(DomainError):
-            eng.run_nft(params, cfg, (BLOBS.inputs, BLOBS.labels))
+            eng.run_blockwise(params, cfg, (BLOBS.inputs, BLOBS.labels))
 
     def test_fine_tune_fills_cap(self):
         params = mdl.init_params(ARCH, seed=1)
         cfg = small_config(fine_tune_steps=None, step_cap=40)
-        rec = eng.run_nft(params, cfg, (BLOBS.inputs, BLOBS.labels))
+        rec = eng.run_blockwise(params, cfg, (BLOBS.inputs, BLOBS.labels))
         assert len(rec.rows) == 40
 
     def test_basis_plan_mismatch(self):
@@ -207,7 +207,7 @@ class TestRuns:
     def test_touched_rows_within_retain(self):
         params = mdl.init_params(ARCH, seed=1)
         retain = (BLOBS.inputs[:100], BLOBS.labels[:100])
-        rec = eng.run_nft(params, small_config(), retain)
+        rec = eng.run_blockwise(params, small_config(), retain)
         assert rec.touched_rows.size > 0
         assert rec.touched_rows.min() >= 0 and rec.touched_rows.max() < 100
 
@@ -262,10 +262,10 @@ class TestCsv:
             retain=(BLOBS.inputs[50:100], BLOBS.labels[50:100]),
             forget=(BLOBS.inputs[100:120], BLOBS.labels[100:120]),
         )
-        rec = eng.run_nft(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
+        rec = eng.run_blockwise(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         rec.write_csv(p1)
-        rec2 = eng.run_nft(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
+        rec2 = eng.run_blockwise(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
         rec2.write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
         first = p1.read_text().splitlines()[0]
@@ -274,7 +274,7 @@ class TestCsv:
     def test_min_accuracy_helper(self):
         params = mdl.init_params(ARCH, seed=1)
         eval_sets = eng.EvalSets(test=(BLOBS.inputs[:50], BLOBS.labels[:50]))
-        rec = eng.run_nft(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
+        rec = eng.run_blockwise(params, small_config(), (BLOBS.inputs, BLOBS.labels), eval_sets)
         m = rec.min_accuracy("unlearn")
         assert 0.0 <= m <= 1.0
         with pytest.raises(DomainError):

@@ -71,6 +71,15 @@ class TestConfig:
         with pytest.raises(DomainError):
             harness.config_from_dict(doc)
 
+    def test_negative_seeds_rejected(self):
+        doc = base_config_doc("x")
+        doc["seed0"] = -2
+        with pytest.raises(DomainError):
+            harness.config_from_dict(doc)
+        config = harness.config_from_dict(base_config_doc("x"))
+        with pytest.raises(DomainError):
+            harness.cell_seeds(config, -1)
+
     def test_env_override(self, tmp_path, monkeypatch):
         config = harness.config_from_dict(base_config_doc("default_dir"))
         monkeypatch.setenv(harness.ENV_OUTPUT_DIR, str(tmp_path / "env_dir"))
@@ -96,8 +105,8 @@ def report_cell(method, k, rte_minutes):
     report = audit.AuditReport(ua=10.0, ra=90.0, ta=88.0, mia_efficacy=50.0)
     return harness.CellResult(
         key=harness.cell_key(method, 1.0, k, 0), method=method, epsilon=1.0,
-        delta=1e-5, k=k, seed_index=0, report=report, final_test_acc=88.0,
-        min_unlearn_test_acc=None, rte_minutes=rte_minutes,
+        delta=1e-5, k=k, seed_index=0, report=report, min_unlearn_test_acc=None,
+        rte_minutes=rte_minutes,
     )
 
 

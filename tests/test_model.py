@@ -98,7 +98,7 @@ class TestForward:
         with pytest.raises(NumericalError):
             mdl.forward(params, tiny_batch())
         with pytest.raises(NumericalError):
-            mdl.backward(params, tiny_batch())
+            mdl.loss_and_grad(params, tiny_batch())
 
     def test_label_out_of_range(self):
         params = mdl.init_params(TINY, seed=5)
@@ -132,7 +132,7 @@ class TestBackward:
     def test_matches_central_differences(self):
         params = mdl.init_params(TINY, seed=5)
         batch = tiny_batch()
-        grad = mdl.backward(params, batch).values
+        grad = mdl.loss_and_grad(params, batch)[1].values
         fd = central_difference(params, batch)
         scale = np.maximum(np.abs(fd), 1e-3)
         assert np.max(np.abs(grad - fd) / scale) <= 1e-5
@@ -153,7 +153,7 @@ class TestBackward:
             )
             if min_preactivation_gap(params, batch) < 1e-3:
                 continue
-            grad = mdl.backward(params, batch).values
+            grad = mdl.loss_and_grad(params, batch)[1].values
             fd = central_difference(params, batch)
             scale = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(grad - fd) / scale) <= 1e-5
@@ -166,9 +166,9 @@ class TestBackward:
         params = mdl.init_params(spec, seed=1)
         batch = mdl.Batch(np.array([[1.0], [1.0]]), np.array([0, 1]))
         for _ in range(4000):
-            g = mdl.backward(params, batch)
+            g = mdl.loss_and_grad(params, batch)[1]
             params = mdl.ParamVector(params.values - 0.5 * g.values, params.layer_map)
-        assert np.linalg.norm(mdl.backward(params, batch).values) <= 1e-6
+        assert np.linalg.norm(mdl.loss_and_grad(params, batch)[1].values) <= 1e-6
         _, loss = mdl.forward(params, batch)
         assert loss == pytest.approx(np.log(2.0), abs=1e-9)
 
@@ -179,8 +179,8 @@ class TestBackward:
             np.vstack([batch.inputs, batch.inputs]),
             np.concatenate([batch.labels, batch.labels]),
         )
-        g1 = mdl.backward(params, batch).values
-        g2 = mdl.backward(params, doubled).values
+        g1 = mdl.loss_and_grad(params, batch)[1].values
+        g2 = mdl.loss_and_grad(params, doubled)[1].values
         assert np.allclose(g1, g2, atol=1e-14)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -281,6 +282,44 @@ class TestBlockNoise:
         )
         stat = stats.kstest(draws, "norm", args=(0.0, np.sqrt(sigma2)))
         assert stat.pvalue > 0.01
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("strategy", sub.STRATEGIES)
+    def test_round_trip(self, strategy):
+        # a cell records its basis as (strategy, k, seed) next to the model's
+        # layer map; rebuilding from that record gives the same basis
+        k = 2 if strategy == sub.HEAD_BODY else 3
+        layer_map = mlp_like_map([4, 6, 5, 3])
+        basis = sub.build_basis(strategy, layer_map, k, seed=31)
+        record = json.loads(json.dumps(
+            {"basis_strategy": basis.strategy, "k": basis.k, "basis_seed": basis.seed}))
+        loaded = sub.build_basis(record["basis_strategy"], layer_map, record["k"],
+                                 seed=record["basis_seed"])
+        assert loaded.strategy == basis.strategy
+        assert loaded.sizes == basis.sizes
+        assert loaded.layer_map == basis.layer_map
+        w = np.random.default_rng(1).standard_normal(basis.d)
+        for b1, b2 in zip(sub.decompose(w, basis), sub.decompose(w, loaded)):
+            assert np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("edit", [
+        "deleted_group", "row_groups_missing_a_row", "group_resized",
+    ])
+    def test_malformed_rotation_file(self, edit):
+        # with a group missing, decompose would read uninitialised block memory;
+        # a basis whose groups or rotations were edited this way is rejected
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, mlp_like_map([5, 6, 4]), 4, seed=3)
+        groups, rotations = list(basis.groups), list(basis.rotations)
+        if edit == "deleted_group":
+            del groups[0], rotations[0]
+        elif edit == "row_groups_missing_a_row":
+            rg = rotations[1].row_groups
+            rotations[1] = dataclasses.replace(rotations[1], row_groups=(rg[1],) + rg[1:])
+        else:
+            groups[1] = dataclasses.replace(groups[1], m=groups[1].m - 1)
+        with pytest.raises(DomainError):
+            dataclasses.replace(basis, groups=tuple(groups), rotations=tuple(rotations))
 
 
 class TestRotationChecks:

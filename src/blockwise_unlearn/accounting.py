@@ -13,6 +13,7 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InfeasibleBudget, InfeasibleNoise, NumericalError
@@ -20,11 +21,12 @@ from .errors import DomainError, InfeasibleBudget, InfeasibleNoise, NumericalErr
 CLIP_DOMINANT = "ClipDominant"
 DECAY_DOMINANT = "DecayDominant"
 
-# Dimensionless tolerance under which the normalized discriminant of the
-# step-count quadratic is treated as exactly zero (double root).  Floating
-# point puts its magnitude near 1e-13 at the minimal feasible noise; genuinely
-# infeasible inputs (e.g. 0.999 * sigma2_min) land at -1e-3 and below.
-_DISC_TOL = 1e-11
+# Tolerance, in units of 1 + u, under which the discriminant of the
+# step-count quadratic is treated as exactly zero at the clip-dominant double
+# root (see largest_feasible_x).  Rounding of sigma2 and of the bound leaves
+# at most about 2 ulps there; genuinely infeasible inputs (e.g.
+# 0.999 * sigma2_min) land at -1e-3 and below.
+_DISC_TOL = 16 * sys.float_info.epsilon
 
 # Relative slack when rounding the real-valued step count up to an integer,
 # so that inverting sigma^2(T) back to T survives floating-point jitter.
@@ -227,6 +229,12 @@ def optimize_q(epsilon: float, delta: float) -> float:
     return ((epsilon + big_l) + math.sqrt(big_l * (epsilon + big_l))) / epsilon
 
 
+def _prefactor(budget: BlockBudget) -> float:
+    return budget.gamma * (2.0 - budget.gamma * budget.lam) * (
+        2.0 * budget.q / budget.eps_renyi
+    )
+
+
 def min_noise(budget: BlockBudget) -> tuple[float, str]:
     """Smallest certified per-coordinate noise variance and its regime.
 
@@ -234,9 +242,7 @@ def min_noise(budget: BlockBudget) -> tuple[float, str]:
     finite step count.  In the decay-dominant regime (>= 1) it is a strict
     infimum: a finite run needs strictly more noise.
     """
-    prefactor = budget.gamma * (2.0 - budget.gamma * budget.lam) * (
-        2.0 * budget.q / budget.eps_renyi
-    )
+    prefactor = _prefactor(budget)
     r = budget.ratio
     if r < 1.0:
         return prefactor * (2.0 - r) * budget.c0 * budget.c1, CLIP_DOMINANT
@@ -267,26 +273,36 @@ def largest_feasible_x(sigma2: float, budget: BlockBudget) -> float:
 
     The quadratic is (beta1^2+zeta) x^2 + 2 beta0 beta1 x + (beta0^2-zeta)=0;
     its largest root is the contraction level x = (1-gamma*lam)^T reached by
-    the fewest certified steps.  Raises InfeasibleNoise when no root lies in
-    (0, 1] (noise below the certified threshold, or exactly at the strict
-    decay-dominant bound where the root degenerates to x = 0).
+    the fewest certified steps.  Divided by zeta it reads
+    u (1 - z x)^2 = 1 - x^2, with u = sigma2_dec/sigma2 (sigma2_dec the
+    decay-dominant bound of min_noise) and z = 1 - lam*c0/c1, and its
+    discriminant is D = (1 - u) + u z^2.  1 - u comes from one exact
+    subtraction and each root formula below adds terms of one sign, so roots
+    far below sqrt(ulp) survive.  Raises InfeasibleNoise when no root lies in
+    (0, 1] (noise below the certified threshold, or at the strict
+    decay-dominant bound, where the root degenerates to x = 0).
     """
     _require_contraction(budget)
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be > 0, got {sigma2}")
-    aux = _aux(sigma2, budget, x=float("nan"))
-    zeta, beta0, beta1 = aux.zeta, aux.beta0, aux.beta1
-    # Normalized discriminant: disc / (4 zeta^2).  Dimensionless, so a single
-    # absolute tolerance separates the double root from true infeasibility.
-    disc_n = 1.0 + (beta1 * beta1 - beta0 * beta0) / zeta
-    if disc_n < -_DISC_TOL:
+    sigma2_dec = _prefactor(budget) * budget.c1**2 / budget.lam
+    excess = (sigma2 - sigma2_dec) / sigma2  # 1 - u
+    u = sigma2_dec / sigma2
+    z = 1.0 - budget.ratio
+    disc = excess + u * z * z
+    if z > 0.0 and abs(disc) <= _DISC_TOL * (1.0 + u):
+        disc = 0.0  # the double root at the clip-dominant minimal noise
+    if disc < 0.0:
         raise InfeasibleNoise(
-            f"sigma2={sigma2} is below the certified threshold (disc={disc_n:.3e})"
+            f"sigma2={sigma2} is below the certified threshold (disc={disc:.3e})"
         )
-    if disc_n <= _DISC_TOL:
-        disc_n = 0.0
-    x = (-beta0 * beta1 + zeta * math.sqrt(disc_n)) / (beta1 * beta1 + zeta)
-    if x <= 1e-12:
+    if z > 0.0:
+        x = (u * z + math.sqrt(disc)) / (u * z * z + 1.0)
+    elif excess > 0.0:
+        x = excess / (math.sqrt(disc) - u * z)
+    else:
+        x = 0.0  # at or below the decay-dominant bound
+    if not x > 0.0:
         raise InfeasibleNoise(
             f"sigma2={sigma2} admits no finite step count (root at x={x:.3e})"
         )

@@ -72,30 +72,52 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+_REQUIRED = object()
+
+
+def _field(section: dict, path: str, kind, default=_REQUIRED):
+    """The config field `path` (its last dotted part keys `section`) converted
+    by `kind`, or `default` when absent; FormatError naming the field when it
+    is missing or does not convert."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in section:
+        if default is _REQUIRED:
+            raise FormatError(f"config missing field {path}")
+        return default
     try:
-        budgets = tuple(
-            (float(b["epsilon"]), float(b["delta"])) for b in doc["budgets"]
-        )
-        return ExperimentConfig(
-            dataset=dict(doc["dataset"]),
-            deletion=dict(doc["deletion"]),
-            model_hidden=tuple(int(h) for h in doc["model"]["hidden"]),
-            train=dict(doc["train"]),
-            unlearn=dict(doc["unlearn"]),
-            finetune=dict(doc.get("finetune", {})),
-            budgets=budgets,
-            k_values=tuple(int(k) for k in doc.get("k_values", [1])),
-            method=doc.get("method", METHOD_BLOCKWISE),
-            basis_strategy=doc.get("basis_strategy", "random_orthonormal"),
-            test_fraction=float(doc.get("test_fraction", 0.2)),
-            step_cap=int(doc.get("step_cap", 1000)),
-            n_seeds=int(doc.get("n_seeds", 5)),
-            seed0=int(doc.get("seed0", 0)),
-            output_dir=str(doc.get("output_dir", "runs")),
-        )
-    except KeyError as exc:
-        raise FormatError(f"config missing field {exc}") from exc
+        return kind(section[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"config field {path} is malformed: {exc!r}") from exc
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _budgets(values) -> tuple[tuple[float, float], ...]:
+    return tuple((float(b["epsilon"]), float(b["delta"])) for b in values)
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise FormatError(f"config must be a JSON object, got {type(doc).__name__}")
+    return ExperimentConfig(
+        dataset=_field(doc, "dataset", dict),
+        deletion=_field(doc, "deletion", dict),
+        model_hidden=_field(_field(doc, "model", dict), "model.hidden", _ints),
+        train=_field(doc, "train", dict),
+        unlearn=_field(doc, "unlearn", dict),
+        finetune=_field(doc, "finetune", dict, {}),
+        budgets=_field(doc, "budgets", _budgets),
+        k_values=_field(doc, "k_values", _ints, (1,)),
+        method=doc.get("method", METHOD_BLOCKWISE),
+        basis_strategy=doc.get("basis_strategy", "random_orthonormal"),
+        test_fraction=_field(doc, "test_fraction", float, 0.2),
+        step_cap=_field(doc, "step_cap", int, 1000),
+        n_seeds=_field(doc, "n_seeds", int, 5),
+        seed0=_field(doc, "seed0", int, 0),
+        output_dir=_field(doc, "output_dir", str, "runs"),
+    )
 
 
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -110,18 +132,20 @@ def load_dataset(config: ExperimentConfig) -> tuple[ds.Dataset, ds.Dataset | Non
     kind = spec.get("kind")
     if kind == "blobs":
         data = ds.generate_blobs(
-            n=int(spec["n"]),
-            classes=int(spec["classes"]),
-            dim=int(spec["dim"]),
-            separation=float(spec["separation"]),
-            seed=int(spec.get("seed", 0)),
+            n=_field(spec, "dataset.n", int),
+            classes=_field(spec, "dataset.classes", int),
+            dim=_field(spec, "dataset.dim", int),
+            separation=_field(spec, "dataset.separation", float),
+            seed=_field(spec, "dataset.seed", int, 0),
         )
         return data, None
     if kind == "mnist_idx":
-        train = ds.load_idx(spec["train_images"], spec["train_labels"])
+        train = ds.load_idx(_field(spec, "dataset.train_images", str),
+                            _field(spec, "dataset.train_labels", str))
         test = None
         if "test_images" in spec:
-            test = ds.load_idx(spec["test_images"], spec["test_labels"])
+            test = ds.load_idx(_field(spec, "dataset.test_images", str),
+                               _field(spec, "dataset.test_labels", str))
         return train, test
     raise DomainError(f"unknown dataset kind {kind!r}")
 
@@ -130,9 +154,9 @@ def deletion_request(config: ExperimentConfig):
     spec = config.deletion
     kind = spec.get("kind")
     if kind == "random_fraction":
-        return ds.RandomFraction(float(spec["fraction"]))
+        return ds.RandomFraction(_field(spec, "deletion.fraction", float))
     if kind == "classwise":
-        return ds.ClassWise(int(spec["class_id"]))
+        return ds.ClassWise(_field(spec, "deletion.class_id", int))
     raise DomainError(f"unknown deletion kind {kind!r}")
 
 
@@ -145,11 +169,11 @@ def architecture(config: ExperimentConfig, data: ds.Dataset) -> mdl.MlpSpec:
 def train_config(config: ExperimentConfig) -> eng.TrainConfig:
     t = config.train
     return eng.TrainConfig(
-        steps=int(t["steps"]),
-        lr=float(t.get("lr", 0.01)),
-        momentum=float(t.get("momentum", 0.9)),
-        weight_decay=float(t.get("weight_decay", 1e-5)),
-        batch_size=int(t.get("batch_size", 64)),
+        steps=_field(t, "train.steps", int),
+        lr=_field(t, "train.lr", float, 0.01),
+        momentum=_field(t, "train.momentum", float, 0.9),
+        weight_decay=_field(t, "train.weight_decay", float, 1e-5),
+        batch_size=_field(t, "train.batch_size", int, 64),
     )
 
 
@@ -158,20 +182,19 @@ def budget_spec(config: ExperimentConfig, epsilon: float, delta: float) -> acc.B
     if "c0" in u and "delta_rho" in u:
         raise DomainError("give either c0 or delta_rho, not both")
     if "c0" in u:
-        c0 = float(u["c0"])
+        c0 = _field(u, "unlearn.c0", float)
     elif "delta_rho" in u:
-        c0 = float(u["delta_rho"]) / 2.0
+        c0 = _field(u, "unlearn.delta_rho", float) / 2.0
     else:
         raise DomainError("unlearn config needs c0 or delta_rho")
-    q = u.get("q")
     return acc.BudgetSpec(
         epsilon=epsilon,
         delta=delta,
-        gamma=float(u["gamma"]),
-        lam=float(u["lam"]),
-        c1=float(u["c1"]),
+        gamma=_field(u, "unlearn.gamma", float),
+        lam=_field(u, "unlearn.lam", float),
+        c1=_field(u, "unlearn.c1", float),
         c0=c0,
-        q=None if q is None else float(q),
+        q=None if u.get("q") is None else _field(u, "unlearn.q", float),
     )
 
 
@@ -245,11 +268,11 @@ def run_cell(
     record and the unlearning wall time in minutes.
     """
     key = cell_key(method, epsilon, k, seed_index)
-    steps = config.unlearn.get("steps")
+    u, f = config.unlearn, config.finetune
     plan = acc.make_plan(
         budget_spec(config, epsilon, delta), k,
-        steps=None if steps is None else int(steps),
-        scale_c0=bool(config.unlearn.get("scale_c0", True)),
+        steps=None if u.get("steps") is None else _field(u, "unlearn.steps", int),
+        scale_c0=bool(u.get("scale_c0", True)),
     )
     basis = None
     if k > 1:
@@ -257,15 +280,14 @@ def run_cell(
             config.basis_strategy, full_params.layer_map, k,
             seed=basis_seed(config, seed_index),
         )
-    f = config.finetune
     run_cfg = eng.RunConfig(
         plan=plan,
         basis=basis,
-        batch_size=int(config.unlearn.get("batch_size", 64)),
-        fine_tune_steps=(None if f.get("steps") is None else int(f["steps"])),
-        fine_tune_lr=float(f.get("lr", 0.01)),
-        fine_tune_momentum=float(f.get("momentum", 0.9)),
-        fine_tune_weight_decay=float(f.get("weight_decay", 0.0)),
+        batch_size=_field(u, "unlearn.batch_size", int, 64),
+        fine_tune_steps=None if f.get("steps") is None else _field(f, "finetune.steps", int),
+        fine_tune_lr=_field(f, "finetune.lr", float, 0.01),
+        fine_tune_momentum=_field(f, "finetune.momentum", float, 0.9),
+        fine_tune_weight_decay=_field(f, "finetune.weight_decay", float, 0.0),
         seeds=seeds,
         step_cap=config.step_cap,
     )

@@ -154,7 +154,7 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
 def _weights(params: ParamVector):
     layers = _layout(params.layer_map).layers
     if not layers:
-        raise KeyError("layer map has no fc layers")
+        raise DomainError("layer map has no fc layers")
     v = params.values
     return [
         (v[ws:we].reshape(w_shape), v[bs:be])

@@ -1,10 +1,12 @@
 """Orthogonal block decompositions of flattened parameter vectors.
 
 A basis partitions R^d into k mutually orthogonal subspaces spanned by the
-column groups of an implicit orthonormal matrix A = [A_1 ... A_k].  Matrix
-strategies build one m x m rotation per layer (m = output dimension), so the
-global A is never materialized; index strategies are coordinate partitions
-and act as permutations.
+column groups of an implicit orthonormal matrix A = [A_1 ... A_k].  Every
+strategy has one representation: per layer, an m x m rotation q (m = output
+dimension) and k row groups that partition its m rows, so the global A is
+never materialized.  A coordinate partition is the identity rotation
+(q = None) with its rows split into groups; its block coordinates are the
+chosen rows' flat coordinates in flat-vector order.
 
 Layer maps are sequences of (name, shape, offset) entries covering a flat
 float64 vector.  A 1-D entry whose length equals the leading dimension of the
@@ -42,22 +44,24 @@ class _Group:
     cols: int
     parts: tuple[tuple[int, int, int], ...]
 
+    def part(self, w: np.ndarray, offset: int, width: int) -> np.ndarray:
+        """(m, width) view of one part of w: the weights or the bias."""
+        return w[offset : offset + self.m * width].reshape(self.m, width)
+
     def gather(self, w: np.ndarray) -> np.ndarray:
         x = np.empty((self.m, self.cols), dtype=np.float64)
         for offset, cs, ce in self.parts:
-            x[:, cs:ce] = w[offset : offset + self.m * (ce - cs)].reshape(
-                self.m, ce - cs
-            )
+            x[:, cs:ce] = self.part(w, offset, ce - cs)
         return x
 
     def scatter(self, w: np.ndarray, x: np.ndarray) -> None:
         for offset, cs, ce in self.parts:
-            w[offset : offset + self.m * (ce - cs)] = x[:, cs:ce].ravel()
+            self.part(w, offset, ce - cs)[:] = x[:, cs:ce]
 
 
 @dataclass(frozen=True)
 class _Rotation:
-    q: np.ndarray  # (m, m) orthonormal
+    q: np.ndarray | None  # (m, m) orthonormal; None is the identity
     row_groups: tuple[np.ndarray, ...]  # k index arrays into the m rows of B
 
 
@@ -66,12 +70,11 @@ class BlockBasis:
     strategy: str
     d: int
     k: int
-    seed: int | None
+    seed: int
     sizes: tuple[int, ...]
     layer_map: LayerMap
-    index_sets: tuple[np.ndarray, ...] | None = None
-    groups: tuple[_Group, ...] | None = None
-    rotations: tuple[_Rotation, ...] | None = None
+    groups: tuple[_Group, ...]
+    rotations: tuple[_Rotation, ...]
 
     def __post_init__(self) -> None:
         if sum(self.sizes) != self.d:
@@ -80,18 +83,11 @@ class BlockBasis:
             )
         if len(self.sizes) != self.k:
             raise DomainError("sizes/k mismatch")
-        if self.index_sets is not None:
-            merged = np.sort(np.concatenate([s for s in self.index_sets]))
-            if merged.shape != (self.d,) or not np.array_equal(
-                merged, np.arange(self.d)
-            ):
-                raise DomainError("index sets do not partition the coordinates")
-        else:
-            self._check_rotations()
+        self._check_rotations()
 
     def _check_rotations(self) -> None:
         """The rotation groups tile the layer map exactly, and each rotation is
-        an (m, m) matrix whose k row groups partition range(m)."""
+        the identity or an (m, m) matrix, whose k row groups partition range(m)."""
         if (
             layer_map_dim(self.layer_map) != self.d
             or self.groups != tuple(_layer_groups(self.layer_map))
@@ -100,7 +96,7 @@ class BlockBasis:
             raise DomainError("rotation groups do not tile the layer map")
         sizes = np.zeros(self.k, dtype=np.int64)
         for g, rot in zip(self.groups, self.rotations):
-            if np.shape(rot.q) != (g.m, g.m):
+            if rot.q is not None and np.shape(rot.q) != (g.m, g.m):
                 raise DomainError(f"rotation of shape {np.shape(rot.q)} for {g.m} rows")
             if len(rot.row_groups) != self.k or not np.array_equal(
                 np.sort(np.concatenate(rot.row_groups)), np.arange(g.m)
@@ -109,10 +105,6 @@ class BlockBasis:
             sizes += [len(r) * g.cols for r in rot.row_groups]
         if tuple(sizes) != self.sizes:
             raise DomainError(f"block sizes {self.sizes} do not match the row groups")
-
-    @property
-    def is_index(self) -> bool:
-        return self.index_sets is not None
 
 
 def layer_map_dim(layer_map) -> int:
@@ -176,25 +168,18 @@ def _orthonormalize(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _group_coords(group: _Group, rows: np.ndarray) -> np.ndarray:
-    """Flat coordinates covered by the given rows of a group."""
-    coords = []
-    for offset, cs, ce in group.parts:
-        width = ce - cs
-        base = offset + rows[:, None] * width
-        coords.append((base + np.arange(width)[None, :]).ravel())
-    return np.concatenate(coords) if coords else np.empty(0, dtype=np.int64)
-
-
 def build_basis(strategy: str, layer_map, k: int, seed: int = 0) -> BlockBasis:
     """Construct a k-block basis over the layer map.
 
-    random_orthonormal: per layer, a seeded Gaussian draw orthonormalized by
-    modified Gram-Schmidt; column groups of nearly equal size (difference at
-    most one row per layer).  permutation: per layer, a seeded permutation of
-    the rows, split into nearly equal groups.  layer_cyclic: layer l goes to
-    block l mod k.  head_body: k = 2, block 0 is the final layer (the head),
-    block 1 everything else.
+    Every strategy gives each layer a rotation q and k row groups; they differ
+    only in how q and the rows are picked.  random_orthonormal: a seeded
+    Gaussian draw orthonormalized by modified Gram-Schmidt, its rows split
+    into nearly equal contiguous groups (sizes differ by at most one row per
+    layer).  The coordinate partitions use the identity (q = None):
+    permutation splits a seeded permutation of the rows into nearly equal
+    groups, layer_cyclic gives layer l to block l mod k, and head_body (k = 2)
+    gives the final layer (the head) to block 0 and every other layer to
+    block 1.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -205,88 +190,33 @@ def build_basis(strategy: str, layer_map, k: int, seed: int = 0) -> BlockBasis:
     if k > d:
         raise DomainError(f"k={k} exceeds parameter dimension d={d}")
     groups = _layer_groups(layer_map)
-    rng = np.random.default_rng(seed)
-
-    if strategy == RANDOM_ORTHONORMAL:
-        rotations = []
-        sizes = np.zeros(k, dtype=np.int64)
-        for g in groups:
-            q = _orthonormalize(rng.standard_normal((g.m, g.m)))
-            counts = _split_counts(g.m, k)
-            edges = np.cumsum([0] + counts)
-            row_groups = tuple(
-                np.arange(edges[i], edges[i + 1]) for i in range(k)
-            )
-            rotations.append(_Rotation(q=q, row_groups=row_groups))
-            sizes += np.array(counts) * g.cols
-        return BlockBasis(
-            strategy=strategy, d=d, k=k, seed=seed, sizes=tuple(int(s) for s in sizes),
-            layer_map=layer_map, groups=tuple(groups), rotations=tuple(rotations),
-        )
-
-    if strategy == PERMUTATION:
-        sets: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for g in groups:
-            perm = rng.permutation(g.m)
-            counts = _split_counts(g.m, k)
-            edges = np.cumsum([0] + counts)
-            for i in range(k):
-                rows = np.sort(perm[edges[i] : edges[i + 1]])
-                sets[i].append(_group_coords(g, rows))
-        index_sets = tuple(
-            np.sort(np.concatenate(s)) if s else np.empty(0, dtype=np.int64)
-            for s in sets
-        )
-        return BlockBasis(
-            strategy=strategy, d=d, k=k, seed=seed,
-            sizes=tuple(int(s.size) for s in index_sets),
-            layer_map=layer_map, index_sets=index_sets,
-        )
-
-    if strategy == LAYER_CYCLIC:
-        if k > len(groups):
-            raise DomainError(
-                f"layer_cyclic with k={k} but only {len(groups)} layers"
-            )
-        sets = [[] for _ in range(k)]
-        for idx, g in enumerate(groups):
-            rows = np.arange(g.m)
-            sets[idx % k].append(_group_coords(g, rows))
-        index_sets = tuple(np.sort(np.concatenate(s)) for s in sets)
-        return BlockBasis(
-            strategy=strategy, d=d, k=k, seed=seed,
-            sizes=tuple(int(s.size) for s in index_sets),
-            layer_map=layer_map, index_sets=index_sets,
-        )
-
-    # head_body
-    if k != 2:
+    if strategy == LAYER_CYCLIC and k > len(groups):
+        raise DomainError(f"layer_cyclic with k={k} but only {len(groups)} layers")
+    if strategy == HEAD_BODY and k != 2:
         raise DomainError("head_body requires exactly k=2 blocks")
-    if len(groups) < 2:
+    if strategy == HEAD_BODY and len(groups) < 2:
         raise DomainError("head_body needs at least two layers")
-    head = _group_coords(groups[-1], np.arange(groups[-1].m))
-    body = np.sort(
-        np.concatenate(
-            [_group_coords(g, np.arange(g.m)) for g in groups[:-1]]
-        )
-    )
-    index_sets = (np.sort(head), body)
+    rng = np.random.default_rng(seed)
+    rotations = []
+    sizes = np.zeros(k, dtype=np.int64)
+    for layer, g in enumerate(groups):
+        q, order = None, np.arange(g.m)
+        if strategy == RANDOM_ORTHONORMAL:
+            q = _orthonormalize(rng.standard_normal((g.m, g.m)))
+        elif strategy == PERMUTATION:
+            order = rng.permutation(g.m)
+        if strategy in (RANDOM_ORTHONORMAL, PERMUTATION):
+            counts = _split_counts(g.m, k)
+        else:  # the whole layer goes to one block
+            owner = layer % k if strategy == LAYER_CYCLIC else int(layer < len(groups) - 1)
+            counts = [g.m if i == owner else 0 for i in range(k)]
+        edges = np.cumsum([0] + counts)
+        row_groups = tuple(np.sort(order[edges[i] : edges[i + 1]]) for i in range(k))
+        rotations.append(_Rotation(q=q, row_groups=row_groups))
+        sizes += [len(r) * g.cols for r in row_groups]
     return BlockBasis(
-        strategy=strategy, d=d, k=k, seed=seed,
-        sizes=tuple(int(s.size) for s in index_sets),
-        layer_map=layer_map, index_sets=index_sets,
-    )
-
-
-def basis_from_index_sets(layer_map, sets) -> BlockBasis:
-    """Basis acting as a pure coordinate partition (A is a permutation)."""
-    layer_map = tuple((n, tuple(s), int(o)) for n, s, o in layer_map)
-    d = layer_map_dim(layer_map)
-    index_sets = tuple(np.asarray(s, dtype=np.int64) for s in sets)
-    return BlockBasis(
-        strategy=PERMUTATION, d=d, k=len(index_sets), seed=None,
-        sizes=tuple(int(s.size) for s in index_sets),
-        layer_map=layer_map, index_sets=index_sets,
+        strategy=strategy, d=d, k=k, seed=seed, sizes=tuple(int(s) for s in sizes),
+        layer_map=layer_map, groups=tuple(groups), rotations=tuple(rotations),
     )
 
 
@@ -297,81 +227,68 @@ def _check_dim(w: np.ndarray, basis: BlockBasis) -> np.ndarray:
     return w
 
 
+def _check_block(basis: BlockBasis, i: int) -> None:
+    if not 0 <= i < basis.k:
+        raise DomainError(f"block index {i} out of range")
+
+
 def decompose(w, basis: BlockBasis) -> list[np.ndarray]:
     """Block coordinates [B_1, ..., B_k] with w = sum_i A_i B_i."""
-    w = _check_dim(w, basis)
-    if basis.is_index:
-        return [w[s].copy() for s in basis.index_sets]
-    out = [np.empty(r, dtype=np.float64) for r in basis.sizes]
-    pos = [0] * basis.k
-    for g, rot in zip(basis.groups, basis.rotations):
-        b = rot.q.T @ g.gather(w)
-        for i, rows in enumerate(rot.row_groups):
-            chunk = b[rows].ravel()
-            out[i][pos[i] : pos[i] + chunk.size] = chunk
-            pos[i] += chunk.size
-    return out
+    return [project_block(w, basis, i) for i in range(basis.k)]
 
 
 def reconstruct(blocks, basis: BlockBasis) -> np.ndarray:
     """Inverse of decompose."""
     if len(blocks) != basis.k:
         raise DomainError(f"expected {basis.k} blocks, got {len(blocks)}")
-    for i, b in enumerate(blocks):
-        if np.asarray(b).shape != (basis.sizes[i],):
-            raise DomainError(f"block {i} has wrong size")
     w = np.zeros(basis.d, dtype=np.float64)
-    if basis.is_index:
-        for s, b in zip(basis.index_sets, blocks):
-            w[s] = b
-        return w
-    pos = [0] * basis.k
-    for g, rot in zip(basis.groups, basis.rotations):
-        b = np.zeros((g.m, g.cols), dtype=np.float64)
-        for i, rows in enumerate(rot.row_groups):
-            n = rows.size * g.cols
-            b[rows] = np.asarray(blocks[i])[pos[i] : pos[i] + n].reshape(
-                rows.size, g.cols
-            )
-            pos[i] += n
-        g.scatter(w, rot.q @ b)
+    for i, b in enumerate(blocks):
+        w += lift_block(b, basis, i)
     return w
 
 
 def project_block(w, basis: BlockBasis, i: int) -> np.ndarray:
-    """Block-i coordinates of w (the i-th entry of decompose, computed alone)."""
+    """Block-i coordinates of w (the i-th entry of decompose).
+
+    A rotated group contributes q[:, rows]^T B row by row; an identity group
+    contributes its chosen rows' coordinates in flat-vector order (the weight
+    rows, then their biases).
+    """
     w = _check_dim(w, basis)
-    if not 0 <= i < basis.k:
-        raise DomainError(f"block index {i} out of range")
-    if basis.is_index:
-        return w[basis.index_sets[i]].copy()
+    _check_block(basis, i)
     out = np.empty(basis.sizes[i], dtype=np.float64)
     pos = 0
     for g, rot in zip(basis.groups, basis.rotations):
         rows = rot.row_groups[i]
-        chunk = (rot.q[:, rows].T @ g.gather(w)).ravel()
-        out[pos : pos + chunk.size] = chunk
-        pos += chunk.size
+        if rot.q is None:
+            chunks = [g.part(w, offset, ce - cs)[rows] for offset, cs, ce in g.parts]
+        else:
+            chunks = [rot.q[:, rows].T @ g.gather(w)]
+        for chunk in chunks:
+            out[pos : pos + chunk.size] = chunk.ravel()
+            pos += chunk.size
     return out
 
 
 def lift_block(b, basis: BlockBasis, i: int) -> np.ndarray:
     """Map block-i coordinates back into R^d (A_i b)."""
     b = np.asarray(b, dtype=np.float64)
-    if not 0 <= i < basis.k:
-        raise DomainError(f"block index {i} out of range")
+    _check_block(basis, i)
     if b.shape != (basis.sizes[i],):
         raise DomainError(f"block {i} has wrong size {b.shape}")
     w = np.zeros(basis.d, dtype=np.float64)
-    if basis.is_index:
-        w[basis.index_sets[i]] = b
-        return w
     pos = 0
     for g, rot in zip(basis.groups, basis.rotations):
         rows = rot.row_groups[i]
-        n = rows.size * g.cols
-        g.scatter(w, rot.q[:, rows] @ b[pos : pos + n].reshape(rows.size, g.cols))
-        pos += n
+        if rot.q is None:
+            for offset, cs, ce in g.parts:
+                n = rows.size * (ce - cs)
+                g.part(w, offset, ce - cs)[rows] = b[pos : pos + n].reshape(rows.size, ce - cs)
+                pos += n
+        else:
+            n = rows.size * g.cols
+            g.scatter(w, rot.q[:, rows] @ b[pos : pos + n].reshape(rows.size, g.cols))
+            pos += n
     return w
 
 
@@ -390,8 +307,7 @@ def sample_block_noise(basis: BlockBasis, i: int, sigma2: float, rng) -> np.ndar
     """
     if sigma2 < 0:
         raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
-    if not 0 <= i < basis.k:
-        raise DomainError(f"block index {i} out of range")
+    _check_block(basis, i)
     if sigma2 == 0.0:
         return np.zeros(basis.d, dtype=np.float64)
     zeta = rng.standard_normal(basis.sizes[i]) * np.sqrt(sigma2)
@@ -399,14 +315,12 @@ def sample_block_noise(basis: BlockBasis, i: int, sigma2: float, rng) -> np.ndar
 
 
 def orthogonality_defect(basis: BlockBasis) -> float:
-    """max |A^T A - I| computed per layer rotation (0 for index strategies)."""
-    if basis.is_index:
-        return 0.0
-    defect = 0.0
-    for rot in basis.rotations:
-        m = rot.q.shape[0]
-        defect = max(defect, float(np.max(np.abs(rot.q.T @ rot.q - np.eye(m)))))
-    return defect
+    """max |A^T A - I| computed per layer rotation (0 for the identity)."""
+    return max(
+        (float(np.max(np.abs(rot.q.T @ rot.q - np.eye(len(rot.q)))))
+         for rot in basis.rotations if rot.q is not None),
+        default=0.0,
+    )
 
 
 def as_dense(basis: BlockBasis) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockwise_unlearn import accounting as acc
 from blockwise_unlearn.errors import DomainError, InfeasibleBudget, InfeasibleNoise
@@ -77,6 +79,35 @@ def random_clip_budgets(rng, n):
 
 
 CANON = acc.BlockBudget(gamma=0.1, lam=1.0, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0)
+
+
+@st.composite
+def budgets_and_steps(draw):
+    """A block budget over wide ranges, ratio lam*c0/c1 exactly 1 about half
+    the time, and a step count T with (1 - gamma*lam)^T > 1e-12."""
+    gamma_lam = draw(st.floats(1e-3, 0.999))
+    gamma = 10.0 ** draw(st.floats(-3.0, 0.0))
+    lam = gamma_lam / gamma
+    c0 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    ratio = draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))
+    b = acc.BlockBudget(
+        gamma=gamma, lam=lam, c0=c0, c1=lam * c0 / ratio,
+        q=draw(st.floats(1.1, 100.0)), eps_renyi=10.0 ** draw(st.floats(-3.0, 1.0)),
+    )
+    t_max = math.floor(math.log(1e-12) / math.log(1.0 - gamma * lam))
+    return b, draw(st.integers(1, max(t_max, 1)))
+
+
+def resolves_steps(b, t):
+    """Whether a float64 sigma2(T) pins T within the 1e-6 T snap of
+    steps_for_noise: over that many steps sigma2 must move by more than
+    16 ulps, or its rounding alone carries the real step count past the snap.
+    d ln sigma2 / dT follows from sigma2 = g K (1 - z x)^2 / (1 - x^2)."""
+    x = (1.0 - b.gamma * b.lam) ** t
+    z = 1.0 - b.ratio
+    slope = abs(2 * x * x / (1 - x * x) - 2 * z * x / (1 - z * x)) * abs(
+        math.log1p(-b.gamma * b.lam))
+    return slope * 1e-6 * t >= 16 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +295,46 @@ class TestNoiseForSteps:
             t = int(rng.integers(1, 30))
             sigma2 = acc.noise_for_steps(t, b)
             assert acc.steps_for_noise(sigma2, b) <= t
+
+    @pytest.mark.parametrize("t", [19, 25])
+    def test_round_trip_at_ratio_one(self, t):
+        # at lam*c0/c1 = 1 the root is x = sqrt(1 - sigma2_inf/sigma2); these
+        # noises lie within 1e-11 of the bound, where a discriminant tolerance
+        # once erased the root
+        b = acc.BlockBudget(gamma=0.5, lam=1.0, c0=1.0, c1=1.0, q=2.0, eps_renyi=1.0)
+        assert acc.steps_for_noise(acc.noise_for_steps(t, b), b) == t
+
+    def test_round_trip_one_ulp_below_ratio_one(self):
+        # clip-dominant with z = 1 - lam*c0/c1 ~ 1e-16: the double root sits
+        # at x ~ z, so snapping a genuine root x ~ 1e-6 onto it lost T
+        b = acc.BlockBudget(gamma=1.0, lam=0.75, c0=1.0, c1=0.7500000000000001,
+                            q=2.0, eps_renyi=1.0)
+        assert 0.0 < 1.0 - b.ratio < 1e-15
+        assert acc.steps_for_noise(acc.noise_for_steps(10, b), b) == 10
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(budgets_and_steps())
+    def test_round_trip_property(self, budget_and_steps):
+        # noise above the bound always keeps a root; where float64 resolves T,
+        # the monotone branch (T <= T*) gives T back and beyond T* the fewest
+        # steps for that noise are at most T
+        b, t = budget_and_steps
+        sigma2 = acc.noise_for_steps(t, b)
+        sigma2_min, _ = acc.min_noise(b)
+        if b.ratio >= 1.0 and sigma2 <= sigma2_min:
+            with pytest.raises(InfeasibleNoise):
+                acc.steps_for_noise(sigma2, b)
+            return
+        steps = acc.steps_for_noise(sigma2, b)
+        if not resolves_steps(b, t):
+            return
+        # the minimal noise sits at x = 1 - lam*c0/c1 in the clip-dominant regime
+        t_star = (math.log(1.0 - b.ratio) / math.log1p(-b.gamma * b.lam)
+                  if b.ratio < 1.0 else math.inf)
+        if t <= t_star:
+            assert steps == t
+        else:
+            assert steps <= t
 
     def test_monotone_on_feasible_branch(self):
         # the branch where extra steps never cost extra noise is

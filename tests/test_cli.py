@@ -270,6 +270,58 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_audit_checkpoint_without_fc_layers(self, tmp_path, capsys):
+        # load_params accepts any contiguous layer map; the model needs fc layers
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        odd = tmp_path / "odd.ckpt"
+        write_checkpoint(odd, {"d": 12, "layer_map": [["w", [3, 4], 0]]}, b"\x00" * 96)
+        capsys.readouterr()
+        rc = run_cli(
+            "audit", "--config", str(config_path), "--checkpoint", str(odd),
+            "--splits", str(out / "split_seed0.json"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer map has no fc layers")
+        assert "Traceback" not in err
+
+
+def _drop_unlearn_gamma(doc):
+    del doc["unlearn"]["gamma"]
+    return doc
+
+
+def _drop_train_steps(doc):
+    del doc["train"]["steps"]
+    return doc
+
+
+def _hidden_not_a_list(doc):
+    doc["model"]["hidden"] = "x"
+    return doc
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command,edit,field", [
+        ("unlearn", _drop_unlearn_gamma, "unlearn.gamma"),
+        ("train", _drop_train_steps, "train.steps"),
+        ("train", _hidden_not_a_list, "model.hidden"),
+        ("train", lambda doc: [doc], "JSON object"),
+    ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list"])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
+        doc = base_config_doc(str(tmp_path / "out"))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, edit(doc))
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
 
 def test_package_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(blockwise_unlearn.__file__)))

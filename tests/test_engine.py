@@ -8,6 +8,8 @@ from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import NoisePlan
 from blockwise_unlearn.errors import DomainError
 
+from test_subspace import block_support
+
 
 def toy_plan(k=1, sigma2=0.01, steps=2, gamma=0.05, lam=0.1, c1=1.0):
     return NoisePlan(
@@ -27,10 +29,6 @@ def toy_plan(k=1, sigma2=0.01, steps=2, gamma=0.05, lam=0.1, c1=1.0):
 
 ARCH = mdl.MlpSpec((4, 10, 3))
 BLOBS = ds.generate_blobs(600, classes=3, dim=4, separation=4.0, seed=5)
-
-
-def full_index_basis(params):
-    return sub.basis_from_index_sets(params.layer_map, [np.arange(params.d)])
 
 
 class TestNftStep:
@@ -87,7 +85,7 @@ class TestNftStep:
             params, batch, 0.05, 0.1, 1.0, 0.3, np.random.default_rng(4),
             basis=basis, block=2,
         )
-        frozen = np.concatenate([basis.index_sets[j] for j in (0, 1, 3)])
+        frozen = np.concatenate([block_support(basis, j) for j in (0, 1, 3)])
         assert np.max(np.abs(new.values[frozen] - params.values[frozen])) == 0.0
 
     def test_block_isolation_rotated_basis(self):
@@ -126,7 +124,7 @@ class TestRuns:
         params = mdl.init_params(ARCH, seed=1)
         retain = (BLOBS.inputs, BLOBS.labels)
         rec_nft = eng.run_blockwise(params, small_config(), retain)
-        ident = full_index_basis(params)
+        ident = sub.build_basis(sub.PERMUTATION, params.layer_map, 1)
         rec_ident = eng.run_blockwise(params, small_config(basis=ident), retain)
         assert np.array_equal(rec_nft.final_params.values, rec_ident.final_params.values)
         assert [r.loss for r in rec_nft.rows] == [r.loss for r in rec_ident.rows]

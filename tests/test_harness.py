@@ -52,6 +52,51 @@ class TestConfig:
         with pytest.raises(FormatError):
             harness.config_from_dict(doc)
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda doc: doc["model"].update(hidden="x"), "model.hidden"),
+        (lambda doc: doc["model"].update(hidden=16), "model.hidden"),
+        (lambda doc: doc["budgets"][0].pop("delta"), "budgets"),
+        (lambda doc: doc.update(n_seeds="two"), "n_seeds"),
+    ], ids=["hidden-string", "hidden-int", "budget-without-delta", "n-seeds-string"])
+    def test_malformed_field_is_named(self, edit, field):
+        doc = base_config_doc("x")
+        edit(doc)
+        with pytest.raises(FormatError, match=field):
+            harness.config_from_dict(doc)
+
+    @pytest.mark.parametrize("section,key,value,read", [
+        ("dataset", "n", None, harness.load_dataset),
+        ("dataset", "separation", "wide", harness.load_dataset),
+        ("deletion", "fraction", "tenth", harness.deletion_request),
+    ])
+    def test_malformed_dataset_or_deletion_field(self, section, key, value, read):
+        doc = base_config_doc("x")
+        if value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        with pytest.raises(FormatError, match=f"{section}.{key}"):
+            read(harness.config_from_dict(doc))
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(FormatError, match="JSON object"):
+            harness.config_from_dict([base_config_doc("x")])
+
+    def test_missing_train_steps(self):
+        doc = base_config_doc("x")
+        del doc["train"]["steps"]
+        config = harness.config_from_dict(doc)
+        with pytest.raises(FormatError, match="train.steps"):
+            harness.train_config(config)
+
+    @pytest.mark.parametrize("name", ["gamma", "lam", "c1"])
+    def test_missing_unlearn_field(self, name):
+        doc = base_config_doc("x")
+        del doc["unlearn"][name]
+        config = harness.config_from_dict(doc)
+        with pytest.raises(FormatError, match=f"unlearn.{name}"):
+            harness.budget_spec(config, 1.0, 1e-5)
+
     def test_bad_method(self, tmp_path):
         doc = base_config_doc(str(tmp_path))
         doc["method"] = "gradient_ascent"

@@ -463,6 +463,13 @@ class TestCheckpointHeader:
             mdl.load_params(path)
 
 
+    def test_non_mlp_layer_map_loads_but_does_not_score(self, tmp_path):
+        path = tmp_path / "odd.ckpt"
+        write_checkpoint(path, {"d": 12, "layer_map": [["w", [3, 4], 0]]}, b"\x00" * 96)
+        params = mdl.load_params(path)
+        with pytest.raises(DomainError, match="no fc layers"):
+            mdl.predict(params, np.zeros((2, 4)))
+
 def reference_predict(params, x):
     """Row-major argmax of the out-of-place chain."""
     return np.argmax(reference_forward(params, x)[1], axis=1)

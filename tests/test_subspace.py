@@ -26,6 +26,35 @@ MAP_D8 = (("w", (2, 3), 0), ("b", (2,), 6))  # d = 8
 MAP_D64 = mlp_like_map([3, 8, 4])  # 3*8+8 + 8*4+4 = 76... adjusted below
 MAP_D64 = (("w1", (8, 4), 0), ("b1", (8,), 32), ("w2", (4, 5), 40), ("b2", (4,), 60))
 MAP_D4096 = (("big", (64, 64), 0),)
+INDEX_STRATEGIES = (sub.PERMUTATION, sub.LAYER_CYCLIC, sub.HEAD_BODY)
+
+
+def block_support(basis, i):
+    """Flat coordinates that block i's coordinates reach."""
+    return np.flatnonzero(sub.lift_block(np.ones(basis.sizes[i]), basis, i))
+
+
+def reference_index_sets(strategy, widths, k, seed):
+    """Each block's sorted flat coordinates for a coordinate partition of
+    mlp_like_map(widths), built from the (weight, bias) layout directly."""
+    rng = np.random.default_rng(seed)
+    sets = [[] for _ in range(k)]
+    offset = 0
+    layers = list(zip(widths, widths[1:]))
+    for layer, (n, m) in enumerate(layers):
+        if strategy == sub.PERMUTATION:
+            perm = rng.permutation(m)
+            base, rem = divmod(m, k)
+            edges = np.cumsum([0] + [base + (i < rem) for i in range(k)])
+            chosen = [perm[edges[i] : edges[i + 1]] for i in range(k)]
+        else:
+            owner = layer % k if strategy == sub.LAYER_CYCLIC else int(layer < len(layers) - 1)
+            chosen = [np.arange(m if i == owner else 0) for i in range(k)]
+        for i, rows in enumerate(chosen):
+            sets[i] += [(offset + rows[:, None] * n + np.arange(n)).ravel(),
+                        offset + m * n + rows]
+        offset += m * (n + 1)
+    return [np.sort(np.concatenate(s)) for s in sets]
 
 
 def test_layer_map_dims():
@@ -44,7 +73,9 @@ class TestBuild:
         assert basis.sizes == (1, 1)
 
     def test_identity_partition_contiguous_slices(self):
-        basis = sub.basis_from_index_sets((("w", (4, 1), 0),), [[0, 1], [2, 3]])
+        basis = sub.build_basis(sub.PERMUTATION, (("w", (4, 1), 0),), 2)
+        basis = dataclasses.replace(basis, rotations=(
+            sub._Rotation(q=None, row_groups=(np.arange(2), np.arange(2, 4))),))
         assert np.array_equal(sub.as_dense(basis), np.eye(4))
         w = np.array([1.0, 2.0, 3.0, 4.0])
         b1, b2 = sub.decompose(w, basis)
@@ -60,14 +91,15 @@ class TestBuild:
         assert basis.sizes[0] == expected_even
         # layers 0, 2, 4 (even) land in block 0
         first_layer_coords = np.arange(2 * 3 + 3)
-        assert set(first_layer_coords) <= set(basis.index_sets[0])
+        assert set(first_layer_coords) <= set(block_support(basis, 0))
+        assert not set(first_layer_coords) & set(block_support(basis, 1))
 
     def test_head_body(self):
         layer_map = mlp_like_map([4, 6, 3])
         basis = sub.build_basis(sub.HEAD_BODY, layer_map, 2)
         # head = final layer (weights+bias): 6*3+3 = 21 coordinates at the end
         assert basis.sizes == (21, 30)
-        assert np.array_equal(basis.index_sets[0], np.arange(30, 51))
+        assert np.array_equal(block_support(basis, 0), np.arange(30, 51))
         with pytest.raises(DomainError):
             sub.build_basis(sub.HEAD_BODY, layer_map, 3)
 
@@ -82,12 +114,10 @@ class TestBuild:
         for strategy in sub.STRATEGIES[:2]:
             a = sub.build_basis(strategy, MAP_D64, 4, seed=11)
             b = sub.build_basis(strategy, MAP_D64, 4, seed=11)
-            if a.is_index:
-                assert all(np.array_equal(x, y) for x, y in zip(a.index_sets, b.index_sets))
-            else:
-                assert all(
-                    np.array_equal(x.q, y.q) for x, y in zip(a.rotations, b.rotations)
-                )
+            for x, y in zip(a.rotations, b.rotations):
+                assert (x.q is None) == (y.q is None)
+                assert x.q is None or np.array_equal(x.q, y.q)
+                assert all(np.array_equal(r, t) for r, t in zip(x.row_groups, y.row_groups))
 
     def test_k_larger_than_d_rejected(self):
         with pytest.raises(DomainError):
@@ -96,6 +126,38 @@ class TestBuild:
     def test_bad_strategy(self):
         with pytest.raises(DomainError):
             sub.build_basis("diagonal", MAP_D8, 2)
+
+
+class TestCoordinatePartitions:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+        strategy=st.sampled_from(INDEX_STRATEGIES),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_flat_index_sets(self, widths, strategy, k, seed):
+        # an identity rotation's row groups act exactly as the sorted flat
+        # coordinate sets of the chosen rows: projection gathers them, lifting
+        # scatters into them, and block noise lands on them in that order
+        try:
+            basis = sub.build_basis(strategy, mlp_like_map(widths), k, seed=seed)
+        except DomainError:
+            assume(False)
+        sets = reference_index_sets(strategy, widths, k, seed)
+        assert basis.sizes == tuple(len(s) for s in sets)
+        w = np.random.default_rng(seed).standard_normal(basis.d)
+        for i, coords in enumerate(sets):
+            assert np.array_equal(sub.project_block(w, basis, i), w[coords])
+            b = np.arange(1.0, len(coords) + 1.0)
+            expected = np.zeros(basis.d)
+            expected[coords] = b
+            assert np.array_equal(sub.lift_block(b, basis, i), expected)
+            noise = sub.sample_block_noise(basis, i, 0.3, np.random.default_rng(i))
+            expected = np.zeros(basis.d)
+            expected[coords] = np.random.default_rng(i).standard_normal(len(coords)) * np.sqrt(0.3)
+            assert np.array_equal(noise, expected)
+        assert sub.orthogonality_defect(basis) == 0.0
 
 
 class TestOrthogonality:

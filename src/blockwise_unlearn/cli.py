@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -106,8 +107,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_retrain(args) -> int:
     config, out, data, (seeds, split, _, eval_sets) = _stage_setup(args)
-    arch = harness.architecture(config, data)
-    params = eng.coupled_retrain(arch, eval_sets.retain, seeds, harness.train_config(config))
+    arch, tcfg = harness.architecture(config, data), harness.train_config(config)
+    start = time.perf_counter()
+    params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)
+    minutes = (time.perf_counter() - start) / 60.0
+    _record_timing(os.path.join(out, "timings.json"), f"retrain_seed{args.seed}", minutes)
     return _save_model(out, "retrain", args.seed, params, split)
 
 
@@ -133,8 +137,8 @@ def _cmd_unlearn(args) -> int:
 
 
 def _record_timing(path, key, minutes) -> None:
-    """Add one cell's unlearning wall time to a timings file, keeping the
-    cells already recorded there."""
+    """Add one wall time (a cell's unlearning or a seed's retraining) to a
+    timings file, keeping the entries already recorded there."""
     timings = {}
     if os.path.exists(path):
         with open(path) as fh:

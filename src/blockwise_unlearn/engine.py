@@ -13,6 +13,7 @@ a rerun with equal seeds reproduces the trajectory bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,10 @@ def nft_step(
     coordinates (gradient projected, clipped at the per-block radius, decay on
     the block only, noise drawn in block coordinates); frozen coordinates are
     untouched.
+
+    The update runs in place on its own temporaries, by the same operations
+    as the formula (x + y == y + x exactly), so the result is the same bit
+    for bit.
     """
     loss, grad = mdl.loss_and_grad(params, batch)
     if block is None:
@@ -200,33 +205,51 @@ def nft_step(
             raise DomainError("block update requires a basis")
         g = sub.project_block(grad.values, basis, block)
         b = sub.project_block(params.values, basis, block)
-    pre = float(np.linalg.norm(g))
+    pre = _norm(g)
     clipped = mdl.clip(g, c1)
-    post = float(np.linalg.norm(clipped))
+    post = _norm(clipped)
     if sigma2 > 0:
         noise = rng.standard_normal(b.shape[0]) * np.sqrt(sigma2)
     else:
         noise = np.zeros(b.shape[0])
-    delta = -gamma * (clipped + lam * b) + noise
-    if block is None:
-        new_values = params.values + delta
-    else:
-        new_values = params.values + sub.lift_block(delta, basis, block)
+    delta = np.multiply(b, lam)
+    delta += clipped
+    delta *= -gamma
+    delta += noise
+    if block is not None:
+        delta = sub.lift_block(delta, basis, block)
+    delta += params.values  # x' = x + delta, in delta's buffer
     diag = {
-        "noise_norm": float(np.linalg.norm(noise)),
+        "noise_norm": _norm(noise),
         "grad_norm_pre": pre,
         "grad_norm_post": post,
     }
-    return mdl.ParamVector(new_values, params.layer_map), loss, diag
+    return mdl.ParamVector(delta, params.layer_map), loss, diag
+
+
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a real vector (the root of its dot product with
+    itself), without the wrapper's argument handling."""
+    return math.sqrt(x.dot(x))
 
 
 def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
+    """v = m*v + (g + wd*p), then p' = p - lr*v; returns (p', v, loss, ||g||).
+
+    `velocity` is updated in place and the new parameter vector is the only
+    allocation: it holds wd*p, then lr*v, then p'.  Each value comes from the
+    same operations as the out-of-place formula (x + y == y + x exactly).
+    """
     loss, grad = mdl.loss_and_grad(params, batch)
-    total = grad.values + weight_decay * params.values
-    velocity = momentum * velocity + total
-    new = mdl.ParamVector(params.values - lr * velocity, params.layer_map)
-    gnorm = float(np.linalg.norm(grad.values))
-    return new, velocity, loss, gnorm
+    g, p = grad.values, params.values
+    gnorm = _norm(g)
+    new = np.multiply(p, weight_decay)
+    new += g
+    velocity *= momentum
+    velocity += new
+    np.multiply(velocity, lr, out=new)
+    np.subtract(p, new, out=new)
+    return mdl.ParamVector(new, params.layer_map), velocity, loss, gnorm
 
 
 def run_blockwise(

@@ -90,6 +90,13 @@ def _field(section: dict, path: str, kind, default=_REQUIRED):
         raise FormatError(f"config field {path} is malformed: {exc!r}") from exc
 
 
+def _boolean(value) -> bool:
+    """A JSON true or false; a string, a number or null is malformed."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _ints(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
@@ -223,7 +230,7 @@ class CellResult:
     seed_index: int
     report: audit.AuditReport
     min_unlearn_test_acc: float | None
-    rte_minutes: float
+    rte_minutes: float | None  # wall time of the cell's method; None: not measured
     csv_path: str | None = None
 
 
@@ -272,7 +279,7 @@ def run_cell(
     plan = acc.make_plan(
         budget_spec(config, epsilon, delta), k,
         steps=None if u.get("steps") is None else _field(u, "unlearn.steps", int),
-        scale_c0=bool(u.get("scale_c0", True)),
+        scale_c0=_field(u, "unlearn.scale_c0", _boolean, True),
     )
     basis = None
     if k > 1:
@@ -336,7 +343,9 @@ def run_experiment(
             arch, tcfg = architecture(config, data), train_config(config)
             full_params, _ = eng.train(arch, pool, seeds, tcfg)
             del pool  # a copy of most rows, which the cells do not need
+            start = time.perf_counter()
             retrain_params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)
+            retrain_minutes = (time.perf_counter() - start) / 60.0
         except Exception as exc:  # noqa: BLE001 - recorded, other seeds proceed
             result.errors[f"seed{seed_index}"] = f"{type(exc).__name__}: {exc}"
             continue
@@ -359,9 +368,10 @@ def run_experiment(
                 seed_index=seed_index,
                 report=audit.against_baseline(baseline, baseline),
                 min_unlearn_test_acc=None,
-                rte_minutes=0.0,
+                rte_minutes=retrain_minutes,
             )
         )
+        timings[f"retrain_seed{seed_index}"] = retrain_minutes
         if config.method == METHOD_RETRAIN:
             continue
 
@@ -458,7 +468,8 @@ def _cell_fmt(stats: dict) -> str:
 
 def format_report(result: ExperimentResult) -> str:
     """Text table in the UA / RA / TA / MIA / RTE column order; RTE is the
-    mean unlearning wall time in seconds, not measured for the retrain row."""
+    mean wall time in seconds of the row's measured cells (unlearning, or
+    retraining on the retrain row), and `--` when none was measured."""
     lines = [
         f"{'Method':28s} {'UA':>12s} {'RA':>12s} {'TA':>12s} {'MIA':>12s} {'RTE(s)':>9s}"
     ]
@@ -474,10 +485,8 @@ def format_report(result: ExperimentResult) -> str:
         ra = _cell_fmt(_mean_std(c.report.ra for c in cells))
         ta = _cell_fmt(_mean_std(c.report.ta for c in cells))
         mia = _cell_fmt(_mean_std(c.report.mia_efficacy for c in cells))
-        if method == METHOD_RETRAIN:
-            rte = f"{'--':>9s}"
-        else:
-            rte = f"{60.0 * float(np.mean([c.rte_minutes for c in cells])):9.3f}"
+        minutes = [c.rte_minutes for c in cells if c.rte_minutes is not None]
+        rte = f"{60.0 * float(np.mean(minutes)):9.3f}" if minutes else f"{'--':>9s}"
         lines.append(f"{label:28s} {ua:>12s} {ra:>12s} {ta:>12s} {mia:>12s} {rte}")
     if result.errors:
         lines.append("")

@@ -163,7 +163,7 @@ def _weights(params: ParamVector):
 
 
 def _check_finite(params: ParamVector) -> None:
-    if not np.all(np.isfinite(params.values)):
+    if not np.isfinite(params.values).all():
         raise NumericalError("non-finite parameter values")
 
 
@@ -188,54 +188,74 @@ def _forward_pass(layers, inputs: np.ndarray):
 
 
 def _forward_cached(params: ParamVector, batch: Batch):
+    """Layer views, every layer's input and the logits, after checking that
+    the parameters are finite and every label lies in [0, classes)."""
+    _check_finite(params)
     layers = _weights(params)
-    num_classes = layers[-1][0].shape[0]
-    if np.any(batch.labels < 0) or np.any(batch.labels >= num_classes):
+    labels = batch.labels
+    # a Batch holds at least one int64 label, so both reductions are defined
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= layers[-1][0].shape[0]:
         raise DomainError("label out of range for the output layer")
     activations, logits = _forward_pass(layers, batch.inputs)
     return layers, activations, logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # np.maximum.reduce and np.add.reduce are what `max` and `sum` call, minus
+    # their Python-level argument handling
+    log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
+    return log_probs
+
+
+def _label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat position of each row's label entry in (rows, classes) log_probs."""
+    rows, classes = log_probs.shape
+    return np.arange(0, rows * classes, classes) + labels
+
+
+def _mean_nll(log_probs: np.ndarray, at: np.ndarray) -> float:
+    """Mean negative log-likelihood of the entries at flat positions `at`;
+    `mean` is this sum divided by the count."""
+    loss = -float(np.add.reduce(log_probs.take(at)) / len(at))
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite loss")
+    return loss
 
 
 def forward(params: ParamVector, batch: Batch):
     """Logits and mean softmax cross-entropy loss."""
-    _check_finite(params)
     _, _, logits = _forward_cached(params, batch)
     log_probs = _log_softmax(logits)
-    n = len(batch)
-    loss = -float(log_probs[np.arange(n), batch.labels].mean())
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss")
-    return logits, loss
+    return logits, _mean_nll(log_probs, _label_entries(log_probs, batch.labels))
 
 
 def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
-    """Mean loss and its gradient from a single forward/backward pass."""
-    _check_finite(params)
+    """Mean loss and its gradient from a single forward/backward pass.
+
+    The backward pass writes each layer's gradient straight into its slot of
+    the flat result and reuses its intermediates in place; every value is
+    computed by the same operations in the same order as the textbook
+    `(delta @ w) * (a > 0)` chain, so the result is the same bit for bit.
+    """
     layers, activations, logits = _forward_cached(params, batch)
-    n = len(batch)
-    log_probs = _log_softmax(logits)
-    loss = -float(log_probs[np.arange(n), batch.labels].mean())
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss")
-    probs = np.exp(log_probs)
-    delta = probs
-    delta[np.arange(n), batch.labels] -= 1.0
-    delta /= n
+    delta = _log_softmax(logits)
+    at = _label_entries(delta, batch.labels)
+    loss = _mean_nll(delta, at)
+    np.exp(delta, out=delta)  # softmax probabilities
+    flat = delta.reshape(-1)  # a view: delta is C-contiguous
+    flat[at] -= 1.0
+    delta /= len(at)
 
     grad = np.empty_like(params.values)
     layer_slots = _layout(params.layer_map).layers
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
         (ws, we, w_shape), (bs, be, _) = layer_slots[i]
         np.matmul(delta.T, activations[i], out=grad[ws:we].reshape(w_shape))
-        grad[bs:be] = delta.sum(axis=0)
+        np.add.reduce(delta, axis=0, out=grad[bs:be])
         if i > 0:
-            delta = (delta @ w) * (activations[i] > 0.0)
+            delta = delta @ layers[i][0]
+            delta *= activations[i] > 0.0
     return loss, ParamVector(grad, params.layer_map)
 
 

@@ -16,7 +16,7 @@ together with the weight rows; other entries form their own group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class BlockBasis:
     layer_map: LayerMap
     groups: tuple[_Group, ...]
     rotations: tuple[_Rotation, ...]
+    # per block, the work of project_block/lift_block, derived once from the
+    # rotations so that each call does no indexing set-up
+    _spans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sum(self.sizes) != self.d:
@@ -84,6 +87,9 @@ class BlockBasis:
         if len(self.sizes) != self.k:
             raise DomainError("sizes/k mismatch")
         self._check_rotations()
+        object.__setattr__(
+            self, "_spans", tuple(self._block_spans(i) for i in range(self.k))
+        )
 
     def _check_rotations(self) -> None:
         """The rotation groups tile the layer map exactly, and each rotation is
@@ -105,6 +111,33 @@ class BlockBasis:
             sizes += [len(r) * g.cols for r in rot.row_groups]
         if tuple(sizes) != self.sizes:
             raise DomainError(f"block sizes {self.sizes} do not match the row groups")
+
+    def _block_spans(self, i: int) -> tuple:
+        """Block i's coordinates as consecutive spans (start, stop, group, a),
+        one per group with rows in block i.
+
+        A rotated group's span holds q[:, rows]^T B, with a = q[:, rows] (the
+        same array the product used to index out on every call).  An identity
+        group's span holds w[a], a being its chosen rows' flat coordinates in
+        flat-vector order (the weight rows, then their biases); its group is
+        None.
+        """
+        spans, pos = [], 0
+        for g, rot in zip(self.groups, self.rotations):
+            rows = rot.row_groups[i]
+            if rows.size == 0:
+                continue
+            stop = pos + rows.size * g.cols
+            if rot.q is not None:
+                spans.append((pos, stop, g, rot.q[:, rows]))
+            else:
+                flat = np.concatenate([
+                    (offset + rows[:, None] * (ce - cs) + np.arange(ce - cs)).ravel()
+                    for offset, cs, ce in g.parts
+                ])
+                spans.append((pos, stop, None, flat))
+            pos = stop
+        return tuple(spans)
 
 
 def layer_map_dim(layer_map) -> int:
@@ -250,23 +283,18 @@ def reconstruct(blocks, basis: BlockBasis) -> np.ndarray:
 def project_block(w, basis: BlockBasis, i: int) -> np.ndarray:
     """Block-i coordinates of w (the i-th entry of decompose).
 
-    A rotated group contributes q[:, rows]^T B row by row; an identity group
-    contributes its chosen rows' coordinates in flat-vector order (the weight
+    A rotated group contributes q[:, rows]^T B row by row; identity groups
+    contribute their chosen rows' coordinates in flat-vector order (the weight
     rows, then their biases).
     """
     w = _check_dim(w, basis)
     _check_block(basis, i)
     out = np.empty(basis.sizes[i], dtype=np.float64)
-    pos = 0
-    for g, rot in zip(basis.groups, basis.rotations):
-        rows = rot.row_groups[i]
-        if rot.q is None:
-            chunks = [g.part(w, offset, ce - cs)[rows] for offset, cs, ce in g.parts]
+    for start, stop, g, a in basis._spans[i]:
+        if g is None:
+            np.take(w, a, out=out[start:stop])
         else:
-            chunks = [rot.q[:, rows].T @ g.gather(w)]
-        for chunk in chunks:
-            out[pos : pos + chunk.size] = chunk.ravel()
-            pos += chunk.size
+            np.matmul(a.T, g.gather(w), out=out[start:stop].reshape(-1, g.cols))
     return out
 
 
@@ -277,18 +305,11 @@ def lift_block(b, basis: BlockBasis, i: int) -> np.ndarray:
     if b.shape != (basis.sizes[i],):
         raise DomainError(f"block {i} has wrong size {b.shape}")
     w = np.zeros(basis.d, dtype=np.float64)
-    pos = 0
-    for g, rot in zip(basis.groups, basis.rotations):
-        rows = rot.row_groups[i]
-        if rot.q is None:
-            for offset, cs, ce in g.parts:
-                n = rows.size * (ce - cs)
-                g.part(w, offset, ce - cs)[rows] = b[pos : pos + n].reshape(rows.size, ce - cs)
-                pos += n
+    for start, stop, g, a in basis._spans[i]:
+        if g is None:
+            w[a] = b[start:stop]
         else:
-            n = rows.size * g.cols
-            g.scatter(w, rot.q[:, rows] @ b[pos : pos + n].reshape(rows.size, g.cols))
-            pos += n
+            g.scatter(w, a @ b[start:stop].reshape(-1, g.cols))
     return w
 
 

@@ -469,6 +469,43 @@ class TestMakePlan:
             floor, _ = acc.min_noise(acc.plan_block_budget(plan))
             assert plan.sigma2 >= floor * (1 - 1e-12)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        epsilon=st.floats(1e-2, 1e2),
+        delta=st.floats(1e-15, 0.5),
+        q=st.one_of(st.none(), st.floats(1.001, 1e3)),
+        k=st.integers(1, 1000),
+        steps=st.one_of(st.none(), st.integers(1, 100)),
+        gamma_lam=st.floats(1e-3, 0.999),
+        gamma=st.floats(1e-4, 1.0),
+        c1=st.floats(1e-2, 1e2),
+        ratio=st.floats(0.05, 20.0),
+        scale_c0=st.booleans(),
+    )
+    def test_composition_identity_property(
+        self, epsilon, delta, q, k, steps, gamma_lam, gamma, c1, ratio, scale_c0,
+    ):
+        lam = gamma_lam / gamma
+        spec = acc.BudgetSpec(epsilon=epsilon, delta=delta, gamma=gamma, lam=lam,
+                              c1=c1, c0=ratio * c1 / lam, q=q)
+        try:
+            plan = acc.make_plan(spec, k, steps=steps, scale_c0=scale_c0)
+        except InfeasibleBudget:
+            assert q is not None  # only a fixed q can be too small
+            return
+        except InfeasibleNoise:
+            # the minimal noise is an infimum no finite step count reaches once
+            # decay dominates: lam*c0/c1 >= 1 per block
+            block_ratio = ratio if scale_c0 else ratio * math.sqrt(k)
+            assert steps is None and block_ratio >= 1 - 1e-12
+            return
+        assert len(plan.eps_renyi_per_block) == k
+        total = math.fsum(plan.eps_renyi_per_block) + math.log(1.0 / delta) / (plan.q_used - 1)
+        # ln(1/delta)/(q-1) is the same float here as in the plan; the
+        # subtraction from epsilon, the split into k equal shares, their sum
+        # and the addition above each move the total by at most an ulp of epsilon
+        assert abs(total - epsilon) <= 4 * math.ulp(epsilon)
+
     def test_sigma2_independent_of_k(self):
         # sqrt(k) radius scaling and 1/k budget splitting cancel exactly
         plans = [acc.make_plan(self.MNIST_LIKE, k=k, steps=2) for k in (1, 2, 4, 10)]

@@ -78,6 +78,7 @@ class TestPipelineCommands:
 
         assert run_cli("retrain", "--config", str(config_path), "--seed", "0") == 0
         assert (out / "model_retrain_seed0.ckpt").exists()
+        assert json.loads((out / "timings.json").read_text())["retrain_seed0"] > 0
 
         assert run_cli(
             "unlearn", "--config", str(config_path), "--seed", "0",
@@ -300,6 +301,11 @@ def _drop_train_steps(doc):
     return doc
 
 
+def _scale_c0_string(doc):
+    doc["unlearn"]["scale_c0"] = "false"
+    return doc
+
+
 def _hidden_not_a_list(doc):
     doc["model"]["hidden"] = "x"
     return doc
@@ -311,7 +317,9 @@ class TestMalformedConfig:
         ("train", _drop_train_steps, "train.steps"),
         ("train", _hidden_not_a_list, "model.hidden"),
         ("train", lambda doc: [doc], "JSON object"),
-    ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list"])
+        ("unlearn", _scale_c0_string, "unlearn.scale_c0"),
+    ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list",
+            "scale-c0-string"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1

@@ -158,7 +158,7 @@ def report_cell(method, k, rte_minutes):
 class TestFormatReport:
     def test_rte_in_seconds_and_no_fake_retrain_zero(self):
         result = harness.ExperimentResult(cells=[
-            report_cell("retrain", 0, 0.0),
+            report_cell("retrain", 0, None),
             report_cell("blockwise", 4, 0.0125 / 60.0),
             report_cell("blockwise", 4, 0.0375 / 60.0),
         ])
@@ -168,6 +168,15 @@ class TestFormatReport:
         assert retrain.startswith("retrain") and retrain.split()[-1] == "--"
         assert blockwise.split()[-1] == "0.025"
         assert len({len(header), len(retrain), len(blockwise)}) == 1
+
+    def test_measured_retrain_time_in_seconds(self):
+        result = harness.ExperimentResult(cells=[
+            report_cell("retrain", 0, 0.010 / 60.0),
+            report_cell("retrain", 0, 0.030 / 60.0),
+        ])
+        header, retrain = harness.format_report(result).splitlines()
+        assert retrain.startswith("retrain") and retrain.split()[-1] == "0.020"
+        assert len(header) == len(retrain)
 
 
 class TestRunExperiment:
@@ -272,6 +281,48 @@ class TestRunExperiment:
         result = harness.run_experiment(config)
         # 2 seeds x (retrain baseline + 2 unlearned models), one attacker fit each
         assert not result.errors and len(fits) == len(set(fits)) == 6
+
+    def test_retrain_timed_per_seed(self, tmp_path):
+        out = tmp_path / "out"
+        result = harness.run_experiment(harness.config_from_dict(base_config_doc(str(out))))
+        timings = json.loads((out / "timings.json").read_text())
+        retrain_cells = [c for c in result.cells if c.method == "retrain"]
+        assert [timings[f"retrain_seed{c.seed_index}"] for c in retrain_cells] == [
+            c.rte_minutes for c in retrain_cells
+        ]
+        assert all(c.rte_minutes > 0 for c in retrain_cells)
+        retrain_row = next(line for line in (out / "report.txt").read_text().splitlines()
+                           if line.startswith("retrain"))
+        assert float(retrain_row.split()[-1]) > 0
+        summary = (out / "summary.json").read_text()
+        assert "rte" not in summary and "retrain_seed" not in summary
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0, None, [False]],
+                             ids=["string-false", "string-true", "zero", "one",
+                                  "float-zero", "null", "list"])
+    def test_scale_c0_must_be_a_json_boolean(self, tmp_path, value):
+        doc = base_config_doc(str(tmp_path / "out"))
+        doc["n_seeds"] = 1
+        doc["unlearn"]["scale_c0"] = value
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        # every unlearning cell fails with the field named; the retrain baseline stands
+        assert set(result.errors) == {"blockwise_eps1_k1_seed0", "blockwise_eps1_k2_seed0"}
+        assert all(msg.startswith("FormatError") and "unlearn.scale_c0" in msg
+                   for msg in result.errors.values())
+        assert [c.method for c in result.cells] == ["retrain"]
+
+    @pytest.mark.parametrize("value,c0_per_block", [
+        (True, 0.025 / np.sqrt(2)), (False, 0.025), (None, 0.025 / np.sqrt(2)),
+    ], ids=["true", "false", "absent"])
+    def test_scale_c0_boolean_sets_the_block_radius(self, tmp_path, value, c0_per_block):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"], doc["k_values"] = 1, [2]
+        if value is not None:
+            doc["unlearn"]["scale_c0"] = value
+        assert not harness.run_experiment(harness.config_from_dict(doc)).errors
+        manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
+        assert manifest["plan"]["c0_per_block"] == c0_per_block
 
     def test_forget_rows_never_fed_gradients(self, tmp_path):
         out = str(tmp_path / "out")

@@ -2,8 +2,11 @@ import json
 import struct
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn.errors import DomainError, FormatError, NumericalError
@@ -242,6 +245,18 @@ class TestClip:
             c = rng.uniform(0.1, 5)
             once = mdl.clip(v, c)
             assert np.array_equal(mdl.clip(once, c), once)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        v=hnp.arrays(np.float64, st.integers(1, 64),
+                     elements=st.floats(-1e150, 1e150, allow_nan=False)),
+        c=st.floats(1e-100, 1e100),
+    )
+    def test_idempotent_and_within_radius_property(self, v, c):
+        # entries up to 1e150 keep the squared norm of 64 of them finite
+        once = mdl.clip(v, c)
+        assert np.linalg.norm(once) <= c
+        assert mdl.clip(once, c).tobytes() == once.tobytes()
 
     def test_scale_equivariant(self):
         rng = np.random.default_rng(8)

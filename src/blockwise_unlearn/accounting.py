@@ -39,10 +39,11 @@ class BudgetSpec:
 
     epsilon/delta are the total indistinguishability budget.  gamma is the
     unlearning learning rate, lam the weight-decay coefficient, c1 the
-    gradient clipping radius, and c0 the initial-distance radius: half the
-    high-probability distance bound between the trained and coupled retrained
-    models in the proximity formulation, or the model clipping radius in the
-    worst-case formulation.  q is the Renyi order; None means "optimize".
+    gradient clipping radius, and c0 the initial-distance radius: an assumed
+    bound, ||w_trained - w_retrained|| <= 2*c0, between the trained and the
+    coupled retrained models (c0 = delta_rho/2 for a proximity bound
+    delta_rho).  It is a premise of the certificate, not enforced: no code
+    clips a model.  q is the Renyi order; None means "optimize".
     """
 
     epsilon: float

@@ -214,7 +214,7 @@ def estimate_delta(
         )
     inputs, labels = data.inputs, data.labels
     n = len(labels)
-    base, _ = eng.train(arch, (inputs, labels), seeds, train_config)
+    base = eng.train(arch, (inputs, labels), seeds, train_config)
     samples = []
     for j in range(n_runs):
         rng = np.random.default_rng((seeds.noise, j))
@@ -226,7 +226,7 @@ def estimate_delta(
             source = keep[rng.integers(0, len(keep), size=n_swap)]
             swapped_inputs[target] = inputs[source]
             swapped_labels[target] = labels[source]
-        perturbed, _ = eng.train(arch, (swapped_inputs, swapped_labels), seeds, train_config)
+        perturbed = eng.train(arch, (swapped_inputs, swapped_labels), seeds, train_config)
         samples.append(float(np.linalg.norm(base.values - perturbed.values)))
     samples.sort()
     order = max(1, math.ceil((1.0 - rho) * n_runs))

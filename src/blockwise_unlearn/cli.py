@@ -45,7 +45,8 @@ def _add_plan_parser(sub_parsers) -> None:
     p.add_argument("--c1", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta-rho", type=float, help="proximity bound; c0 = delta_rho/2")
-    group.add_argument("--c0", type=float, help="worst-case model clipping radius")
+    group.add_argument("--c0", type=float,
+                       help="initial-distance radius; an assumed bound, not enforced")
     p.add_argument("--blocks", type=int, default=1)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int, help="fixed per-block step count")
@@ -101,7 +102,7 @@ def _save_model(out, name, seed_index, params, split) -> int:
 def _cmd_train(args) -> int:
     config, out, data, (seeds, split, pool, _) = _stage_setup(args)
     arch = harness.architecture(config, data)
-    params, _ = eng.train(arch, pool, seeds, harness.train_config(config))
+    params = eng.train(arch, pool, seeds, harness.train_config(config))
     return _save_model(out, "full", args.seed, params, split)
 
 

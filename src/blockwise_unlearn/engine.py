@@ -28,7 +28,6 @@ CSV_HEADER = (
     "noise_norm,grad_norm_pre,grad_norm_post"
 )
 
-PHASE_TRAIN = "train"
 PHASE_FINETUNE = "finetune"
 
 
@@ -352,36 +351,18 @@ def train(
     data: tuple[np.ndarray, np.ndarray],
     seeds: Seeds,
     config: TrainConfig,
-) -> tuple[mdl.ParamVector, RunRecord]:
+) -> mdl.ParamVector:
     """SGD-with-momentum training, deterministic in the seeds."""
     params = mdl.init_params(arch, seeds.init)
     order_rng = np.random.default_rng(seeds.data_order)
     batcher = _Batcher(data[0], data[1], config.batch_size, order_rng)
     velocity = np.zeros_like(params.values)
-    rows: list[StepRow] = []
-    for step in range(1, config.steps + 1):
-        batch = batcher.next()
-        params, velocity, loss, gnorm = _momentum_step(
-            params, velocity, batch, config.lr, config.momentum, config.weight_decay
+    for _ in range(config.steps):
+        params, velocity, _, _ = _momentum_step(
+            params, velocity, batcher.next(), config.lr, config.momentum,
+            config.weight_decay,
         )
-        rows.append(
-            StepRow(
-                step=step,
-                phase=PHASE_TRAIN,
-                block=None,
-                loss=loss,
-                test_acc=None,
-                retain_acc=None,
-                forget_acc=None,
-                noise_norm=0.0,
-                grad_norm_pre=gnorm,
-                grad_norm_post=gnorm,
-            )
-        )
-    record = RunRecord(
-        rows=rows, final_params=params, touched_rows=np.flatnonzero(batcher.touched)
-    )
-    return params, record
+    return params
 
 
 def coupled_retrain(
@@ -395,5 +376,4 @@ def coupled_retrain(
     The initialization and batch-order streams reuse the full run's seeds, so
     with an empty forget set the result is bit-identical to full training.
     """
-    params, _ = train(arch, retain, seeds, config)
-    return params
+    return train(arch, retain, seeds, config)

@@ -341,7 +341,7 @@ def run_experiment(
                 config, data, external_test, seed_index
             )
             arch, tcfg = architecture(config, data), train_config(config)
-            full_params, _ = eng.train(arch, pool, seeds, tcfg)
+            full_params = eng.train(arch, pool, seeds, tcfg)
             del pool  # a copy of most rows, which the cells do not need
             start = time.perf_counter()
             retrain_params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)

@@ -187,28 +187,26 @@ def _split_counts(m: int, k: int) -> list[int]:
 
 
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Right-looking modified Gram-Schmidt with one reorthogonalization pass."""
-    q = np.array(a, dtype=np.float64, copy=True)
-    m = q.shape[1]
-    for _ in range(2):
-        for i in range(m):
-            norm = np.linalg.norm(q[:, i])
-            if norm < 1e-12:
-                raise DomainError("rank-deficient draw during orthogonalization")
-            q[:, i] /= norm
-            if i + 1 < m:
-                q[:, i + 1 :] -= np.outer(q[:, i], q[:, i] @ q[:, i + 1 :])
-    return q
+    """Q of the Householder QR a = QR, with signs chosen so that diag(R) > 0.
+
+    With a positive diagonal the factorization of a full-rank a is unique, so
+    Q is the matrix Gram-Schmidt would give on the same columns.
+    """
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    if np.any(np.abs(d) < 1e-12):
+        raise DomainError("rank-deficient draw during orthogonalization")
+    return q * np.sign(d)
 
 
 def build_basis(strategy: str, layer_map, k: int, seed: int = 0) -> BlockBasis:
     """Construct a k-block basis over the layer map.
 
     Every strategy gives each layer a rotation q and k row groups; they differ
-    only in how q and the rows are picked.  random_orthonormal: a seeded
-    Gaussian draw orthonormalized by modified Gram-Schmidt, its rows split
-    into nearly equal contiguous groups (sizes differ by at most one row per
-    layer).  The coordinate partitions use the identity (q = None):
+    only in how q and the rows are picked.  random_orthonormal: the Q factor,
+    with diag(R) > 0, of the Householder QR of a seeded Gaussian draw, its rows
+    split into nearly equal contiguous groups (sizes differ by at most one row
+    per layer).  The coordinate partitions use the identity (q = None):
     permutation splits a seeded permutation of the rows into nearly equal
     groups, layer_cyclic gives layer l to block l mod k, and head_body (k = 2)
     gives the final layer (the head) to block 0 and every other layer to

@@ -291,7 +291,7 @@ def _k_ordering_experiment():
         test = data.subset(split.test_idx)
         retain = data.subset(split.retain_idx)
         pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
-        full, _ = eng.train(arch, pool.pair(), seeds, tcfg)
+        full = eng.train(arch, pool.pair(), seeds, tcfg)
         for k in (1, 4, 10):
             plan = acc.make_plan(spec, k, steps=2)
             basis = None if k == 1 else sub.build_basis(
@@ -338,7 +338,7 @@ def test_criterion_11_classwise_deletion():
         retain = data.subset(split.retain_idx)
         forget = data.subset(split.forget_idx)
         pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
-        full, _ = eng.train(arch, pool.pair(), seeds, tcfg)
+        full = eng.train(arch, pool.pair(), seeds, tcfg)
         retr = eng.coupled_retrain(arch, retain.pair(), seeds, tcfg)
         plan = acc.make_plan(spec, 4, steps=2)
         basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, full.layer_map, 4,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -82,19 +84,26 @@ CANON = acc.BlockBudget(gamma=0.1, lam=1.0, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0
 
 
 @st.composite
-def budgets_and_steps(draw):
+def block_budgets(draw):
     """A block budget over wide ranges, ratio lam*c0/c1 exactly 1 about half
-    the time, and a step count T with (1 - gamma*lam)^T > 1e-12."""
+    the time."""
     gamma_lam = draw(st.floats(1e-3, 0.999))
     gamma = 10.0 ** draw(st.floats(-3.0, 0.0))
     lam = gamma_lam / gamma
     c0 = 10.0 ** draw(st.floats(-2.0, 2.0))
     ratio = draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))
-    b = acc.BlockBudget(
+    return acc.BlockBudget(
         gamma=gamma, lam=lam, c0=c0, c1=lam * c0 / ratio,
         q=draw(st.floats(1.1, 100.0)), eps_renyi=10.0 ** draw(st.floats(-3.0, 1.0)),
     )
-    t_max = math.floor(math.log(1e-12) / math.log(1.0 - gamma * lam))
+
+
+@st.composite
+def budgets_and_steps(draw):
+    """A block budget from block_budgets and a step count T with
+    (1 - gamma*lam)^T > 1e-12."""
+    b = draw(block_budgets())
+    t_max = math.floor(math.log(1e-12) / math.log(1.0 - b.gamma * b.lam))
     return b, draw(st.integers(1, max(t_max, 1)))
 
 
@@ -221,6 +230,27 @@ class TestMinNoise:
         s_decay, _ = acc.min_noise(b_decay)
         assert s_clip == pytest.approx(s_decay, rel=1e-5)
 
+    # Moving c1 by n ulps moves (2 - ratio)*c0*c1 and c1^2 by at most 2n eps
+    # relative; each side rounds at most 4 c-dependent operations (the
+    # prefactor is the same bits on both), 2 eps more per side.  At n <= 4
+    # that is 12 eps; the test allows 16.  n >= 2 keeps lam*c0/c1 a
+    # representable step away from 1.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(block_budgets(), st.integers(2, 4))
+    def test_continuous_at_ratio_one(self, b, n):
+        at_one = dataclasses.replace(b, c1=b.lam * b.c0)
+        assert at_one.ratio == 1.0
+        sigma2, regime = acc.min_noise(at_one)
+        assert regime == acc.DECAY_DOMINANT
+        for direction, expected in ((math.inf, acc.CLIP_DOMINANT),
+                                    (0.0, acc.DECAY_DOMINANT)):
+            c1 = at_one.c1
+            for _ in range(n):
+                c1 = math.nextafter(c1, direction)
+            near, near_regime = acc.min_noise(dataclasses.replace(at_one, c1=c1))
+            assert near_regime == expected
+            assert abs(near - sigma2) <= 16 * sys.float_info.epsilon * sigma2
+
     def test_matches_bisection_on_random_specs(self):
         rng = np.random.default_rng(11)
         for b in random_clip_budgets(rng, 100):
@@ -263,6 +293,14 @@ class TestSteps:
         with pytest.raises(InfeasibleNoise):
             acc.steps_for_noise(bound, b)
         assert acc.steps_for_noise(bound * 1.05, b) >= 1
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(block_budgets(), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+    def test_non_increasing_in_noise(self, b, a1, a2):
+        # any two noises above the certified threshold, 1e-6 to 1e6 relative
+        sigma2_min, _ = acc.min_noise(b)
+        lo, hi = sorted(sigma2_min * (1.0 + 10.0**a) for a in (a1, a2))
+        assert acc.steps_for_noise(hi, b) <= acc.steps_for_noise(lo, b)
 
     def test_real_step_formula_on_random_specs(self):
         rng = np.random.default_rng(13)

@@ -26,8 +26,7 @@ def split_pairs():
 def trained_params():
     cfg = eng.TrainConfig(steps=400, lr=0.05)
     retain, _, _ = split_pairs()
-    params, _ = eng.train(ARCH, retain, eng.Seeds(1, 2, 3), cfg)
-    return params
+    return eng.train(ARCH, retain, eng.Seeds(1, 2, 3), cfg)
 
 
 class TestComputeMetrics:
@@ -107,7 +106,7 @@ class TestMiaEfficacy:
         worse = 0
         for s in range(5):
             seeds = eng.Seeds(s, 50 + s, 90 + s)
-            original, _ = eng.train(ARCH, BLOBS.subset(
+            original = eng.train(ARCH, BLOBS.subset(
                 np.concatenate([SPLIT.retain_idx, SPLIT.forget_idx])).pair(),
                 seeds, cfg)
             retrained = eng.coupled_retrain(ARCH, retain, seeds, cfg)

@@ -28,7 +28,7 @@ class TestBlobs:
         data = ds.generate_blobs(3000, 3, 6, 0.0, seed=1)
         split = ds.make_split(data, ds.RandomFraction(0.1), seed=2, test_fraction=0.3)
         arch = mdl.MlpSpec((6, 16, 3))
-        params, _ = eng.train(
+        params = eng.train(
             arch, data.subset(np.concatenate([split.retain_idx, split.forget_idx])).pair(),
             eng.Seeds(0, 1, 2), eng.TrainConfig(steps=300, lr=0.05),
         )
@@ -40,7 +40,7 @@ class TestBlobs:
         data = ds.generate_blobs(1200, 4, 16, 10.0, seed=3)
         split = ds.make_split(data, ds.RandomFraction(0.1), seed=4, test_fraction=0.25)
         arch = mdl.MlpSpec((16, 32, 4))
-        params, _ = eng.train(
+        params = eng.train(
             arch, data.subset(split.retain_idx).pair(), eng.Seeds(0, 1, 2),
             eng.TrainConfig(steps=500, lr=0.05),
         )

@@ -8,6 +8,7 @@ from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import NoisePlan
 from blockwise_unlearn.errors import DomainError
 
+from test_reference_step import spy_momentum_steps
 from test_subspace import block_support
 
 
@@ -280,24 +281,27 @@ class TestCsv:
 
 
 class TestTraining:
-    def test_loss_decreases_on_blobs(self):
+    def test_loss_decreases_on_blobs(self, monkeypatch):
         cfg = eng.TrainConfig(steps=300, lr=0.05, batch_size=64)
-        _, rec = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(0, 1, 2), cfg)
-        first = np.mean([r.loss for r in rec.rows[:20]])
-        last = np.mean([r.loss for r in rec.rows[-20:]])
+        steps = spy_momentum_steps(monkeypatch)
+        eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(0, 1, 2), cfg)
+        losses = [loss for _, _, loss, _ in steps]
+        assert len(losses) == 300
+        first = np.mean(losses[:20])
+        last = np.mean(losses[-20:])
         assert last < first
 
     def test_separable_blobs_reach_95_percent(self):
         data = ds.generate_blobs(1500, classes=4, dim=16, separation=10.0, seed=9)
         arch = mdl.MlpSpec((16, 32, 4))
         cfg = eng.TrainConfig(steps=500, lr=0.05, batch_size=64)
-        params, _ = eng.train(arch, data.pair(), eng.Seeds(0, 1, 2), cfg)
+        params = eng.train(arch, data.pair(), eng.Seeds(0, 1, 2), cfg)
         assert mdl.accuracy(params, data.inputs, data.labels) >= 0.95
 
     def test_train_deterministic(self):
         cfg = eng.TrainConfig(steps=100, lr=0.05)
-        p1, _ = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(3, 4, 5), cfg)
-        p2, _ = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(3, 4, 5), cfg)
+        p1 = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(3, 4, 5), cfg)
+        p2 = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(3, 4, 5), cfg)
         assert np.array_equal(p1.values, p2.values)
 
 
@@ -305,7 +309,7 @@ class TestCoupledRetrain:
     def test_empty_forget_set_identity(self):
         cfg = eng.TrainConfig(steps=150, lr=0.05)
         seeds = eng.Seeds(10, 11, 12)
-        full, _ = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), seeds, cfg)
+        full = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), seeds, cfg)
         retr = eng.coupled_retrain(ARCH, (BLOBS.inputs, BLOBS.labels), seeds, cfg)
         assert np.array_equal(full.values, retr.values)
 
@@ -316,7 +320,7 @@ class TestCoupledRetrain:
         shared, disjoint = [], []
         for s in range(5):
             seeds = eng.Seeds(s, 100 + s, 200 + s)
-            full, _ = eng.train(ARCH, BLOBS.pair(), seeds, cfg)
+            full = eng.train(ARCH, BLOBS.pair(), seeds, cfg)
             coupled = eng.coupled_retrain(ARCH, retain, seeds, cfg)
             other = eng.coupled_retrain(
                 ARCH, retain, eng.Seeds(1000 + s, 2000 + s, 3000 + s), cfg
@@ -329,7 +333,7 @@ class TestCoupledRetrain:
         cfg = eng.TrainConfig(steps=200, lr=0.05)
         seeds = eng.Seeds(1, 2, 3)
         split = ds.make_split(BLOBS, ds.RandomFraction(0.1), seed=4)
-        full, _ = eng.train(ARCH, BLOBS.pair(), seeds, cfg)
+        full = eng.train(ARCH, BLOBS.pair(), seeds, cfg)
         retr = eng.coupled_retrain(ARCH, BLOBS.subset(split.retain_idx).pair(), seeds, cfg)
         dist = np.linalg.norm(full.values - retr.values)
         assert np.isfinite(dist) and dist > 0

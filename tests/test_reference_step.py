@@ -192,9 +192,23 @@ def toy_plan(k, sigma2=0.01):
 
 
 def trained_8_12_4():
-    params, _ = eng.train(mdl.MlpSpec((8, 12, 4)), (DATA.inputs, DATA.labels),
-                          eng.Seeds(1, 2, 3), eng.TrainConfig(steps=30, lr=0.05))
-    return params
+    return eng.train(mdl.MlpSpec((8, 12, 4)), (DATA.inputs, DATA.labels),
+                     eng.Seeds(1, 2, 3), eng.TrainConfig(steps=30, lr=0.05))
+
+
+def spy_momentum_steps(monkeypatch) -> list:
+    """Every result (p', v, loss, ||g||) of `engine._momentum_step` while the
+    patch holds: the per-step record that `engine.train` does not keep."""
+    outputs = []
+    momentum_step = eng._momentum_step
+
+    def spy(*args):
+        out = momentum_step(*args)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(eng, "_momentum_step", spy)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +258,22 @@ class TestMomentumStep:
 
 
 class TestTrain:
-    def test_50_steps_equal_reference(self):
+    def test_50_steps_equal_reference(self, monkeypatch):
         arch, data = mdl.MlpSpec((8, 12, 4)), (DATA.inputs, DATA.labels)
         seeds, config = eng.Seeds(1, 2, 3), eng.TrainConfig(steps=50, lr=0.05)
-        params, record = eng.train(arch, data, seeds, config)
+        steps = spy_momentum_steps(monkeypatch)
+        params = eng.train(arch, data, seeds, config)
         ref_params, ref_rows = ref_train(arch, data, seeds, config)
         assert same_bits(params.values, ref_params.values)
-        assert same_bits([(r.loss, r.grad_norm_pre) for r in record.rows], ref_rows)
+        assert same_bits([(loss, gnorm) for _, _, loss, gnorm in steps], ref_rows)
 
     def test_inputs_kept_and_result_owns_its_memory(self, monkeypatch):
-        velocities = []
-        momentum_step = eng._momentum_step
-
-        def spy(*args):
-            out = momentum_step(*args)
-            velocities.append(out[1])
-            return out
-
-        monkeypatch.setattr(eng, "_momentum_step", spy)
+        steps = spy_momentum_steps(monkeypatch)
         x, y = DATA.inputs.copy(), DATA.labels.copy()
-        params, record = eng.train(mdl.MlpSpec((8, 12, 4)), (x, y), eng.Seeds(1, 2, 3),
-                                   eng.TrainConfig(steps=5))
+        params = eng.train(mdl.MlpSpec((8, 12, 4)), (x, y), eng.Seeds(1, 2, 3),
+                           eng.TrainConfig(steps=5))
         assert same_bits(x, DATA.inputs) and np.array_equal(y, DATA.labels)
+        velocities = [v for _, v, _, _ in steps]
         assert len(velocities) == 5
         for mem in (x, *velocities):
             assert not np.shares_memory(params.values, mem)

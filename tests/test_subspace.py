@@ -175,6 +175,39 @@ class TestOrthogonality:
         assert abs(dense_defect - sub.orthogonality_defect(basis)) <= 1e-10
 
 
+def gram_schmidt(a):
+    """Right-looking modified Gram-Schmidt with one reorthogonalization pass:
+    the rotation's first form, kept as the reference for its sign convention."""
+    q = np.array(a, dtype=np.float64, copy=True)
+    m = q.shape[1]
+    for _ in range(2):
+        for i in range(m):
+            q[:, i] /= np.linalg.norm(q[:, i])
+            if i + 1 < m:
+                q[:, i + 1 :] -= np.outer(q[:, i], q[:, i] @ q[:, i + 1 :])
+    return q
+
+
+class TestOrthonormalize:
+    @pytest.mark.parametrize("m", [1, 12, 64, 256])
+    def test_matches_gram_schmidt(self, m):
+        a = np.random.default_rng(m).standard_normal((m, m))
+        assert np.max(np.abs(sub._orthonormalize(a) - gram_schmidt(a))) <= 1e-12
+
+    def test_mnist_shape_defect(self):
+        layer_map = mlp_like_map([784, 256, 256, 10])
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, layer_map, 10, seed=0)
+        assert [len(rot.q) for rot in basis.rotations] == [256, 256, 10]
+        assert sub.orthogonality_defect(basis) <= 1e-10
+
+    @pytest.mark.parametrize("column", ["repeated", "zero"])
+    def test_rank_deficient_draw_raises(self, column):
+        a = np.random.default_rng(3).standard_normal((12, 12))
+        a[:, 7] = a[:, 2] if column == "repeated" else 0.0
+        with pytest.raises(DomainError, match="rank-deficient"):
+            sub._orthonormalize(a)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("layer_map,k", [(MAP_D8, 2), (MAP_D64, 4), (MAP_D4096, 16)])
     @pytest.mark.parametrize("strategy", [sub.RANDOM_ORTHONORMAL, sub.PERMUTATION])

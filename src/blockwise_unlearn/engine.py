@@ -158,18 +158,21 @@ class _Batcher:
         return mdl.Batch(self.inputs[ids], self.labels[ids])
 
 
-def _evaluate(params, eval_sets: EvalSets):
-    """Test, retain and forget accuracy from one forward pass over the present
-    sets; an absent or empty set scores None."""
+def _evaluator(layer_map: tuple, eval_sets: EvalSets):
+    """A function of the parameters that returns the test, retain and forget
+    accuracy from one forward pass over the present sets; an absent or empty
+    set scores None.  The sets are checked here, once."""
     sets = (eval_sets.test, eval_sets.retain, eval_sets.forget)
-    present = [pair for pair in sets if pair is not None and len(pair[1]) > 0]
-    if not present:
-        return None, None, None
-    counts = iter(mdl.hits(params, present))
-    return tuple(
-        None if pair is None or len(pair[1]) == 0 else next(counts) / len(pair[1])
-        for pair in sets
-    )
+    sizes = [0 if pair is None else len(pair[1]) for pair in sets]
+    if not any(sizes):
+        return lambda params: (None, None, None)
+    scorer = mdl.Scorer(layer_map, [pair for pair, n in zip(sets, sizes) if n])
+
+    def evaluate(params):
+        counts = iter(scorer.hits(params))
+        return tuple(next(counts) / n if n else None for n in sizes)
+
+    return evaluate
 
 
 def nft_step(
@@ -251,6 +254,17 @@ def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
     return mdl.ParamVector(new, params.layer_map), velocity, loss, gnorm
 
 
+def _momentum_steps(params, batcher: _Batcher, steps, lr, momentum, weight_decay):
+    """SGD with momentum from zero velocity, one batch per step: yields
+    (params, loss, ||g||) after each of `steps` steps."""
+    velocity = np.zeros_like(params.values)
+    for _ in range(steps):
+        params, velocity, loss, gnorm = _momentum_step(
+            params, velocity, batcher.next(), lr, momentum, weight_decay
+        )
+        yield params, loss, gnorm
+
+
 def run_blockwise(
     params0: mdl.ParamVector,
     config: RunConfig,
@@ -276,6 +290,7 @@ def run_blockwise(
     order_rng = np.random.default_rng(config.seeds.data_order)
     noise_rng = np.random.default_rng(config.seeds.noise)
     batcher = _Batcher(retain[0], retain[1], config.batch_size, order_rng)
+    evaluate = _evaluator(params0.layer_map, eval_sets)
 
     params = params0.copy()
     rows: list[StepRow] = []
@@ -295,7 +310,7 @@ def run_blockwise(
                 block=None if basis is None else i,
             )
             step += 1
-            test_acc, retain_acc, forget_acc = _evaluate(params, eval_sets)
+            test_acc, retain_acc, forget_acc = evaluate(params)
             rows.append(
                 StepRow(
                     step=step,
@@ -311,19 +326,12 @@ def run_blockwise(
                 )
             )
 
-    velocity = np.zeros_like(params.values)
-    for _ in range(ft_steps):
-        batch = batcher.next()
-        params, velocity, loss, gnorm = _momentum_step(
-            params,
-            velocity,
-            batch,
-            config.fine_tune_lr,
-            config.fine_tune_momentum,
-            config.fine_tune_weight_decay,
-        )
+    for params, loss, gnorm in _momentum_steps(
+        params, batcher, ft_steps, config.fine_tune_lr, config.fine_tune_momentum,
+        config.fine_tune_weight_decay,
+    ):
         step += 1
-        test_acc, retain_acc, forget_acc = _evaluate(params, eval_sets)
+        test_acc, retain_acc, forget_acc = evaluate(params)
         rows.append(
             StepRow(
                 step=step,
@@ -356,12 +364,10 @@ def train(
     params = mdl.init_params(arch, seeds.init)
     order_rng = np.random.default_rng(seeds.data_order)
     batcher = _Batcher(data[0], data[1], config.batch_size, order_rng)
-    velocity = np.zeros_like(params.values)
-    for _ in range(config.steps):
-        params, velocity, _, _ = _momentum_step(
-            params, velocity, batcher.next(), config.lr, config.momentum,
-            config.weight_decay,
-        )
+    for params, _, _ in _momentum_steps(
+        params, batcher, config.steps, config.lr, config.momentum, config.weight_decay
+    ):
+        pass
     return params
 
 

@@ -304,88 +304,104 @@ def _scores(layers, inputs_list) -> np.ndarray:
     return h
 
 
-def _classes(scores: np.ndarray) -> np.ndarray:
-    """Column-wise argmax of (classes, rows) scores; ties go to the lowest
-    class index, and a NaN score raises."""
-    best = scores[0].copy()
-    pred = np.zeros(scores.shape[1], dtype=np.int64)
-    for c in range(1, scores.shape[0]):
-        row = scores[c]
-        pred[row > best] = c
-        np.maximum(best, row, out=best)
-    # np.maximum carries a NaN of any class into best
-    if np.isnan(best).any():
-        raise NumericalError("non-finite logits")
-    return pred
+class Scorer:
+    """Correct predictions in fixed (inputs, labels) sets, counted under any
+    parameters with one layer map.
 
+    Preparing checks every set once: (n, input width) inputs with n >= 1, held
+    as float64 (float64 input is not copied), and one label in [0, classes)
+    per row.  It keeps each row's label position in the (classes, rows)
+    logits, so a call costs one forward pass over the rows of all sets and
+    one hit count.
 
-def _rows(inputs, width: int) -> np.ndarray:
-    """`inputs` as float64 (n, width) rows, n >= 1; float64 input is not copied."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != width:
-        raise DomainError(
-            f"scoring needs (n, {width}) inputs with at least one row, "
-            f"got shape {x.shape}"
-        )
-    return x
+    A row is a hit when its label's logit equals the column maximum and every
+    lower class's logit is strictly below it: the argmax with ties going to
+    the lowest class, without building the argmax.  A NaN logit raises.
+    """
 
+    __slots__ = ("layer_map", "inputs", "_at", "_ends")
 
-def _checked_sets(layers, sets) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The inputs, as float64 rows, and the int64 labels of each (inputs, labels)
-    set, with one label per row."""
-    width = layers[0][0].shape[1]
-    inputs, labels = [], []
-    for x, y in sets:
-        x = _rows(x, width)
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (len(x),):
-            raise DomainError(
-                f"scoring needs one label per input row, got labels of shape "
-                f"{y.shape} for {len(x)} rows"
-            )
-        inputs.append(x)
-        labels.append(y)
-    return inputs, labels
+    def __init__(self, layer_map: tuple, sets) -> None:
+        layers = _layout(layer_map).layers
+        if not layers:
+            raise DomainError("layer map has no fc layers")
+        (_, _, (_, width)), _ = layers[0]
+        (_, _, (classes, _)), _ = layers[-1]
+        self.layer_map = layer_map
+        self.inputs, labels = [], []
+        for x, y in sets:
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != width:
+                raise DomainError(
+                    f"scoring needs (n, {width}) inputs with at least one row, "
+                    f"got shape {x.shape}"
+                )
+            y = np.asarray(y, dtype=np.int64)
+            if y.shape != (len(x),):
+                raise DomainError(
+                    f"scoring needs one label per input row, got labels of shape "
+                    f"{y.shape} for {len(x)} rows"
+                )
+            if y.min() < 0 or y.max() >= classes:
+                raise DomainError("label out of range for the output layer")
+            self.inputs.append(x)
+            labels.append(y)
+        self._ends = np.cumsum([len(y) for y in labels], dtype=np.int64).tolist()
+        labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
+        # flat position of each row's label entry in (classes, rows) C order
+        self._at = labels * len(labels) + np.arange(len(labels))
 
+    def logits(self, params: ParamVector) -> np.ndarray:
+        """(classes, rows) logits of every set's rows, in order."""
+        if params.layer_map != self.layer_map:
+            raise DomainError("parameters do not match the scorer's layer map")
+        return _scores(_weights(params), self.inputs)
 
-def _hit_counts(pred: np.ndarray, labels) -> list[int]:
-    counts, start = [], 0
-    for y in labels:
-        counts.append(int(np.count_nonzero(pred[start : start + len(y)] == y)))
-        start += len(y)
-    return counts
+    def count(self, logits: np.ndarray) -> list[int]:
+        """Hits in each set, from the logits of `logits(params)`."""
+        classes, rows = logits.shape
+        # best[c] is the maximum over the classes below c; none lie below 0
+        best = np.empty((classes + 1, rows))
+        best[0] = np.nan
+        np.copyto(best[1], logits[0])
+        for c in range(1, classes):
+            np.maximum(best[c], logits[c], out=best[c + 1])
+        top = best[classes]
+        # np.maximum carries a NaN of any class into the column maximum
+        if np.isnan(top).any():
+            raise NumericalError("non-finite logits")
+        label = logits.take(self._at)
+        hit = label == top
+        # the label is the maximum, so a lower class ties it or lies below;
+        # the NaN below class 0 is unequal to any logit
+        hit &= best.take(self._at) != label
+        counts, start = [], 0
+        for end in self._ends:
+            counts.append(int(np.count_nonzero(hit[start:end])))
+            start = end
+        return counts
+
+    def hits(self, params: ParamVector) -> list[int]:
+        """Hits in each set under `params`."""
+        return self.count(self.logits(params))
 
 
 def hits(params: ParamVector, sets) -> list[int]:
     """Correct predictions in each (inputs, labels) set, from one forward pass
     over the rows of all of them."""
-    layers = _weights(params)
-    inputs, labels = _checked_sets(layers, sets)
-    return _hit_counts(_classes(_scores(layers, inputs)), labels)
+    return Scorer(params.layer_map, sets).hits(params)
 
 
 def logits_and_hits(params: ParamVector, sets) -> tuple[np.ndarray, list[int]]:
     """`hits(params, sets)` and the (classes, rows) logits it counts from, one
     column per row of the sets, in order.
 
-    Unlike `hits`, the parameters must be finite and every label must lie in
-    [0, classes), as in `forward`.
+    Unlike `hits`, the parameters must be finite, as in `forward`.
     """
     _check_finite(params)
-    layers = _weights(params)
-    inputs, labels = _checked_sets(layers, sets)
-    num_classes = layers[-1][0].shape[0]
-    for y in labels:
-        if y.min() < 0 or y.max() >= num_classes:
-            raise DomainError("label out of range for the output layer")
-    logits = _scores(layers, inputs)
-    return logits, _hit_counts(_classes(logits), labels)
-
-
-def predict(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Argmax class ids; ties resolve to the lowest class index."""
-    layers = _weights(params)
-    return _classes(_scores(layers, [_rows(inputs, layers[0][0].shape[1])]))
+    scorer = Scorer(params.layer_map, sets)
+    logits = scorer.logits(params)
+    return logits, scorer.count(logits)
 
 
 def accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:

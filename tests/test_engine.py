@@ -219,18 +219,19 @@ class TestEvaluation:
                             forget=(BLOBS.inputs[451:452], BLOBS.labels[451:452]))
         expected = tuple(mdl.accuracy(params, *pair)
                          for pair in (sets.test, sets.retain, sets.forget))
-        assert eng._evaluate(params, sets) == expected
+        assert eng._evaluator(params.layer_map, sets)(params) == expected
 
     def test_absent_and_empty_sets_score_none(self, monkeypatch):
         params = mdl.init_params(ARCH, seed=1)
         empty = (np.empty((0, 4)), np.empty(0, dtype=np.int64))
         retain = (BLOBS.inputs[:30], BLOBS.labels[:30])
-        got = eng._evaluate(params, eng.EvalSets(test=None, retain=retain, forget=empty))
-        assert got == (None, mdl.accuracy(params, *retain), None)
+        evaluate = eng._evaluator(params.layer_map,
+                                  eng.EvalSets(test=None, retain=retain, forget=empty))
+        assert evaluate(params) == (None, mdl.accuracy(params, *retain), None)
         calls = []
-        monkeypatch.setattr(mdl, "hits", lambda *a: calls.append(a))
-        assert eng._evaluate(params, eng.EvalSets(forget=empty)) == (None, None, None)
-        assert eng._evaluate(params, eng.EvalSets()) == (None, None, None)
+        monkeypatch.setattr(mdl, "Scorer", lambda *a: calls.append(a))
+        for sets in (eng.EvalSets(forget=empty), eng.EvalSets()):
+            assert eng._evaluator(params.layer_map, sets)(params) == (None, None, None)
         assert calls == []
 
     def test_one_scoring_pass_per_recorded_step(self, monkeypatch):
@@ -240,17 +241,19 @@ class TestEvaluation:
                             retain=(BLOBS.inputs[40:], BLOBS.labels[40:]),
                             forget=(BLOBS.inputs[:10], BLOBS.labels[:10]))
         calls = []
-        hits = mdl.hits
+        hits = mdl.Scorer.hits
 
-        def counting_hits(params, eval_sets):
-            calls.append(len(eval_sets))
-            return hits(params, eval_sets)
+        def counting_hits(scorer, params):
+            calls.append((id(scorer), len(scorer.inputs)))
+            return hits(scorer, params)
 
-        monkeypatch.setattr(mdl, "hits", counting_hits)
+        monkeypatch.setattr(mdl.Scorer, "hits", counting_hits)
         rec = eng.run_blockwise(params, small_config(k=2, basis=basis),
                                 (BLOBS.inputs[40:], BLOBS.labels[40:]), sets)
         assert len(rec.rows) == 2 * 2 + 5
-        assert calls == [3] * len(rec.rows)
+        # one scorer, prepared once for the run, scores all 3 sets per row
+        assert [n for _, n in calls] == [3] * len(rec.rows)
+        assert len({scorer for scorer, _ in calls}) == 1
 
 
 class TestCsv:

@@ -286,16 +286,8 @@ class TestAccuracy:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 3))
         y = rng.integers(0, 4, size=40)
-        correct = sum(
-            int(mdl.predict(params, x[i : i + 1])[0] == y[i]) for i in range(40)
-        )
+        correct = sum(mdl.hits(params, [(x[i : i + 1], y[i : i + 1])])[0] for i in range(40))
         assert mdl.accuracy(params, x, y) == correct / 40
-
-    @pytest.mark.parametrize("inputs", [np.zeros(2), np.zeros((0, 2)), np.zeros((1, 1, 2))])
-    def test_predict_rejects_bad_shapes(self, inputs):
-        params = mdl.init_params(TINY, seed=0)
-        with pytest.raises(DomainError):
-            mdl.predict(params, inputs)
 
     def test_empty_set(self):
         params = mdl.init_params(TINY, seed=0)
@@ -305,10 +297,11 @@ class TestAccuracy:
     def test_ties_go_to_lowest_class(self):
         spec = mdl.MlpSpec((1, 2, 3))
         params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
-        assert mdl.predict(params, np.array([[1.0]]))[0] == 0
+        one = np.array([[1.0]])
+        assert mdl.hits(params, [(one, [0]), (one, [1]), (one, [2])]) == [1, 0, 0]
         params.view("fc2.b")[:] = 0.7
         x = np.random.default_rng(0).standard_normal((6, 1))
-        assert mdl.predict(params, x).tolist() == [0] * 6
+        assert mdl.hits(params, [(x, np.full(6, c)) for c in range(3)]) == [6, 0, 0]
         assert mdl.hits(params, [(x, np.zeros(6)), (x[:2], np.ones(2))]) == [6, 0]
 
     # one label used to broadcast against the 5 rows, three to fail inside
@@ -328,7 +321,7 @@ class TestAccuracy:
         x = rng.standard_normal((n, 3))
         for _ in range(5):
             y = rng.integers(0, 4, size=n)
-            expected = float(np.mean(mdl.predict(params, x) == y))
+            expected = float(np.mean(reference_predict(params, x) == y))
             got = mdl.accuracy(params, x, y)
             assert type(got) is float and got == expected
 
@@ -339,6 +332,8 @@ class TestAccuracy:
         labels = np.array([0, 1, label, 3])
         with pytest.raises(DomainError):
             mdl.accuracy(params, np.zeros((4, 3)), labels)
+        with pytest.raises(DomainError):
+            mdl.hits(params, [(np.zeros((4, 3)), labels)])
         with pytest.raises(DomainError):
             mdl.logits_and_hits(params, [(np.zeros((2, 3)), [0, 1]),
                                          (np.zeros((4, 3)), labels)])
@@ -384,22 +379,23 @@ class TestInPlaceForward:
         x = (np.random.default_rng(2).standard_normal((9, 3)) * 4).astype(dtype)
         labels = np.arange(9) % 4
         before = x.copy()
-        mdl.predict(params, x)
+        mdl.hits(params, [(x, labels)])
         mdl.accuracy(params, x, labels)
         mdl.forward(params, mdl.Batch(x, labels))
         mdl.loss_and_grad(params, mdl.Batch(x, labels))
         assert x.dtype == dtype and np.array_equal(x, before)
 
-    def test_predict_peak_memory_below_two_hidden_arrays(self):
+    def test_scoring_peak_memory_below_two_hidden_arrays(self):
         # numpy reports its data buffers to tracemalloc, so the peak counts
         # every array the pass allocates; out of place it held three at once
         spec = mdl.MlpSpec((8, 16, 5))
         params = mdl.init_params(spec, seed=0)
-        x = np.random.default_rng(0).standard_normal((4000, 8))
-        mdl.predict(params, x)
+        rng = np.random.default_rng(0)
+        sets = [(rng.standard_normal((4000, 8)), rng.integers(0, 5, size=4000))]
+        mdl.hits(params, sets)
         tracemalloc.start()
         try:
-            mdl.predict(params, x)
+            mdl.hits(params, sets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -483,7 +479,7 @@ class TestCheckpointHeader:
         write_checkpoint(path, {"d": 12, "layer_map": [["w", [3, 4], 0]]}, b"\x00" * 96)
         params = mdl.load_params(path)
         with pytest.raises(DomainError, match="no fc layers"):
-            mdl.predict(params, np.zeros((2, 4)))
+            mdl.hits(params, [(np.zeros((2, 4)), np.zeros(2))])
 
 def reference_predict(params, x):
     """Row-major argmax of the out-of-place chain."""
@@ -508,9 +504,8 @@ class TestScoring:
         ref = np.concatenate([reference_forward(params, x)[1] for x, _ in sets])
         np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         expected = [reference_predict(params, x) for x, _ in sets]
-        for (x, _), ref in zip(sets, expected):
-            pred = mdl.predict(params, x)
-            assert pred.dtype == np.int64 and np.array_equal(pred, ref)
+        # with the reference predictions as labels, every row is a hit
+        assert mdl.hits(params, [(x, ref) for (x, _), ref in zip(sets, expected)]) == list(sizes)
         assert mdl.hits(params, sets) == [
             int(np.count_nonzero(ref == y)) for (_, y), ref in zip(sets, expected)
         ]
@@ -519,7 +514,8 @@ class TestScoring:
         spec = mdl.MlpSpec((2, 3, 4))
         params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
         params.view("fc2.b")[:] = [0.0, 2.0, 1.0, 2.0]
-        assert mdl.predict(params, np.ones((3, 2))).tolist() == [1, 1, 1]
+        x = np.ones((3, 2))
+        assert mdl.hits(params, [(x, np.full(3, c)) for c in range(4)]) == [0, 3, 0, 0]
 
     @pytest.mark.parametrize("nan_class", [0, 1, 2])
     def test_nan_logit_raises(self, nan_class):
@@ -528,8 +524,6 @@ class TestScoring:
         params = mdl.init_params(spec, seed=0)
         params.view("fc2.b")[nan_class] = np.nan
         x = np.ones((4, 2))
-        with pytest.raises(NumericalError):
-            mdl.predict(params, x)
         with pytest.raises(NumericalError):
             mdl.hits(params, [(x, np.zeros(4))])
         with pytest.raises(NumericalError):
@@ -578,7 +572,7 @@ class TestScoring:
             mdl.logits_and_hits(params, [(np.ones((3, 2)), np.zeros(3))])
 
     def test_sets_are_scored_without_stacking_the_inputs(self):
-        # the three inputs take 3 MB; a stacked copy of them would too
+        # the three inputs take 3 MB; a stacked or kept copy of them would too
         spec = mdl.MlpSpec((64, 8, 3))
         params = mdl.init_params(spec, seed=0)
         rng = np.random.default_rng(0)
@@ -587,8 +581,41 @@ class TestScoring:
         mdl.hits(params, sets)
         tracemalloc.start()
         try:
-            mdl.hits(params, sets)
+            # the prepared state stays alive through the call
+            scorer = mdl.Scorer(params.layer_map, sets)
+            scorer.hits(params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+        assert all(x is kept for (x, _), kept in zip(sets, scorer.inputs))
+
+    def test_scorer_rejects_another_layer_map(self):
+        scorer = mdl.Scorer(mdl.layer_map(TINY), [(np.ones((3, 2)), np.zeros(3))])
+        with pytest.raises(DomainError):
+            scorer.hits(mdl.init_params(mdl.MlpSpec((2, 5, 2)), seed=0))
+
+    # few distinct values, so ties at, below and above the label are frequent
+    TIE_PRONE = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, np.inf])
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data(), classes=st.integers(1, 6),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    def test_hit_rule_equals_lowest_index_argmax(self, data, classes, sizes):
+        rows = sum(sizes)
+        logits = data.draw(hnp.arrays(np.float64, (classes, rows), elements=self.TIE_PRONE))
+        labels = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, classes - 1)))
+        nan_at = data.draw(st.none() | st.tuples(st.integers(0, classes - 1),
+                                                 st.integers(0, rows - 1)))
+        bounds = np.cumsum([0, *sizes])
+        sets = [(np.zeros((n, 1)), labels[a:b]) for n, a, b in zip(sizes, bounds, bounds[1:])]
+        scorer = mdl.Scorer(mdl.layer_map(mdl.MlpSpec((1, 1, classes))), sets)
+        if nan_at is not None:
+            logits[nan_at] = np.nan
+            with pytest.raises(NumericalError):
+                scorer.count(logits)
+            return
+        hit = np.argmax(logits, axis=0) == labels
+        assert scorer.count(logits) == [
+            int(np.count_nonzero(hit[a:b])) for a, b in zip(bounds, bounds[1:])
+        ]

@@ -1,9 +1,10 @@
 """The gradient step against its textbook formulation, bit for bit.
 
 `model.loss_and_grad`, `engine._momentum_step`, `engine.nft_step` and
-`subspace.project_block`/`lift_block` reuse buffers and skip per-call set-up;
-each function below computes the same values out of place, the plain way.
-Every comparison is exact: the same bytes, not a tolerance.
+`subspace.project_block`/`lift_block` reuse buffers and skip per-call set-up,
+and `model.Scorer` counts hits without building the argmax; each function
+below computes the same values out of place, the plain way.  Every
+comparison is exact: the same bytes, not a tolerance.
 """
 
 import numpy as np
@@ -116,6 +117,17 @@ def ref_nft_step(params, batch, gamma, lam, c1, sigma2, rng, basis=None, block=N
     return new, loss, (float(np.linalg.norm(noise)), pre, post)
 
 
+def ref_accuracy(params, x, y):
+    """Share of rows whose textbook argmax (ties to the lowest class) of the
+    out-of-place logits is the label."""
+    n_layers = len(params.layer_map) // 2
+    h = x
+    for i in range(1, n_layers):
+        h = np.maximum(h @ params.view(f"fc{i}.w").T + params.view(f"fc{i}.b"), 0.0)
+    logits = h @ params.view(f"fc{n_layers}.w").T + params.view(f"fc{n_layers}.b")
+    return float(np.mean(np.argmax(logits, axis=1) == y))
+
+
 def ref_train(arch, data, seeds, config):
     params = mdl.init_params(arch, seeds.init)
     batcher = eng._Batcher(data[0], data[1], config.batch_size,
@@ -131,9 +143,9 @@ def ref_train(arch, data, seeds, config):
     return params, rows
 
 
-def ref_run_blockwise(params0, config, retain):
-    """The block schedule without evaluation sets: (final params, per-step
-    (loss, noise norm, pre-clip norm, post-clip norm))."""
+def ref_run_blockwise(params0, config, retain, eval_sets=()):
+    """The block schedule: (final params, per-step (loss, noise norm, pre-clip
+    norm, post-clip norm) followed by the accuracy on each (x, y) eval set)."""
     plan, basis = config.plan, config.basis
     noise_rng = np.random.default_rng(config.seeds.noise)
     batcher = eng._Batcher(retain[0], retain[1], config.batch_size,
@@ -145,14 +157,14 @@ def ref_run_blockwise(params0, config, retain):
                 params, batcher.next(), plan.gamma, plan.lam, plan.c1_per_block,
                 plan.sigma2, noise_rng, basis, None if basis is None else i,
             )
-            rows.append((loss, *norms))
+            rows.append((loss, *norms, *(ref_accuracy(params, *s) for s in eval_sets)))
     velocity = np.zeros(params.d)
     for _ in range(config.resolved_fine_tune_steps()):
         params, velocity, loss, gnorm = ref_momentum_step(
             params, velocity, batcher.next(), config.fine_tune_lr,
             config.fine_tune_momentum, config.fine_tune_weight_decay,
         )
-        rows.append((loss, 0.0, gnorm, gnorm))
+        rows.append((loss, 0.0, gnorm, gnorm, *(ref_accuracy(params, *s) for s in eval_sets)))
     return params, rows
 
 
@@ -322,6 +334,24 @@ class TestRunBlockwise:
         assert same_bits(record.final_params.values, ref_params.values)
         rows = [(r.loss, r.noise_norm, r.grad_norm_pre, r.grad_norm_post) for r in record.rows]
         assert len(rows) == 3 * k + 10 and same_bits(rows, ref_rows)
+
+    @pytest.mark.parametrize("k,strategy", [
+        (1, None), (4, sub.RANDOM_ORTHONORMAL), (4, sub.PERMUTATION),
+    ])
+    def test_recorded_accuracies_equal_reference(self, k, strategy):
+        params0 = trained_8_12_4()
+        basis = None if strategy is None else sub.build_basis(
+            strategy, params0.layer_map, k, seed=7)
+        config = eng.RunConfig(plan=toy_plan(k), basis=basis, fine_tune_steps=10,
+                               fine_tune_weight_decay=1e-4, seeds=eng.Seeds(1, 2, 3))
+        retain = (DATA.inputs[:500], DATA.labels[:500])
+        test, forget = (DATA.inputs[500:], DATA.labels[500:]), (DATA.inputs[:60], DATA.labels[:60])
+        record = eng.run_blockwise(params0, config, retain, eng.EvalSets(test, retain, forget))
+        ref_params, ref_rows = ref_run_blockwise(params0, config, retain, (test, retain, forget))
+        assert same_bits(record.final_params.values, ref_params.values)
+        accuracies = [(r.test_acc, r.retain_acc, r.forget_acc) for r in record.rows]
+        assert len(accuracies) == 3 * k + 10
+        assert same_bits(accuracies, [row[4:] for row in ref_rows])
 
     def test_inputs_kept_and_result_owns_its_memory(self, monkeypatch):
         velocities = []

@@ -28,18 +28,6 @@ class AuditReport:
     ra_delta: float | None = None
     ta_delta: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "ua": self.ua,
-            "ra": self.ra,
-            "ta": self.ta,
-            "mia_efficacy": self.mia_efficacy,
-            "rte_minutes": self.rte_minutes,
-            "ua_delta": self.ua_delta,
-            "ra_delta": self.ra_delta,
-            "ta_delta": self.ta_delta,
-        }
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -49,14 +37,6 @@ class DeltaEstimate:
     rho: float
     delta_rho: float
     n_runs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": list(self.samples),
-            "rho": self.rho,
-            "delta_rho": self.delta_rho,
-            "n_runs": self.n_runs,
-        }
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, iters: int = 100):

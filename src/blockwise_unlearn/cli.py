@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def _cmd_audit(args) -> int:
         params, retain.pair(), forget.pair(), test_set.pair(),
         retrain_params=retrain_params, mia_seed=split.seed,
     )
-    _write_json(report.to_dict(), args.out)
+    _write_json(asdict(report), args.out)
     ua = "--" if report.ua is None else f"{report.ua:.2f}"
     mia = "--" if report.mia_efficacy is None else f"{report.mia_efficacy:.2f}"
     print(
@@ -192,7 +193,7 @@ def _cmd_calibrate_delta(args) -> int:
         seeds=harness.cell_seeds(config, args.seed),
         train_config=harness.train_config(config),
     )
-    _write_json(est.to_dict(), args.out)
+    _write_json(asdict(est), args.out)
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +23,6 @@ from . import model as mdl
 from . import subspace as sub
 from .accounting import NoisePlan
 from .errors import DomainError
-
-CSV_HEADER = (
-    "step,phase,block,loss,test_acc,retain_acc,forget_acc,"
-    "noise_norm,grad_norm_pre,grad_norm_post"
-)
 
 PHASE_FINETUNE = "finetune"
 
@@ -79,8 +75,9 @@ class RunConfig:
         return self.fine_tune_steps
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
+    """One step of a run; the fields are the CSV columns, in order."""
+
     step: int
     phase: str
     block: int | None
@@ -93,6 +90,9 @@ class StepRow:
     grad_norm_post: float
 
 
+CSV_HEADER = ",".join(StepRow._fields)
+
+
 @dataclass
 class RunRecord:
     rows: list[StepRow]
@@ -101,29 +101,20 @@ class RunRecord:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER.split(","))
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.step,
-                        r.phase,
-                        "" if r.block is None else r.block,
-                        _fmt(r.loss),
-                        _fmt(r.test_acc),
-                        _fmt(r.retain_acc),
-                        _fmt(r.forget_acc),
-                        _fmt(r.noise_norm),
-                        _fmt(r.grad_norm_pre),
-                        _fmt(r.grad_norm_post),
-                    ]
-                )
+            csv.writer(fh).writerows([
+                StepRow._fields,
+                *(
+                    (r.step, r.phase, "" if r.block is None else r.block,
+                     *map(_fmt, r[3:]))
+                    for r in self.rows
+                ),
+            ])
 
-    def min_accuracy(self, phase_prefix: str, column: str = "test_acc") -> float:
+    def min_accuracy(self, phase_prefix: str) -> float:
         vals = [
-            getattr(r, column)
+            r.test_acc
             for r in self.rows
-            if r.phase.startswith(phase_prefix) and getattr(r, column) is not None
+            if r.phase.startswith(phase_prefix) and r.test_acc is not None
         ]
         if not vals:
             raise DomainError(f"no rows with phase {phase_prefix!r}")
@@ -186,7 +177,8 @@ def nft_step(
     basis: sub.BlockBasis | None = None,
     block: int | None = None,
 ):
-    """One noisy fine-tuning update; returns (params', loss, diagnostics).
+    """One noisy fine-tuning update; returns (params', loss, ||noise||,
+    ||g|| before clipping, ||g|| after clipping).
 
     Without a block: x' = x - gamma*(clip(g, c1) + lam*x) + xi with isotropic
     xi ~ N(0, sigma2 I).  With a block: the same update applied to the block
@@ -221,12 +213,7 @@ def nft_step(
     if block is not None:
         delta = sub.lift_block(delta, basis, block)
     delta += params.values  # x' = x + delta, in delta's buffer
-    diag = {
-        "noise_norm": _norm(noise),
-        "grad_norm_pre": pre,
-        "grad_norm_post": post,
-    }
-    return mdl.ParamVector(delta, params.layer_map), loss, diag
+    return mdl.ParamVector(delta, params.layer_map), loss, _norm(noise), pre, post
 
 
 def _norm(x: np.ndarray) -> float:
@@ -265,6 +252,27 @@ def _momentum_steps(params, batcher: _Batcher, steps, lr, momentum, weight_decay
         yield params, loss, gnorm
 
 
+def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
+    """The block schedule as one stream of steps: T noisy steps in each block
+    in turn, then `ft_steps` fine-tuning steps from where they left off.
+    Yields (params, phase, block, loss, noise_norm, grad_norm_pre,
+    grad_norm_post) after each step."""
+    plan, basis = config.plan, config.basis
+    for i in range(plan.k):
+        phase, block = f"unlearn_block_{i + 1}", None if basis is None else i
+        for _ in range(plan.steps_per_block):
+            params, loss, noise, pre, post = nft_step(
+                params, batcher.next(), plan.gamma, plan.lam, plan.c1_per_block,
+                plan.sigma2, rng, basis, block,
+            )
+            yield params, phase, i + 1, loss, noise, pre, post
+    for params, loss, gnorm in _momentum_steps(
+        params, batcher, ft_steps, config.fine_tune_lr, config.fine_tune_momentum,
+        config.fine_tune_weight_decay,
+    ):
+        yield params, PHASE_FINETUNE, None, loss, 0.0, gnorm, gnorm
+
+
 def run_blockwise(
     params0: mdl.ParamVector,
     config: RunConfig,
@@ -274,7 +282,7 @@ def run_blockwise(
     """Block schedule: T noisy steps per block in order, then fine-tuning.
 
     Only `retain` rows ever feed a gradient; accuracies in the record come
-    from the read-only eval sets.
+    from the read-only eval sets, scored after every step.
     """
     plan = config.plan
     basis = config.basis
@@ -294,64 +302,11 @@ def run_blockwise(
 
     params = params0.copy()
     rows: list[StepRow] = []
-    step = 0
-    for i in range(plan.k):
-        for _ in range(plan.steps_per_block):
-            batch = batcher.next()
-            params, loss, diag = nft_step(
-                params,
-                batch,
-                gamma=plan.gamma,
-                lam=plan.lam,
-                c1=plan.c1_per_block,
-                sigma2=plan.sigma2,
-                rng=noise_rng,
-                basis=basis,
-                block=None if basis is None else i,
-            )
-            step += 1
-            test_acc, retain_acc, forget_acc = evaluate(params)
-            rows.append(
-                StepRow(
-                    step=step,
-                    phase=f"unlearn_block_{i + 1}",
-                    block=i + 1,
-                    loss=loss,
-                    test_acc=test_acc,
-                    retain_acc=retain_acc,
-                    forget_acc=forget_acc,
-                    noise_norm=diag["noise_norm"],
-                    grad_norm_pre=diag["grad_norm_pre"],
-                    grad_norm_post=diag["grad_norm_post"],
-                )
-            )
-
-    for params, loss, gnorm in _momentum_steps(
-        params, batcher, ft_steps, config.fine_tune_lr, config.fine_tune_momentum,
-        config.fine_tune_weight_decay,
+    for step, (params, phase, block, loss, noise, pre, post) in enumerate(
+        _schedule(params, batcher, config, ft_steps, noise_rng), 1
     ):
-        step += 1
-        test_acc, retain_acc, forget_acc = evaluate(params)
-        rows.append(
-            StepRow(
-                step=step,
-                phase=PHASE_FINETUNE,
-                block=None,
-                loss=loss,
-                test_acc=test_acc,
-                retain_acc=retain_acc,
-                forget_acc=forget_acc,
-                noise_norm=0.0,
-                grad_norm_pre=gnorm,
-                grad_norm_post=gnorm,
-            )
-        )
-
-    return RunRecord(
-        rows=rows,
-        final_params=params,
-        touched_rows=np.flatnonzero(batcher.touched),
-    )
+        rows.append(StepRow(step, phase, block, loss, *evaluate(params), noise, pre, post))
+    return RunRecord(rows, params, np.flatnonzero(batcher.touched))
 
 
 def train(

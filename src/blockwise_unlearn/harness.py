@@ -61,6 +61,11 @@ class ExperimentConfig:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
         if any(k < 1 for k in self.k_values):
             raise DomainError("block counts must be >= 1")
+        # a cell's key holds f"{epsilon:g}" and k, and nothing of delta
+        if len({f"{eps:g}" for eps, _ in self.budgets}) < len(self.budgets):
+            raise DomainError(f"budgets share an epsilon: {self.budgets}")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise DomainError(f"k_values repeat a block count: {self.k_values}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -225,13 +230,11 @@ class CellResult:
     key: str
     method: str
     epsilon: float
-    delta: float
     k: int
     seed_index: int
     report: audit.AuditReport
     min_unlearn_test_acc: float | None
     rte_minutes: float | None  # wall time of the cell's method; None: not measured
-    csv_path: str | None = None
 
 
 @dataclass
@@ -363,7 +366,6 @@ def run_experiment(
                 key=cell_key(METHOD_RETRAIN, 0.0, 0, seed_index),
                 method=METHOD_RETRAIN,
                 epsilon=0.0,
-                delta=0.0,
                 k=0,
                 seed_index=seed_index,
                 report=audit.against_baseline(baseline, baseline),
@@ -396,14 +398,12 @@ def run_experiment(
                             key=key,
                             method=config.method,
                             epsilon=epsilon,
-                            delta=delta,
                             k=k,
                             seed_index=seed_index,
                             report=report,
                             min_unlearn_test_acc=100.0
                             * record.min_accuracy("unlearn"),
                             rte_minutes=rte,
-                            csv_path=os.path.join(out, f"{key}.csv"),
                         )
                     )
                     timings[key] = rte
@@ -420,15 +420,31 @@ def run_experiment(
     return result
 
 
-def _mean_std(values) -> dict:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return {"mean": None, "std": None, "n": 0}
-    return {
-        "mean": float(np.mean(vals)),
-        "std": float(np.std(vals)),
-        "n": len(vals),
-    }
+# audit metrics averaged per group; the first four are the report's columns
+_METRICS = ("ua", "ra", "ta", "mia_efficacy", "ra_delta", "ta_delta")
+
+
+def _groups(cells):
+    """The cells grouped by (method, epsilon, k), in sorted key order."""
+    groups: dict[tuple, list[CellResult]] = {}
+    for cell in cells:
+        groups.setdefault((cell.method, cell.epsilon, cell.k), []).append(cell)
+    return sorted(groups.items())
+
+
+def _stats(cells) -> dict:
+    """Mean, std and count over the cells of each audit metric and of the
+    minimum unlearning test accuracy; None values are left out."""
+    columns = {m: [getattr(c.report, m) for c in cells] for m in _METRICS}
+    columns["min_unlearn_test_acc"] = [c.min_unlearn_test_acc for c in cells]
+    stats = {}
+    for name, values in columns.items():
+        vals = [v for v in values if v is not None]
+        stats[name] = (
+            {"mean": float(np.mean(vals)), "std": float(np.std(vals)), "n": len(vals)}
+            if vals else {"mean": None, "std": None, "n": 0}
+        )
+    return stats
 
 
 def summarize(result: ExperimentResult) -> dict:
@@ -436,27 +452,16 @@ def summarize(result: ExperimentResult) -> dict:
 
     Timing fields are deliberately absent so the summary is byte-stable.
     """
-    groups: dict[tuple, list[CellResult]] = {}
-    for cell in result.cells:
-        groups.setdefault((cell.method, cell.epsilon, cell.k), []).append(cell)
-    rows = {}
-    for (method, epsilon, k), cells in sorted(groups.items()):
-        label = f"{method}_eps{epsilon:g}_k{k}"
-        rows[label] = {
+    rows = {
+        f"{method}_eps{epsilon:g}_k{k}": {
             "method": method,
             "epsilon": epsilon,
             "k": k,
             "seeds": [c.seed_index for c in cells],
-            "ua": _mean_std(c.report.ua for c in cells),
-            "ra": _mean_std(c.report.ra for c in cells),
-            "ta": _mean_std(c.report.ta for c in cells),
-            "mia_efficacy": _mean_std(c.report.mia_efficacy for c in cells),
-            "min_unlearn_test_acc": _mean_std(
-                c.min_unlearn_test_acc for c in cells
-            ),
-            "ra_delta": _mean_std(c.report.ra_delta for c in cells),
-            "ta_delta": _mean_std(c.report.ta_delta for c in cells),
+            **_stats(cells),
         }
+        for (method, epsilon, k), cells in _groups(result.cells)
+    }
     return {"groups": rows, "errors": dict(sorted(result.errors.items()))}
 
 
@@ -473,21 +478,13 @@ def format_report(result: ExperimentResult) -> str:
     lines = [
         f"{'Method':28s} {'UA':>12s} {'RA':>12s} {'TA':>12s} {'MIA':>12s} {'RTE(s)':>9s}"
     ]
-    groups: dict[tuple, list[CellResult]] = {}
-    for cell in result.cells:
-        groups.setdefault((cell.method, cell.epsilon, cell.k), []).append(cell)
-    for (method, epsilon, k), cells in sorted(groups.items()):
-        if method == METHOD_RETRAIN:
-            label = "retrain"
-        else:
-            label = f"{method} eps={epsilon:g} k={k}"
-        ua = _cell_fmt(_mean_std(c.report.ua for c in cells))
-        ra = _cell_fmt(_mean_std(c.report.ra for c in cells))
-        ta = _cell_fmt(_mean_std(c.report.ta for c in cells))
-        mia = _cell_fmt(_mean_std(c.report.mia_efficacy for c in cells))
+    for (method, epsilon, k), cells in _groups(result.cells):
+        label = "retrain" if method == METHOD_RETRAIN else f"{method} eps={epsilon:g} k={k}"
+        stats = _stats(cells)
+        columns = " ".join(f"{_cell_fmt(stats[m]):>12s}" for m in _METRICS[:4])
         minutes = [c.rte_minutes for c in cells if c.rte_minutes is not None]
         rte = f"{60.0 * float(np.mean(minutes)):9.3f}" if minutes else f"{'--':>9s}"
-        lines.append(f"{label:28s} {ua:>12s} {ra:>12s} {ta:>12s} {mia:>12s} {rte}")
+        lines.append(f"{label:28s} {columns} {rte}")
     if result.errors:
         lines.append("")
         lines.append("errors:")

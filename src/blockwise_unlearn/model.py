@@ -34,14 +34,6 @@ class MlpSpec:
         if any(w < 1 for w in self.widths):
             raise DomainError(f"widths must be >= 1, got {self.widths}")
 
-    @property
-    def num_classes(self) -> int:
-        return self.widths[-1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.widths[0]
-
 
 @dataclass(frozen=True)
 class Batch:

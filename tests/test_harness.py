@@ -125,6 +125,26 @@ class TestConfig:
         with pytest.raises(DomainError):
             harness.cell_seeds(config, -1)
 
+    @pytest.mark.parametrize("epsilons,deltas", [
+        ((1.0, 1.0), (1e-5, 1e-6)),
+        ((1.0, 1.0000001), (1e-5, 1e-5)),
+    ], ids=["same-epsilon-other-delta", "epsilons-equal-as-printed"])
+    def test_budgets_sharing_a_cell_key_rejected(self, epsilons, deltas):
+        # both cells would write blockwise_eps1_k1_seed0.* and share a group
+        doc = base_config_doc("x")
+        doc["n_seeds"], doc["k_values"] = 1, [1]
+        doc["budgets"] = [{"epsilon": e, "delta": d} for e, d in zip(epsilons, deltas)]
+        with pytest.raises(DomainError, match="budgets"):
+            harness.config_from_dict(doc)
+        doc["budgets"][1]["epsilon"] = 2.0
+        assert len(harness.config_from_dict(doc).budgets) == 2
+
+    def test_repeated_block_count_rejected(self):
+        doc = base_config_doc("x")
+        doc["k_values"] = [4, 4]
+        with pytest.raises(DomainError, match="k_values"):
+            harness.config_from_dict(doc)
+
     def test_env_override(self, tmp_path, monkeypatch):
         config = harness.config_from_dict(base_config_doc("default_dir"))
         monkeypatch.setenv(harness.ENV_OUTPUT_DIR, str(tmp_path / "env_dir"))
@@ -150,7 +170,7 @@ def report_cell(method, k, rte_minutes):
     report = audit.AuditReport(ua=10.0, ra=90.0, ta=88.0, mia_efficacy=50.0)
     return harness.CellResult(
         key=harness.cell_key(method, 1.0, k, 0), method=method, epsilon=1.0,
-        delta=1e-5, k=k, seed_index=0, report=report, min_unlearn_test_acc=None,
+        k=k, seed_index=0, report=report, min_unlearn_test_acc=None,
         rte_minutes=rte_minutes,
     )
 
@@ -230,9 +250,9 @@ class TestRunExperiment:
         config = harness.config_from_dict(base_config_doc(out))
         result = harness.run_experiment(config)
         for cell in result.cells:
-            if cell.csv_path is None:
+            if cell.method == harness.METHOD_RETRAIN:
                 continue
-            last = open(cell.csv_path).read().splitlines()[-1].split(",")
+            last = open(os.path.join(out, f"{cell.key}.csv")).read().splitlines()[-1].split(",")
             csv_test_acc = 100.0 * float(last[4])
             assert csv_test_acc == pytest.approx(cell.report.ta, abs=1e-9)
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import asdict
 
 import numpy as np
@@ -21,11 +20,10 @@ from . import accounting as acc
 from . import audit
 from . import datasets as ds
 from . import divergence as dv
-from . import engine as eng
 from . import harness
 from . import model as mdl
 from . import subspace as sub
-from .errors import DomainError, FormatError, UnlearnError
+from .errors import DomainError, UnlearnError
 
 
 def _write_json(doc, path: str | None) -> None:
@@ -74,85 +72,50 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _stage_args(p, needs_seed=True) -> None:
+def _stage_args(p) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory override")
-    if needs_seed:
-        p.add_argument("--seed", type=int, default=0, help="seed index within the grid")
+    p.add_argument("--seed", type=int, default=0, help="seed index within the grid")
 
 
-def _stage_setup(args):
-    """Config, output directory, dataset and the prepared seed of a stage."""
+def _stage_setup(args) -> harness.PreparedSeed:
+    """The prepared seed of a stage, under its output directory."""
     config = harness.load_config(args.config)
     out = harness.resolve_output_dir(config, args.out)
     os.makedirs(out, exist_ok=True)
     data, external_test = harness.load_dataset(config)
-    prepared = harness.prepare_seed(config, data, external_test, args.seed)
-    return config, out, data, prepared
-
-
-def _save_model(out, name, seed_index, params, split) -> int:
-    """Write a stage's model and the seed's split under the names `run` uses."""
-    ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
-    path = os.path.join(out, f"model_{name}_seed{seed_index}.ckpt")
-    mdl.save_params(params, path)
-    print(path)
-    return 0
+    return harness.prepare_seed(config, out, data, external_test, args.seed)
 
 
 def _cmd_train(args) -> int:
-    config, out, data, (seeds, split, pool, _) = _stage_setup(args)
-    arch = harness.architecture(config, data)
-    params = eng.train(arch, pool, seeds, harness.train_config(config))
-    return _save_model(out, "full", args.seed, params, split)
+    seed = _stage_setup(args)
+    harness.train_full(seed)
+    print(harness.model_path(seed, "full"))
+    return 0
 
 
 def _cmd_retrain(args) -> int:
-    config, out, data, (seeds, split, _, eval_sets) = _stage_setup(args)
-    arch, tcfg = harness.architecture(config, data), harness.train_config(config)
-    start = time.perf_counter()
-    params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)
-    minutes = (time.perf_counter() - start) / 60.0
-    _record_timing(os.path.join(out, "timings.json"), f"retrain_seed{args.seed}", minutes)
-    return _save_model(out, "retrain", args.seed, params, split)
+    seed = _stage_setup(args)
+    harness.retrain(seed)
+    print(harness.model_path(seed, "retrain"))
+    return 0
 
 
 def _cmd_unlearn(args) -> int:
-    config, out, _, (seeds, split, _, eval_sets) = _stage_setup(args)
-    ckpt = os.path.join(out, f"model_full_seed{args.seed}.ckpt")
-    if not os.path.exists(ckpt):
-        _cmd_train(args)
-    epsilon, delta = config.budgets[0]
+    seed = _stage_setup(args)
+    epsilon, delta = seed.config.budgets[0]
     if args.epsilon is not None:
         epsilon = args.epsilon
     if args.delta is not None:
         delta = args.delta
     k = args.blocks if args.method == harness.METHOD_BLOCKWISE else 1
-    _, rte = harness.run_cell(
-        config, out, mdl.load_params(ckpt), seeds, split, eval_sets,
-        method=args.method, epsilon=epsilon, delta=delta, k=k, seed_index=args.seed,
+    harness.run_cell(
+        seed, harness.full_model(seed),
+        method=args.method, epsilon=epsilon, delta=delta, k=k,
     )
     key = harness.cell_key(args.method, epsilon, k, args.seed)
-    _record_timing(os.path.join(out, "timings.json"), key, rte)
-    print(os.path.join(out, f"{key}.ckpt"))
+    print(os.path.join(seed.out, f"{key}.ckpt"))
     return 0
-
-
-def _record_timing(path, key, minutes) -> None:
-    """Add one wall time (a cell's unlearning or a seed's retraining) to a
-    timings file, keeping the entries already recorded there."""
-    timings = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            try:
-                timings = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"timings file is not valid JSON: {exc}") from exc
-        if not isinstance(timings, dict):
-            raise FormatError("timings file is not a JSON object")
-    timings[key] = minutes
-    with open(path, "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
 
 
 def _cmd_audit(args) -> int:
@@ -163,11 +126,9 @@ def _cmd_audit(args) -> int:
     retrain_params = None
     if args.retrain_checkpoint:
         retrain_params = mdl.load_params(args.retrain_checkpoint)
-    retain = data.subset(split.retain_idx)
-    forget = data.subset(split.forget_idx)
-    test_set = external_test if external_test is not None else data.subset(split.test_idx)
+    sets = harness.evaluation_sets(data, external_test, split)
     report = audit.compute_metrics(
-        params, retain.pair(), forget.pair(), test_set.pair(),
+        params, sets.retain, sets.forget, sets.test,
         retrain_params=retrain_params, mia_seed=split.seed,
     )
     _write_json(asdict(report), args.out)
@@ -200,6 +161,8 @@ def _cmd_calibrate_delta(args) -> int:
 def _cmd_divergence_check(args) -> int:
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
+    if args.specs < 1:
+        raise DomainError(f"specs must be >= 1, got {args.specs}")
     rng = np.random.default_rng(args.seed)
     report: dict = {}
 
@@ -233,8 +196,7 @@ def _cmd_divergence_check(args) -> int:
         }
     report["block_noise_equivalence"] = noise_checks
 
-    violations = 0
-    worst_margin = -float("inf")
+    trajectories = []
     for _ in range(args.specs):
         gamma = float(10.0 ** rng.uniform(-3, -0.5))
         lam = float(rng.uniform(5e-3, 0.8) / gamma)
@@ -245,14 +207,12 @@ def _cmd_divergence_check(args) -> int:
         budget = acc.BlockBudget(gamma=gamma, lam=lam, c0=c0, c1=c1, q=q, eps_renyi=er)
         steps = int(rng.integers(1, 12))
         sigma2 = acc.noise_for_steps(steps, budget)
-        rep = dv.check_budget_bound_on_trajectories(budget, sigma2, steps)
-        worst_margin = max(worst_margin, rep.numeric - rep.certified)
-        if not rep.passed:
-            violations += 1
+        trajectories.append(dv.check_budget_bound_on_trajectories(budget, sigma2, steps))
+    violations = sum(not rep.passed for rep in trajectories)
     report["trajectory_bounds"] = {
         "specs": args.specs,
         "violations": violations,
-        "worst_margin": worst_margin,
+        "worst_margin": max(rep.numeric - rep.certified for rep in trajectories),
         "tolerance": 1e-3,
         "passed": violations == 0,
     }

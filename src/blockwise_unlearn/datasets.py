@@ -1,7 +1,10 @@
-"""Datasets, deletion scenarios, and retain/forget/test splits."""
+"""Datasets, deletion scenarios, retain/forget/test splits, and the checked
+readers the package's file formats share."""
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -66,11 +69,28 @@ def generate_blobs(
     return Dataset(inputs[order], labels[order], classes)
 
 
-def _read_be_u32(fh, what: str) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
+def read_exactly(fh, size: int, what: str) -> bytes:
+    """The next `size` bytes of a binary file; FormatError naming `what` when
+    fewer are left.  A declared size is checked against the bytes left before
+    reading, so a forged one allocates nothing."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FormatError(f"truncated file while reading {what}")
-    return struct.unpack(">I", raw)[0]
+    return fh.read(size)
+
+
+def read_json(path, what: str):
+    """The JSON document in a file; FormatError naming `what` when its bytes
+    are not UTF-8 JSON."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _read_be_u32(fh, what: str) -> int:
+    return struct.unpack(">I", read_exactly(fh, 4, what))[0]
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -82,18 +102,14 @@ def load_idx(images_path, labels_path) -> Dataset:
         count = _read_be_u32(fh, "image count")
         rows = _read_be_u32(fh, "row count")
         cols = _read_be_u32(fh, "column count")
-        payload = fh.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise FormatError("truncated image payload")
+        payload = read_exactly(fh, count * rows * cols, "image payload")
         images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as fh:
         magic = _read_be_u32(fh, "label magic")
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(f"bad label magic 0x{magic:08x}")
         label_count = _read_be_u32(fh, "label count")
-        payload = fh.read(label_count)
-        if len(payload) != label_count:
-            raise FormatError("truncated label payload")
+        payload = read_exactly(fh, label_count, "label payload")
         labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     if label_count != count:
         raise FormatError(f"image/label count mismatch: {count} vs {label_count}")
@@ -142,8 +158,6 @@ class ScenarioSplit:
 
 
 def save_split(split: ScenarioSplit, path) -> None:
-    import json
-
     with open(path, "w") as fh:
         json.dump(
             {
@@ -157,13 +171,7 @@ def save_split(split: ScenarioSplit, path) -> None:
 
 
 def load_split(path) -> ScenarioSplit:
-    import json
-
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"split file is not valid JSON: {exc}") from exc
+    doc = read_json(path, "split file")
     if not isinstance(doc, dict):
         raise FormatError("split file must hold a JSON object")
     try:

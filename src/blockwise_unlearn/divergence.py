@@ -27,11 +27,14 @@ TAIL_SIGMAS = 10.0
 
 @dataclass(frozen=True)
 class Density1D:
-    """Density values on a uniform grid; must integrate to 1 within 1e-6."""
+    """Density values on a uniform grid; must integrate to 1 within 1e-6.
+    `log_values` default to log(values); a closed-form logarithm stays finite
+    in tails where `values` underflow to 0."""
 
     lo: float
     hi: float
     values: np.ndarray
+    log_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -45,6 +48,12 @@ class Density1D:
         mass = np.trapezoid(values, dx=self.dx)
         if abs(mass - 1.0) > 1e-6:
             raise DomainError(f"density integrates to {mass}, not 1")
+        with np.errstate(divide="ignore"):
+            log_values = np.log(values) if self.log_values is None else self.log_values
+        log_values = np.asarray(log_values, dtype=np.float64)
+        if log_values.shape != values.shape:
+            raise DomainError("log_values must match values in shape")
+        object.__setattr__(self, "log_values", log_values)
 
     @property
     def n(self) -> int:
@@ -65,10 +74,8 @@ def gaussian_density(
     if sigma2 <= 0:
         raise DomainError(f"sigma2 must be > 0, got {sigma2}")
     x = np.linspace(lo, hi, n)
-    values = np.exp(-((x - mean) ** 2) / (2.0 * sigma2)) / math.sqrt(
-        2.0 * math.pi * sigma2
-    )
-    return Density1D(lo=lo, hi=hi, values=values)
+    log_values = -((x - mean) ** 2) / (2.0 * sigma2) - 0.5 * math.log(2.0 * math.pi * sigma2)
+    return Density1D(lo=lo, hi=hi, values=np.exp(log_values), log_values=log_values)
 
 
 def gaussian_pair(
@@ -109,20 +116,21 @@ def numeric_renyi(mu: Density1D, nu: Density1D, q: float) -> float:
     """Trapezoid estimate of D_q(mu || nu) = log( int mu^q nu^(1-q) ) / (q-1).
 
     Returns +inf when mu has mass where nu vanishes (absolute-continuity
-    failure on the grid).
+    failure on the grid).  The integrand is built from the log-densities, so
+    tails where a density underflows to 0 but its logarithm is finite count.
     """
     if not q > 1:
         raise DomainError(f"order q must be > 1, got {q}")
     if (mu.lo, mu.hi, mu.n) != (nu.lo, nu.hi, nu.n):
         raise DomainError("densities must share the evaluation grid")
-    p, r = mu.values, nu.values
-    active = p > 0.0
-    if np.any(active & (r == 0.0)):
+    log_p, log_r = mu.log_values, nu.log_values
+    active = log_p > -math.inf
+    if np.any(active & (log_r == -math.inf)):
         return math.inf
     # log-space trapezoid: integrand mu^q nu^(1-q) can overflow for large q
-    log_terms = np.full(p.shape, -math.inf)
-    log_terms[active] = q * np.log(p[active]) + (1.0 - q) * np.log(r[active])
-    weights = np.full(p.shape, mu.dx)
+    log_terms = np.full(log_p.shape, -math.inf)
+    log_terms[active] = q * log_p[active] + (1.0 - q) * log_r[active]
+    weights = np.full(log_p.shape, mu.dx)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     finite = log_terms > -math.inf

@@ -69,12 +69,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(ds.read_json(path, "config"))
 
 
 _REQUIRED = object()
@@ -234,7 +229,6 @@ class CellResult:
     seed_index: int
     report: audit.AuditReport
     min_unlearn_test_acc: float | None
-    rte_minutes: float | None  # wall time of the cell's method; None: not measured
 
 
 @dataclass
@@ -244,40 +238,112 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def prepare_seed(config, data, external_test, seed_index):
-    """One seed's coupled seeds, split, training pool (the retain and forget
-    rows, in index order) and evaluation sets.  Rows are held out for testing
-    only when no external test set was loaded.
+@dataclass(frozen=True)
+class PreparedSeed:
+    """One seed of the grid, split, and the output directory of its files."""
 
-    Returns (seeds, split, pool, eval_sets); pool is an (inputs, labels) pair.
-    """
+    config: ExperimentConfig
+    out: str
+    data: ds.Dataset
+    index: int
+    seeds: eng.Seeds
+    split: ds.ScenarioSplit
+    eval_sets: eng.EvalSets
+
+
+def evaluation_sets(data, external_test, split) -> eng.EvalSets:
+    """The test, retain and forget sets of a split; the test set is the
+    external one when one was loaded, else the split's held-out rows."""
+    test = external_test if external_test is not None else data.subset(split.test_idx)
+    return eng.EvalSets(
+        test=test.pair(),
+        retain=data.subset(split.retain_idx).pair(),
+        forget=data.subset(split.forget_idx).pair(),
+    )
+
+
+def prepare_seed(config, out, data, external_test, seed_index) -> PreparedSeed:
+    """Split one seed and write its split under `out`.  Rows are held out for
+    testing only when no external test set was loaded."""
     seeds = cell_seeds(config, seed_index)
     test_fraction = config.test_fraction if external_test is None else 0.0
     split = ds.make_split(
         data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
     )
-    test_set = external_test if external_test is not None else data.subset(split.test_idx)
-    pool = data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
-    eval_sets = eng.EvalSets(
-        test=test_set.pair(),
-        retain=data.subset(split.retain_idx).pair(),
-        forget=data.subset(split.forget_idx).pair(),
+    ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
+    return PreparedSeed(
+        config, out, data, seed_index, seeds, split,
+        evaluation_sets(data, external_test, split),
     )
-    return seeds, split, pool.pair(), eval_sets
+
+
+def model_path(seed: PreparedSeed, name: str) -> str:
+    """Where the seed's model `name` ("full" or "retrain") is saved."""
+    return os.path.join(seed.out, f"model_{name}_seed{seed.index}.ckpt")
+
+
+def _timed(out, key, fn, *args):
+    """fn(*args) and its wall time in minutes, which is set as `key` in the
+    timings file under `out` (this is that file's only writer).  The other
+    entries there are kept: each key holds its latest measurement."""
+    start = time.perf_counter()
+    result = fn(*args)
+    minutes = (time.perf_counter() - start) / 60.0
+    path = os.path.join(out, "timings.json")
+    timings = ds.read_json(path, "timings file") if os.path.exists(path) else {}
+    if not isinstance(timings, dict):
+        raise FormatError("timings file is not a JSON object")
+    timings[key] = minutes
+    with open(path, "w") as fh:
+        json.dump(timings, fh, indent=2, sort_keys=True)
+    return result, minutes
+
+
+def train_full(seed: PreparedSeed) -> mdl.ParamVector:
+    """Train the seed's full model on its retain and forget rows, in index
+    order, and save it."""
+    split = seed.split
+    pool = seed.data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
+    params = eng.train(
+        architecture(seed.config, seed.data), pool.pair(), seed.seeds,
+        train_config(seed.config),
+    )
+    mdl.save_params(params, model_path(seed, "full"))
+    return params
+
+
+def full_model(seed: PreparedSeed) -> mdl.ParamVector:
+    """The seed's full model, loaded from its checkpoint, or trained and saved
+    when there is none."""
+    path = model_path(seed, "full")
+    return mdl.load_params(path) if os.path.exists(path) else train_full(seed)
+
+
+def retrain(seed: PreparedSeed) -> tuple[mdl.ParamVector, float]:
+    """The coupled retrain on the seed's retain rows, saved, and its wall time
+    in minutes, recorded as `retrain_seed<n>`."""
+    params, minutes = _timed(
+        seed.out, f"retrain_seed{seed.index}", eng.coupled_retrain,
+        architecture(seed.config, seed.data), seed.eval_sets.retain, seed.seeds,
+        train_config(seed.config),
+    )
+    mdl.save_params(params, model_path(seed, "retrain"))
+    return params, minutes
 
 
 def run_cell(
-    config, out, full_params, seeds, split, eval_sets,
-    *, method, epsilon, delta, k, seed_index,
+    seed: PreparedSeed, full_params, *, method, epsilon, delta, k,
 ) -> tuple[eng.RunRecord, float]:
     """Unlearn one cell from the full model and write its CSV, checkpoint and
-    manifest under `out`.
+    manifest under the seed's output directory.
 
     Builds the plan and, for k > 1, the basis; runs the block schedule on the
     retain rows and checks that no forget row fed a gradient.  Returns the run
-    record and the unlearning wall time in minutes.
+    record and the unlearning wall time in minutes, recorded under the
+    cell's key.
     """
-    key = cell_key(method, epsilon, k, seed_index)
+    config, out = seed.config, seed.out
+    key = cell_key(method, epsilon, k, seed.index)
     u, f = config.unlearn, config.finetune
     plan = acc.make_plan(
         budget_spec(config, epsilon, delta), k,
@@ -288,7 +354,7 @@ def run_cell(
     if k > 1:
         basis = sub.build_basis(
             config.basis_strategy, full_params.layer_map, k,
-            seed=basis_seed(config, seed_index),
+            seed=basis_seed(config, seed.index),
         )
     run_cfg = eng.RunConfig(
         plan=plan,
@@ -298,12 +364,13 @@ def run_cell(
         fine_tune_lr=_field(f, "finetune.lr", float, 0.01),
         fine_tune_momentum=_field(f, "finetune.momentum", float, 0.9),
         fine_tune_weight_decay=_field(f, "finetune.weight_decay", float, 0.0),
-        seeds=seeds,
+        seeds=seed.seeds,
         step_cap=config.step_cap,
     )
-    start = time.perf_counter()
-    record = eng.run_blockwise(full_params, run_cfg, eval_sets.retain, eval_sets)
-    rte = (time.perf_counter() - start) / 60.0
+    record, rte = _timed(
+        out, key, eng.run_blockwise, full_params, run_cfg, seed.eval_sets.retain, seed.eval_sets
+    )
+    split = seed.split
     if np.intersect1d(split.retain_idx[record.touched_rows], split.forget_idx).size:
         raise DomainError("forget rows fed a gradient")
 
@@ -315,8 +382,8 @@ def run_cell(
         "epsilon": epsilon,
         "delta": delta,
         "k": k,
-        "seed_index": seed_index,
-        "seeds": asdict(seeds),
+        "seed_index": seed.index,
+        "seeds": asdict(seed.seeds),
         "plan": plan.to_dict(),
         "checkpoint": f"{key}.ckpt",
         "csv": f"{key}.csv",
@@ -335,32 +402,22 @@ def run_experiment(
     os.makedirs(out, exist_ok=True)
     data, external_test = load_dataset(config)
     result = ExperimentResult()
-    timings: dict[str, float] = {}
     k_values = config.k_values if config.method == METHOD_BLOCKWISE else (1,)
 
     for seed_index in range(config.n_seeds):
         try:
-            seeds, split, pool, eval_sets = prepare_seed(
-                config, data, external_test, seed_index
-            )
-            arch, tcfg = architecture(config, data), train_config(config)
-            full_params = eng.train(arch, pool, seeds, tcfg)
-            del pool  # a copy of most rows, which the cells do not need
-            start = time.perf_counter()
-            retrain_params = eng.coupled_retrain(arch, eval_sets.retain, seeds, tcfg)
-            retrain_minutes = (time.perf_counter() - start) / 60.0
+            seed = prepare_seed(config, out, data, external_test, seed_index)
+            full_params = train_full(seed)
+            retrain_params, retrain_minutes = retrain(seed)
         except Exception as exc:  # noqa: BLE001 - recorded, other seeds proceed
             result.errors[f"seed{seed_index}"] = f"{type(exc).__name__}: {exc}"
             continue
 
-        mdl.save_params(full_params, os.path.join(out, f"model_full_seed{seed_index}.ckpt"))
-        mdl.save_params(
-            retrain_params, os.path.join(out, f"model_retrain_seed{seed_index}.ckpt")
+        audit_sets = (seed.eval_sets.retain, seed.eval_sets.forget, seed.eval_sets.test)
+        baseline = audit.compute_metrics(
+            retrain_params, *audit_sets, rte_minutes=retrain_minutes,
+            mia_seed=seed.seeds.init,
         )
-        ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
-
-        audit_sets = (eval_sets.retain, eval_sets.forget, eval_sets.test)
-        baseline = audit.compute_metrics(retrain_params, *audit_sets, mia_seed=seeds.init)
         result.cells.append(
             CellResult(
                 key=cell_key(METHOD_RETRAIN, 0.0, 0, seed_index),
@@ -370,10 +427,8 @@ def run_experiment(
                 seed_index=seed_index,
                 report=audit.against_baseline(baseline, baseline),
                 min_unlearn_test_acc=None,
-                rte_minutes=retrain_minutes,
             )
         )
-        timings[f"retrain_seed{seed_index}"] = retrain_minutes
         if config.method == METHOD_RETRAIN:
             continue
 
@@ -382,14 +437,13 @@ def run_experiment(
                 key = cell_key(config.method, epsilon, k, seed_index)
                 try:
                     record, rte = run_cell(
-                        config, out, full_params, seeds, split, eval_sets,
+                        seed, full_params,
                         method=config.method, epsilon=epsilon, delta=delta, k=k,
-                        seed_index=seed_index,
                     )
                     report = audit.against_baseline(
                         audit.compute_metrics(
                             record.final_params, *audit_sets,
-                            rte_minutes=rte, mia_seed=seeds.init,
+                            rte_minutes=rte, mia_seed=seed.seeds.init,
                         ),
                         baseline,
                     )
@@ -403,18 +457,14 @@ def run_experiment(
                             report=report,
                             min_unlearn_test_acc=100.0
                             * record.min_accuracy("unlearn"),
-                            rte_minutes=rte,
                         )
                     )
-                    timings[key] = rte
                 except Exception as exc:  # noqa: BLE001
                     result.errors[key] = f"{type(exc).__name__}: {exc}"
 
     result.summary = summarize(result)
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out, "timings.json"), "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(format_report(result))
     return result
@@ -482,7 +532,7 @@ def format_report(result: ExperimentResult) -> str:
         label = "retrain" if method == METHOD_RETRAIN else f"{method} eps={epsilon:g} k={k}"
         stats = _stats(cells)
         columns = " ".join(f"{_cell_fmt(stats[m]):>12s}" for m in _METRICS[:4])
-        minutes = [c.rte_minutes for c in cells if c.rte_minutes is not None]
+        minutes = [c.report.rte_minutes for c in cells if c.report.rte_minutes is not None]
         rte = f"{60.0 * float(np.mean(minutes)):9.3f}" if minutes else f"{'--':>9s}"
         lines.append(f"{label:28s} {columns} {rte}")
     if result.errors:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import read_exactly
 from .errors import DomainError, FormatError, NumericalError
 
 _CKPT_MAGIC = b"BWUNCKPT"
@@ -421,20 +422,16 @@ def load_params(path) -> ParamVector:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise FormatError("truncated checkpoint header")
-        version, header_len = struct.unpack("<II", raw)
+        version, header_len = struct.unpack("<II", read_exactly(fh, 8, "checkpoint header"))
         if version != _CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
+        raw = read_exactly(fh, header_len, "checkpoint header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"corrupt checkpoint header: {exc}") from exc
         d, lm = _header_fields(header)
-        payload = fh.read(d * 8)
-        if len(payload) != d * 8:
-            raise FormatError("truncated checkpoint payload")
+        payload = read_exactly(fh, d * 8, "checkpoint payload")
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         return ParamVector(values, lm)
 

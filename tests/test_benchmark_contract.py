@@ -1,10 +1,15 @@
 """The benchmark's span tracer wraps package functions by name
 (perfbench/spans.py, TRACED); each of them must exist, or `--trace 1` fails,
 and the package must call them through their module attributes, once per
-step, or the per-layer counts are wrong."""
+step, or the per-layer counts are wrong.  The benchmark itself must run and
+pass its correctness checks."""
 
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +21,8 @@ from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import NoisePlan
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def traced_names():
@@ -99,3 +105,19 @@ def test_coupled_retrain_reaches_train_through_the_module(monkeypatch):
     calls = counting(monkeypatch, eng, "train")
     eng.coupled_retrain(ARCH, blobs(), eng.Seeds(), eng.TrainConfig(steps=3))
     assert len(calls) == 1
+
+
+def test_benchmark_runs_and_its_checks_pass(tmp_path):
+    # one shortest run (two rounds) from a copy of the checkout, as the
+    # benchmark is run: its own scratch files stay inside the copy
+    skip = shutil.ignore_patterns("__pycache__", "_scratch", "_out")
+    for name in ("src", "perfbench", "configs"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "blobs-random10",
+         "--seed", "1", "--seconds", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -144,6 +144,7 @@ class TestPipelineCommands:
         ["unlearn", "--seed", "-1"],
         ["calibrate-delta", "--seed", "-5", "--runs", "2", "--rho", "0.5"],
         ["divergence-check", "--seed", "-1"],
+        ["divergence-check", "--specs", "0"], ["divergence-check", "--specs", "-3"],
     ])
     def test_negative_seed_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
         if argv[0] != "divergence-check":
@@ -311,6 +312,27 @@ def _hidden_not_a_list(doc):
     return doc
 
 
+class TestNonUtf8Files:
+    def test_binary_config(self, tmp_path, capsys):
+        config_path = tmp_path / "config.bin"
+        config_path.write_bytes(bytes(range(256)))
+        assert run_cli("run", "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and "Traceback" not in err
+
+    def test_binary_timings_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "timings.json").write_bytes(b'{"retrain_seed0": 1.0, "\xff": 2}')
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("retrain", "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: timings file is not valid JSON")
+        assert "Traceback" not in err
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize("command,edit,field", [
         ("unlearn", _drop_unlearn_gamma, "unlearn.gamma"),
@@ -358,3 +380,10 @@ class TestDivergenceCheckCommand:
         assert doc["gaussian_shift_quadrature"]["passed"] is True
         for section in doc["block_noise_equivalence"].values():
             assert section["passed"] is True
+
+    def test_readme_arguments_pass(self, tmp_path):
+        # `divergence-check --specs 50` at the default seed
+        out_file = tmp_path / "divergence.json"
+        assert run_cli("divergence-check", "--specs", "50", "--out", str(out_file)) == 0
+        doc = json.loads(out_file.read_text())
+        assert doc["passed"] is True and doc["trajectory_bounds"]["specs"] == 50

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def write_idx_fixture(tmp_path, images, labels, image_magic=ds.IDX_IMAGE_MAGIC,
     return img_path, lbl_path
 
 
+def assert_allocates_little(fn, *args):
+    """Call fn(*args) and fail when it allocated a megabyte or more at once,
+    as a read of a forged size would; exceptions propagate."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20, f"peak allocation {peak} bytes"
+
+
 class TestIdx:
     IMAGES = np.array(
         [[[0, 128], [255, 3]], [[7, 0], [1, 2]]], dtype=np.uint8
@@ -107,6 +120,22 @@ class TestIdx:
                                      truncate_images=3)
         with pytest.raises(FormatError):
             ds.load_idx(img, lbl)
+
+    @pytest.mark.parametrize("header", [
+        (ds.IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
+        (ds.IDX_IMAGE_MAGIC, 2, 0xFFFFFFFF, 1),
+    ], ids=["all-max", "rows-max"])
+    def test_oversized_declared_image_payload(self, tmp_path, header):
+        img, lbl = write_idx_fixture(tmp_path, self.IMAGES, self.LABELS)
+        img.write_bytes(struct.pack(">IIII", *header) + self.IMAGES.tobytes())
+        with pytest.raises(FormatError, match="image payload"):
+            ds.load_idx(img, lbl)
+
+    def test_oversized_declared_label_count(self, tmp_path):
+        img, lbl = write_idx_fixture(tmp_path, self.IMAGES, self.LABELS)
+        lbl.write_bytes(struct.pack(">II", ds.IDX_LABEL_MAGIC, 0xFFFFFFFF) + b"\x01\x02")
+        with pytest.raises(FormatError, match="label payload"):
+            assert_allocates_little(ds.load_idx, img, lbl)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_fixture(tmp_path, self.IMAGES, self.LABELS)
@@ -205,6 +234,12 @@ class TestLoadSplitFields:
         path = tmp_path / "split.json"
         path.write_text("[1, 2]")
         with pytest.raises(FormatError):
+            ds.load_split(path)
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_bytes(b'{"seed": "\xff\xfe"}')
+        with pytest.raises(FormatError, match="split file"):
             ds.load_split(path)
 
     def test_missing_field(self, tmp_path):

@@ -90,6 +90,15 @@ class TestNumericRenyi:
             numeric = dv.numeric_renyi(mu, nu, q)
             assert abs(numeric - dv.renyi_gaussian_shift(q, a, s2)) <= 1e-4
 
+    def test_tail_where_the_linear_density_underflows(self):
+        # the tilted integrand peaks near q*a = 9.55, where nu's linear values
+        # underflow to 0; the closed form is D_q = 54.5
+        q, a, s2 = 7.558492481756824, 1.2634142164861286, 0.11068015066357757
+        mu, nu = dv.gaussian_pair(a, 0.0, s2, order=q)
+        assert nu.values[-1] == 0.0 and nu.log_values[-1] > -math.inf
+        numeric = dv.numeric_renyi(mu, nu, q)
+        assert abs(numeric - dv.renyi_gaussian_shift(q, a, s2)) <= 1e-4
+
     def test_disjoint_supports_infinite(self):
         mu = normalized_box(0.0, 1.0, 0.0, 3.0)
         nu = normalized_box(2.0, 3.0, 0.0, 3.0)

@@ -78,6 +78,12 @@ class TestConfig:
         with pytest.raises(FormatError, match=f"{section}.{key}"):
             read(harness.config_from_dict(doc))
 
+    def test_non_utf8_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"method": "\xc3\x28"}')
+        with pytest.raises(FormatError, match="config"):
+            harness.load_config(path)
+
     def test_config_must_be_an_object(self):
         with pytest.raises(FormatError, match="JSON object"):
             harness.config_from_dict([base_config_doc("x")])
@@ -167,11 +173,12 @@ class TestConfig:
 
 
 def report_cell(method, k, rte_minutes):
-    report = audit.AuditReport(ua=10.0, ra=90.0, ta=88.0, mia_efficacy=50.0)
+    report = audit.AuditReport(
+        ua=10.0, ra=90.0, ta=88.0, mia_efficacy=50.0, rte_minutes=rte_minutes
+    )
     return harness.CellResult(
         key=harness.cell_key(method, 1.0, k, 0), method=method, epsilon=1.0,
         k=k, seed_index=0, report=report, min_unlearn_test_acc=None,
-        rte_minutes=rte_minutes,
     )
 
 
@@ -308,14 +315,25 @@ class TestRunExperiment:
         timings = json.loads((out / "timings.json").read_text())
         retrain_cells = [c for c in result.cells if c.method == "retrain"]
         assert [timings[f"retrain_seed{c.seed_index}"] for c in retrain_cells] == [
-            c.rte_minutes for c in retrain_cells
+            c.report.rte_minutes for c in retrain_cells
         ]
-        assert all(c.rte_minutes > 0 for c in retrain_cells)
+        assert all(c.report.rte_minutes > 0 for c in retrain_cells)
         retrain_row = next(line for line in (out / "report.txt").read_text().splitlines()
                            if line.startswith("retrain"))
         assert float(retrain_row.split()[-1]) > 0
         summary = (out / "summary.json").read_text()
         assert "rte" not in summary and "retrain_seed" not in summary
+
+    def test_timings_merged_into_the_existing_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "timings.json").write_text(json.dumps({"retrain_seed0": -1.0, "earlier": 2.0}))
+        doc = base_config_doc(str(out))
+        doc["method"], doc["n_seeds"] = "retrain", 1
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings == {"retrain_seed0": result.cells[0].report.rte_minutes, "earlier": 2.0}
+        assert timings["retrain_seed0"] > 0
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0, None, [False]],
                              ids=["string-false", "string-true", "zero", "one",

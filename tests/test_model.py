@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn.errors import DomainError, FormatError, NumericalError
 
+from test_datasets import assert_allocates_little
+
 
 TINY = mdl.MlpSpec((2, 4, 2))
 
@@ -472,6 +474,22 @@ class TestCheckpointHeader:
         write_checkpoint(path, header, b"\x00" * 64)
         with pytest.raises(FormatError):
             mdl.load_params(path)
+
+    @pytest.mark.parametrize("header", [
+        {"d": 2**61, "layer_map": [["fc1.w", [2**31, 2**30], 0]]},
+        {"d": 2**40, "layer_map": [["fc1.w", [2**20, 2**20], 0]]},
+    ], ids=["d-2-61", "d-2-40"])
+    def test_oversized_declared_payload(self, tmp_path, header):
+        path = tmp_path / "big.ckpt"
+        write_checkpoint(path, header, b"\x00" * 64)
+        with pytest.raises(FormatError, match="checkpoint payload"):
+            mdl.load_params(path)
+
+    def test_header_longer_than_the_file(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"BWUNCKPT" + struct.pack("<II", 1, 0xFFFFFFFF) + b"{}")
+        with pytest.raises(FormatError, match="checkpoint header"):
+            assert_allocates_little(mdl.load_params, path)
 
 
     def test_non_mlp_layer_map_loads_but_does_not_score(self, tmp_path):

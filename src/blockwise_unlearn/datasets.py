@@ -158,16 +158,16 @@ class ScenarioSplit:
 
 
 def save_split(split: ScenarioSplit, path) -> None:
+    doc = {
+        "retain_idx": split.retain_idx.tolist(),
+        "forget_idx": split.forget_idx.tolist(),
+        "test_idx": split.test_idx.tolist(),
+        "seed": split.seed,
+    }
+    # the same bytes as json.dump, which always takes the slower chunked
+    # pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "retain_idx": split.retain_idx.tolist(),
-                "forget_idx": split.forget_idx.tolist(),
-                "test_idx": split.test_idx.tolist(),
-                "seed": split.seed,
-            },
-            fh,
-        )
+        fh.write(json.dumps(doc))
 
 
 def load_split(path) -> ScenarioSplit:

@@ -95,13 +95,19 @@ class _Layout:
         self.d = last_offset + math.prod(last_shape)
 
 
+# A run sees one or two layer maps; the bound keeps a process that loads many
+# foreign checkpoints from growing.
+_LAYOUT_CACHE_SIZE = 64
 _LAYOUTS: dict[tuple, _Layout] = {}
 
 
 def _layout(lm: tuple) -> _Layout:
-    """The layout of a layer map, computed on its first use and cached by the map."""
+    """The layout of a layer map, computed on its first use and cached by the
+    map; a full cache drops its oldest entry."""
     layout = _LAYOUTS.get(lm)
     if layout is None:
+        if len(_LAYOUTS) >= _LAYOUT_CACHE_SIZE:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
         layout = _LAYOUTS[lm] = _Layout(lm)
     return layout
 
@@ -274,27 +280,58 @@ def clip(v: np.ndarray, c: float) -> np.ndarray:
     return out * (1.0 - 1e-15)
 
 
+def _first_layer(w, b, inputs_list, out=None) -> np.ndarray:
+    """(len(w), rows) products w x^T + b of every set's rows, in order,
+    feature-major, written into `out` when it is given.
+
+    Each set's product goes into that set's column range of one buffer, so
+    the inputs are never stacked.  With the first layer's (w, b) these are its
+    pre-activations.
+    """
+    if out is None:
+        out = np.empty((w.shape[0], sum(len(x) for x in inputs_list)))
+    start = 0
+    for x in inputs_list:
+        np.matmul(w, x.T, out=out[:, start : start + len(x)])
+        start += len(x)
+    out += b[:, None]
+    return out
+
+
+def _later_layers(layers, h, scratch=None) -> np.ndarray:
+    """(classes, rows) logits from the first layer's (hidden, rows)
+    pre-activations h: the ReLU and every layer after the first.
+
+    Without `scratch` the ReLU runs in place on h.  With a (hidden, cols)
+    scratch h is left as it is: the ReLU of each chunk of cols columns goes
+    into the scratch and the second layer's product into that chunk's
+    columns, so the activations never take a second (hidden, rows) array.
+    At 256x256 @ 256x2500 the chunked product equals the whole one bit for
+    bit (a test pins it); BLAS need not promise that at every shape.
+    """
+    for w, b in layers[1:]:
+        if scratch is None:
+            np.maximum(h, 0.0, out=h)
+            h = w @ h
+        else:
+            out = np.empty((w.shape[0], h.shape[1]))
+            for s in range(0, h.shape[1], scratch.shape[1]):
+                e = min(s + scratch.shape[1], h.shape[1])
+                relu = np.maximum(h[:, s:e], 0.0, out=scratch[:, : e - s])
+                np.matmul(w, relu, out=out[:, s:e])
+            h, scratch = out, None
+        h += b[:, None]
+    return h
+
+
 def _scores(layers, inputs_list) -> np.ndarray:
     """(classes, rows) logits of every set's rows, in order, feature-major.
 
-    The first layer writes each set's product into that set's column range of
-    one buffer, so the inputs are never stacked; the bias add, the ReLU and the
-    later layers then run once over all rows.  With few classes, `w @ h` into
-    a (classes, rows) array is several times faster than the row-major
-    `h @ w.T` of `_forward_pass`.
+    The bias add, the ReLU and the later layers run once over all rows.  With
+    few classes, `w @ h` into a (classes, rows) array is several times faster
+    than the row-major `h @ w.T` of `_forward_pass`.
     """
-    w, b = layers[0]
-    h = np.empty((w.shape[0], sum(len(x) for x in inputs_list)))
-    start = 0
-    for x in inputs_list:
-        np.matmul(w, x.T, out=h[:, start : start + len(x)])
-        start += len(x)
-    h += b[:, None]
-    for w, b in layers[1:]:
-        np.maximum(h, 0.0, out=h)
-        h = w @ h
-        h += b[:, None]
-    return h
+    return _later_layers(layers, _first_layer(*layers[0], inputs_list))
 
 
 class Scorer:
@@ -344,11 +381,28 @@ class Scorer:
         # flat position of each row's label entry in (classes, rows) C order
         self._at = labels * len(labels) + np.arange(len(labels))
 
-    def logits(self, params: ParamVector) -> np.ndarray:
-        """(classes, rows) logits of every set's rows, in order."""
+    def weights(self, params: ParamVector):
+        """The (weight, bias) views of each layer of `params`, which must have
+        the scorer's layer map."""
         if params.layer_map != self.layer_map:
             raise DomainError("parameters do not match the scorer's layer map")
-        return _scores(_weights(params), self.inputs)
+        return _weights(params)
+
+    def first_layer(self, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+        """(len(w), rows) products w x^T + b over every set's rows, in order,
+        into `out` when given; the first layer's pre-activations for its
+        (w, b)."""
+        return _first_layer(w, b, self.inputs, out)
+
+    def later_layers(self, layers, h: np.ndarray, scratch=None) -> np.ndarray:
+        """(classes, rows) logits from the first layer's pre-activations h
+        under `layers` (see `_later_layers`); h is kept when a scratch is
+        given and overwritten otherwise."""
+        return _later_layers(layers, h, scratch)
+
+    def logits(self, params: ParamVector) -> np.ndarray:
+        """(classes, rows) logits of every set's rows, in order."""
+        return _scores(self.weights(params), self.inputs)
 
     def count(self, logits: np.ndarray) -> list[int]:
         """Hits in each set, from the logits of `logits(params)`."""

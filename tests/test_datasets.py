@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 import tracemalloc
@@ -194,6 +195,16 @@ class TestSplits:
         assert np.array_equal(loaded.forget_idx, split.forget_idx)
         assert np.array_equal(loaded.test_idx, split.test_idx)
         assert loaded.seed == split.seed
+
+    def test_saved_bytes_equal_json_dump(self, tmp_path):
+        split = ds.make_split(self.DATA, ds.RandomFraction(0.1), seed=2, test_fraction=0.2)
+        path = tmp_path / "split.json"
+        ds.save_split(split, path)
+        expected = io.StringIO()
+        json.dump({"retain_idx": split.retain_idx.tolist(),
+                   "forget_idx": split.forget_idx.tolist(),
+                   "test_idx": split.test_idx.tolist(), "seed": split.seed}, expected)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(DomainError):

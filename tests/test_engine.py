@@ -1,8 +1,12 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
+from blockwise_unlearn import harness
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import NoisePlan
@@ -254,6 +258,151 @@ class TestEvaluation:
         # one scorer, prepared once for the run, scores all 3 sets per row
         assert [n for _, n in calls] == [3] * len(rec.rows)
         assert len({scorer for scorer, _ in calls}) == 1
+
+
+def spy_step_params(monkeypatch) -> list:
+    """The parameters after every step of a run, noisy or fine-tune, in
+    order, while the patch holds."""
+    params = []
+    nft_step, momentum_step = eng.nft_step, eng._momentum_step
+
+    def nft_spy(*args, **kwargs):
+        out = nft_step(*args, **kwargs)
+        params.append(out[0])
+        return out
+
+    def momentum_spy(*args):
+        out = momentum_step(*args)
+        params.append(out[0])
+        return out
+
+    monkeypatch.setattr(eng, "nft_step", nft_spy)
+    monkeypatch.setattr(eng, "_momentum_step", momentum_spy)
+    return params
+
+
+# 100 inputs and 32 first-layer rows: rank-r updates are the cheaper way to
+# score the noisy steps from k = 8 (r = 4) on; the 48-row second layer gives
+# blocks beyond the 32nd rows there and none in the first layer
+WIDE = mdl.MlpSpec((100, 32, 48, 4))
+WIDE_DATA = ds.generate_blobs(900, classes=4, dim=100, separation=1.0, seed=11)
+WIDE_SETS = eng.EvalSets(test=(WIDE_DATA.inputs[:300], WIDE_DATA.labels[:300]),
+                         retain=(WIDE_DATA.inputs[300:], WIDE_DATA.labels[300:]),
+                         forget=(WIDE_DATA.inputs[:37], WIDE_DATA.labels[:37]))
+MNIST_SHAPE = mdl.MlpSpec((784, 256, 256, 10))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def blob_config_maps():
+    """(layer map, k) of each cell of the shipped blob configs."""
+    for name in ("blobs_random10", "blobs_classwise"):
+        config = harness.load_config(ROOT / "configs" / f"{name}.json")
+        spec = mdl.MlpSpec((config.dataset["dim"], *config.model_hidden,
+                            config.dataset["classes"]))
+        for k in config.k_values:
+            yield mdl.layer_map(spec), k
+
+
+class TestRankUpdates:
+    @pytest.mark.parametrize("widths, k, updates", [
+        ((784, 256, 256, 10), 10, True), ((784, 256, 256, 10), 4, False),
+        ((100, 32, 4), 8, True), ((100, 32, 4), 10, True), ((100, 32, 4), 4, False),
+        ((100, 32, 4), 1, False),
+    ])
+    def test_cost_rule(self, widths, k, updates):
+        lm = mdl.layer_map(mdl.MlpSpec(widths))
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, lm, k, seed=0)
+        assert (eng._first_layer_spans(basis, lm) is not None) == updates
+
+    def test_shipped_blob_configs_take_the_direct_pass(self):
+        cells = list(blob_config_maps())
+        assert len(cells) == 4
+        for lm, k in cells:
+            basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, lm, k, seed=0)
+            assert eng._first_layer_spans(basis, lm) is None
+
+    def test_coordinate_partitions_and_no_basis_take_the_direct_pass(self):
+        lm = mdl.layer_map(MNIST_SHAPE)
+        assert eng._first_layer_spans(None, lm) is None
+        for strategy in (sub.PERMUTATION, sub.LAYER_CYCLIC, sub.HEAD_BODY):
+            basis = sub.build_basis(strategy, lm, 2, seed=0)
+            assert eng._first_layer_spans(basis, lm) is None
+        # a basis of another map with the same d is never read as this one's
+        other = mdl.layer_map(mdl.MlpSpec((784, 256, 256, 10)))
+        other = tuple((name + "'", shape, offset) for name, shape, offset in other)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, other, 10, seed=0)
+        assert eng._first_layer_spans(basis, lm) is None
+
+    @pytest.mark.parametrize("strategy, k", [
+        *((s, k) for s in (sub.RANDOM_ORTHONORMAL, sub.PERMUTATION)
+          for k in (1, 2, 4, 8, 10, 32, 40)),
+        (sub.LAYER_CYCLIC, 1), (sub.LAYER_CYCLIC, 2), (sub.LAYER_CYCLIC, 3),
+        (sub.HEAD_BODY, 2),
+    ])
+    def test_every_row_scores_as_a_direct_pass(self, monkeypatch, strategy, k):
+        params0 = mdl.init_params(WIDE, seed=2)
+        basis = sub.build_basis(strategy, params0.layer_map, k, seed=5)
+        updates = eng._first_layer_spans(basis, params0.layer_map)
+        assert (updates is not None) == (
+            strategy == sub.RANDOM_ORTHONORMAL and k >= 8)
+        if k == 40 and updates is not None:
+            assert updates[35] is None  # a block without first-layer rows
+        stepped = spy_step_params(monkeypatch)
+        rec = eng.run_blockwise(
+            params0, small_config(k=k, basis=basis, plan=toy_plan(k=k, sigma2=0.02)),
+            (WIDE_DATA.inputs[300:], WIDE_DATA.labels[300:]), WIDE_SETS,
+        )
+        assert len(stepped) == len(rec.rows) == 2 * k + 5
+        sets = [WIDE_SETS.test, WIDE_SETS.retain, WIDE_SETS.forget]
+        for row, params in zip(rec.rows, stepped):
+            expected = [n / len(y) for n, (_, y) in zip(mdl.hits(params, sets), sets)]
+            assert [row.test_acc, row.retain_acc, row.forget_acc] == expected
+
+    def test_long_noisy_phase_tracks_the_direct_product(self, monkeypatch):
+        params0 = mdl.init_params(mdl.MlpSpec((100, 32, 4)), seed=3)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, params0.layer_map, 10, seed=1)
+        stepped = spy_step_params(monkeypatch)
+        config = small_config(k=10, basis=basis, fine_tune_steps=0,
+                              plan=toy_plan(k=10, steps=21, sigma2=0.02))
+        rec = eng.run_blockwise(params0, config,
+                                (WIDE_DATA.inputs[300:], WIDE_DATA.labels[300:]))
+        scorer = mdl.Scorer(params0.layer_map, [WIDE_SETS.test, WIDE_SETS.retain])
+        updates = eng._RankUpdates(scorer, eng._first_layer_spans(basis, params0.layer_map))
+        worst = 0.0
+        for row, params in zip(rec.rows, stepped):
+            counts = updates(params, row.block)
+            assert counts == scorer.hits(params)
+            direct = scorer.first_layer(*scorer.weights(params)[0])
+            worst = max(worst, np.abs(updates.h1 - direct).max() / np.abs(direct).max())
+        assert len(stepped) == 210  # one direct pass, then 209 updates
+        assert 0.0 < worst <= 1e-12
+
+    def test_memory_stays_within_one_scratch_of_the_direct_pass(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.random((2500, 784))
+        y = rng.integers(0, 10, size=2500)
+        sets = eng.EvalSets(test=(x[:500], y[:500]), retain=(x[500:2300], y[500:2300]),
+                            forget=(x[2300:], y[2300:]))
+        params0 = mdl.init_params(MNIST_SHAPE, seed=0)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, params0.layer_map, 10, seed=0)
+        config = small_config(k=10, basis=basis, fine_tune_steps=2)
+        retain = (x[500:1000], y[500:1000])
+        spans = eng._first_layer_spans(basis, params0.layer_map)
+        assert spans is not None
+
+        def peak(spans):
+            monkeypatch.setattr(eng, "_first_layer_spans", lambda *args: spans)
+            tracemalloc.start()
+            try:
+                rec = eng.run_blockwise(params0, config, retain, sets)
+                return tracemalloc.get_traced_memory()[1], rec
+            finally:
+                tracemalloc.stop()
+
+        direct_peak, direct = peak(None)
+        update_peak, updated = peak(spans)
+        assert [r[4:7] for r in updated.rows] == [r[4:7] for r in direct.rows]
+        assert update_peak <= direct_peak + 256 * eng._SCRATCH_COLUMNS * 8
 
 
 class TestCsv:

@@ -499,6 +499,13 @@ class TestCheckpointHeader:
         with pytest.raises(DomainError, match="no fc layers"):
             mdl.hits(params, [(np.zeros((2, 4)), np.zeros(2))])
 
+    def test_layout_cache_is_bounded(self, tmp_path):
+        path = tmp_path / "one.ckpt"
+        for i in range(2000):
+            write_checkpoint(path, {"d": 1, "layer_map": [[f"w{i}", [1], 0]]}, b"\x00" * 8)
+            assert mdl.load_params(path).layer_map == ((f"w{i}", (1,), 0),)
+        assert len(mdl._LAYOUTS) <= mdl._LAYOUT_CACHE_SIZE < 2000
+
 def reference_predict(params, x):
     """Row-major argmax of the out-of-place chain."""
     return np.argmax(reference_forward(params, x)[1], axis=1)
@@ -607,6 +614,20 @@ class TestScoring:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert all(x is kept for (x, _), kept in zip(sets, scorer.inputs))
+
+    def test_chunked_second_layer_equals_the_whole_product(self):
+        # the first layer's pre-activations of a 784-256-256-10 model over
+        # 2500 rows, kept while each 512-column chunk of their ReLU feeds the
+        # second layer
+        spec = mdl.MlpSpec((784, 256, 256, 10))
+        params = mdl.init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        layers = mdl._weights(params)
+        h = mdl._first_layer(*layers[0], [rng.random((2500, 784))])
+        kept = h.copy()
+        chunked = mdl._later_layers(layers, h, np.empty((256, 512)))
+        assert np.array_equal(h, kept)
+        assert np.array_equal(chunked, mdl._later_layers(layers, kept))
 
     def test_scorer_rejects_another_layer_map(self):
         scorer = mdl.Scorer(mdl.layer_map(TINY), [(np.ones((3, 2)), np.zeros(3))])

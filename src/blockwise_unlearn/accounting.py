@@ -418,9 +418,8 @@ def make_plan(
         gamma=spec.gamma, lam=spec.lam, c0=c0_b, c1=c1_b, q=q,
         eps_renyi=per_block[0],
     )
-    _, regime = min_noise(budget)
+    sigma2, regime = min_noise(budget)
     if steps is None:
-        sigma2, _ = min_noise(budget)
         t = steps_for_noise(sigma2, budget)
         x = largest_feasible_x(sigma2, budget)
     else:

@@ -92,7 +92,9 @@ def _score(params, retain, forget, test, seed):
     forget set."""
     n_retain, n_test, n_forget = len(retain[1]), len(test[1]), len(forget[1])
     sets = [retain, test, forget] if n_forget else [retain, test]
-    logits, counts = mdl.logits_and_hits(params, sets)
+    scorer = mdl.Scorer(params.layer_map, sets)
+    logits = scorer.logits(params)
+    counts = scorer.count(logits)
     # rounded as 100 * accuracy, the count over the rows rounded first
     ra = 100.0 * (counts[0] / n_retain)
     ta = 100.0 * (counts[1] / n_test)

@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UnlearnError as exc:
+    except (UnlearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

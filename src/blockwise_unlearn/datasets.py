@@ -210,6 +210,8 @@ def make_split(
     request is then applied to the remaining training rows.  RandomFraction
     deletes floor(fraction * n_train) rows.
     """
+    if not 0 <= test_fraction < 1:
+        raise DomainError(f"test_fraction must be in [0, 1), got {test_fraction}")
     n = len(dataset)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

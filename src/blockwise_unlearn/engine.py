@@ -51,6 +51,10 @@ class TrainConfig:
     weight_decay: float = 1e-5
     batch_size: int = 64
 
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise DomainError(f"training steps must be >= 0, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,6 +76,8 @@ class RunConfig:
             )
         if self.fine_tune_steps is None:
             return self.step_cap - noisy
+        if self.fine_tune_steps < 0:
+            raise DomainError(f"fine-tune steps must be >= 0, got {self.fine_tune_steps}")
         return self.fine_tune_steps
 
 
@@ -155,9 +161,9 @@ def _evaluator(layer_map: tuple, eval_sets: EvalSets, basis: sub.BlockBasis | No
     scoring pass over the present sets; an absent or empty set scores None.
     The sets are checked here, once.
 
-    Where `_first_layer_spans` finds the basis's blocks cheap enough, the
-    noisy steps are scored by `_RankUpdates`; every other step by a direct
-    pass, `Scorer.hits`.
+    Where `_first_layer_spans` finds the basis's blocks cheap enough, a noisy
+    step is scored by `Scorer.step_hits` from the span its block moved; every
+    other step by a direct pass, `Scorer.hits`.
     """
     sets = (eval_sets.test, eval_sets.retain, eval_sets.forget)
     sizes = [0 if pair is None else len(pair[1]) for pair in sets]
@@ -165,10 +171,12 @@ def _evaluator(layer_map: tuple, eval_sets: EvalSets, basis: sub.BlockBasis | No
         return lambda params, block=None: (None, None, None)
     scorer = mdl.Scorer(layer_map, [pair for pair, n in zip(sets, sizes) if n])
     spans = _first_layer_spans(basis, layer_map)
-    updates = None if spans is None else _RankUpdates(scorer, spans)
 
     def evaluate(params, block=None):
-        counts = iter(scorer.hits(params) if updates is None else updates(params, block))
+        if spans is None or block is None:
+            counts = iter(scorer.hits(params))
+        else:
+            counts = iter(scorer.step_hits(params, spans[block - 1]))
         return tuple(next(counts) / n if n else None for n in sizes)
 
     return evaluate
@@ -197,69 +205,7 @@ def _first_layer_spans(basis: sub.BlockBasis | None, layer_map: tuple):
     r = max(len(rows) for rows in rot.row_groups)
     if 4 * r * (n_in + hidden) > hidden * n_in:
         return None
-    # a block's spans list its groups in layer order, the first layer's first
-    return tuple(
-        spans[0][3] if spans and spans[0][2] is group else None
-        for spans in basis._spans
-    )
-
-
-# columns of the first layer's activations that one scratch chunk holds
-_SCRATCH_COLUMNS = 512
-
-
-class _RankUpdates:
-    """Hit counts of each step, with the first layer's pre-activations
-    H1 = W1 X^T + b1 (hidden, rows) kept from one noisy step to the next.
-
-    A noisy step in block i moves B1 = [W1 | b1] only inside the span
-    a = q[:, rows_i], so H1 moves by a (D_W X^T + D_b) with
-    D = a^T (B1_t - B1_{t-1}): a rank-r change, made per set into its column
-    range.  A block without first-layer rows leaves W1 as it is, and H1 too.
-    The first noisy step, and every fine-tune step (a dense update), take
-    the direct pass instead.  The ReLU, the later layers and the hit count
-    are `Scorer`'s.
-
-    The previous step's parameters are kept by reference: the engine's steps
-    build new vectors and never write into one they returned.  A
-    (hidden, 512) scratch holds a @ T before it is added, and another the
-    ReLU that feeds the second layer; each lives only while it is used, so
-    scoring takes at most one scratch more than the direct pass.
-    """
-
-    __slots__ = ("scorer", "spans", "h1", "prev")
-
-    def __init__(self, scorer: mdl.Scorer, spans: tuple) -> None:
-        self.scorer, self.spans = scorer, spans
-        self.h1 = self.prev = None
-
-    def __call__(self, params: mdl.ParamVector, block: int | None) -> list[int]:
-        scorer = self.scorer
-        layers = scorer.weights(params)
-        w, b = layers[0]
-        if block is None or self.prev is None:
-            self.h1 = scorer.first_layer(w, b, out=self.h1)
-        elif (a := self.spans[block - 1]) is not None:
-            self._update(a, w - self.prev[0], b - self.prev[1])
-        if block is None:
-            # the ReLU runs in place on H1, so a later noisy step starts afresh
-            self.prev = None
-            return scorer.count(scorer.later_layers(layers, self.h1))
-        self.prev = w, b
-        return scorer.count(scorer.later_layers(layers, self.h1, self._scratch()))
-
-    def _scratch(self) -> np.ndarray:
-        hidden, rows = self.h1.shape
-        return np.empty((hidden, min(_SCRATCH_COLUMNS, rows)))
-
-    def _update(self, a: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
-        """H1 += a (a^T dw X^T + a^T db), one scratch of columns at a time."""
-        h1, scratch = self.h1, self._scratch()
-        t = self.scorer.first_layer(a.T @ dw, a.T @ db)
-        cols = scratch.shape[1]
-        for s in range(0, h1.shape[1], cols):
-            e = min(s + cols, h1.shape[1])
-            h1[:, s:e] += np.matmul(a, t[:, s:e], out=scratch[:, : e - s])
+    return tuple(rot.q[:, rows] if rows.size else None for rows in rot.row_groups)
 
 
 def nft_step(

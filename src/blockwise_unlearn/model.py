@@ -65,13 +65,6 @@ def layer_map(spec: MlpSpec):
     return tuple(entries)
 
 
-def param_dim(spec: MlpSpec) -> int:
-    return sum(
-        fan_out * fan_in + fan_out
-        for fan_in, fan_out in zip(spec.widths, spec.widths[1:])
-    )
-
-
 class _Layout:
     """Where each entry of one layer map lives in the flat vector: `slots` maps
     a name to (start, stop, shape), `layers` holds the (weight, bias) slots of
@@ -300,7 +293,9 @@ def _first_layer(w, b, inputs_list, out=None) -> np.ndarray:
 
 def _later_layers(layers, h, scratch=None) -> np.ndarray:
     """(classes, rows) logits from the first layer's (hidden, rows)
-    pre-activations h: the ReLU and every layer after the first.
+    pre-activations h: the ReLU and every layer after the first.  With few
+    classes, `w @ h` into a (classes, rows) array is several times faster
+    than the row-major `h @ w.T` of `_forward_pass`.
 
     Without `scratch` the ReLU runs in place on h.  With a (hidden, cols)
     scratch h is left as it is: the ReLU of each chunk of cols columns goes
@@ -324,14 +319,8 @@ def _later_layers(layers, h, scratch=None) -> np.ndarray:
     return h
 
 
-def _scores(layers, inputs_list) -> np.ndarray:
-    """(classes, rows) logits of every set's rows, in order, feature-major.
-
-    The bias add, the ReLU and the later layers run once over all rows.  With
-    few classes, `w @ h` into a (classes, rows) array is several times faster
-    than the row-major `h @ w.T` of `_forward_pass`.
-    """
-    return _later_layers(layers, _first_layer(*layers[0], inputs_list))
+# columns of the first layer's activations that one scratch chunk holds
+_SCRATCH_COLUMNS = 512
 
 
 class Scorer:
@@ -347,9 +336,16 @@ class Scorer:
     A row is a hit when its label's logit equals the column maximum and every
     lower class's logit is strictly below it: the argmax with ties going to
     the lowest class, without building the argmax.  A NaN logit raises.
+
+    `step_hits` keeps the first layer's pre-activations H1 = W1 X^T + b1
+    (hidden, rows) in one buffer, which `hits` then writes into instead of
+    allocating another.  Without it `hits` allocates H1 afresh, as `logits`
+    always does: a buffer freed on every call keeps glibc serving the
+    call's temporaries from its heap, where one kept from a cold start left
+    them to mmap, with page faults on every call.
     """
 
-    __slots__ = ("layer_map", "inputs", "_at", "_ends")
+    __slots__ = ("layer_map", "inputs", "_at", "_ends", "_h1", "_prev")
 
     def __init__(self, layer_map: tuple, sets) -> None:
         layers = _layout(layer_map).layers
@@ -380,29 +376,19 @@ class Scorer:
         labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
         # flat position of each row's label entry in (classes, rows) C order
         self._at = labels * len(labels) + np.arange(len(labels))
+        self._h1 = self._prev = None
 
-    def weights(self, params: ParamVector):
-        """The (weight, bias) views of each layer of `params`, which must have
-        the scorer's layer map."""
+    def _layers(self, params: ParamVector):
         if params.layer_map != self.layer_map:
             raise DomainError("parameters do not match the scorer's layer map")
         return _weights(params)
 
-    def first_layer(self, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        """(len(w), rows) products w x^T + b over every set's rows, in order,
-        into `out` when given; the first layer's pre-activations for its
-        (w, b)."""
-        return _first_layer(w, b, self.inputs, out)
-
-    def later_layers(self, layers, h: np.ndarray, scratch=None) -> np.ndarray:
-        """(classes, rows) logits from the first layer's pre-activations h
-        under `layers` (see `_later_layers`); h is kept when a scratch is
-        given and overwritten otherwise."""
-        return _later_layers(layers, h, scratch)
-
     def logits(self, params: ParamVector) -> np.ndarray:
-        """(classes, rows) logits of every set's rows, in order."""
-        return _scores(self.weights(params), self.inputs)
+        """(classes, rows) logits of every set's rows, in order.  The
+        parameters must be finite, as in `forward`."""
+        _check_finite(params)
+        layers = self._layers(params)
+        return _later_layers(layers, _first_layer(*layers[0], self.inputs))
 
     def count(self, logits: np.ndarray) -> list[int]:
         """Hits in each set, from the logits of `logits(params)`."""
@@ -429,31 +415,54 @@ class Scorer:
         return counts
 
     def hits(self, params: ParamVector) -> list[int]:
-        """Hits in each set under `params`."""
-        return self.count(self.logits(params))
+        """Hits in each set under `params`, from H1 computed afresh; the
+        ReLU runs in place on H1, so the next `step_hits` starts afresh too."""
+        layers = self._layers(params)
+        h1 = _first_layer(*layers[0], self.inputs, out=self._h1)
+        self._prev = None
+        return self.count(_later_layers(layers, h1))
 
+    def step_hits(self, params: ParamVector, span: np.ndarray | None) -> list[int]:
+        """Hits in each set under `params`, the result of a noisy step from
+        the parameters of the previous `step_hits` call that moved
+        B1 = [W1 | b1] only inside the columns of `span` (None: not at all).
 
-def hits(params: ParamVector, sets) -> list[int]:
-    """Correct predictions in each (inputs, labels) set, from one forward pass
-    over the rows of all of them."""
-    return Scorer(params.layer_map, sets).hits(params)
+        Such a step moves H1 by span (D_W X^T + D_b) with
+        D = span^T (B1_t - B1_{t-1}): a rank-r change for r columns, made per
+        set into its column range.  The first call, and the first after a
+        direct pass, compute H1 directly.  The previous parameters are kept
+        by reference, so the caller must not write into a vector it passed.
+        A (hidden, 512) scratch holds span @ T before it is added, and
+        another the ReLU that feeds the second layer; each lives only while
+        it is used, so a call takes at most one scratch more than `hits`.
+        """
+        layers = self._layers(params)
+        w, b = layers[0]
+        if self._prev is None:
+            self._h1 = _first_layer(w, b, self.inputs, out=self._h1)
+        elif span is not None:
+            self._update(span, w - self._prev[0], b - self._prev[1])
+        self._prev = w, b
+        return self.count(_later_layers(layers, self._h1, self._scratch()))
 
+    def _scratch(self) -> np.ndarray:
+        hidden, rows = self._h1.shape
+        return np.empty((hidden, min(_SCRATCH_COLUMNS, rows)))
 
-def logits_and_hits(params: ParamVector, sets) -> tuple[np.ndarray, list[int]]:
-    """`hits(params, sets)` and the (classes, rows) logits it counts from, one
-    column per row of the sets, in order.
-
-    Unlike `hits`, the parameters must be finite, as in `forward`.
-    """
-    _check_finite(params)
-    scorer = Scorer(params.layer_map, sets)
-    logits = scorer.logits(params)
-    return logits, scorer.count(logits)
+    def _update(self, a: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
+        """H1 += a (a^T dw X^T + a^T db), one scratch of columns at a time."""
+        h1, scratch = self._h1, self._scratch()
+        t = _first_layer(a.T @ dw, a.T @ db, self.inputs)
+        cols = scratch.shape[1]
+        for s in range(0, h1.shape[1], cols):
+            e = min(s + cols, h1.shape[1])
+            h1[:, s:e] += np.matmul(a, t[:, s:e], out=scratch[:, : e - s])
 
 
 def accuracy(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
+    scorer = Scorer(params.layer_map, [(inputs, labels)])
     # the count of hits is exact, so this rounds count / n once, as the mean does
-    return logits_and_hits(params, [(inputs, labels)])[1][0] / len(inputs)
+    return scorer.count(scorer.logits(params))[0] / len(inputs)
 
 
 def save_params(params: ParamVector, path) -> None:

@@ -194,7 +194,7 @@ class TestFusedAudit:
         # two hidden layers and more test than retain rows
         rng = np.random.default_rng(5)
         spec = mdl.MlpSpec((20, 24, 12, 5))
-        params = mdl.ParamVector(0.3 * rng.standard_normal(mdl.param_dim(spec)),
+        params = mdl.ParamVector(0.3 * rng.standard_normal(mdl.init_params(spec, seed=0).d),
                                  mdl.layer_map(spec))
         retain, forget, test = (
             (rng.standard_normal((n, 20)), rng.integers(0, 5, size=n)) for n in (90, 13, 140)

@@ -333,6 +333,14 @@ class TestNonUtf8Files:
         assert "Traceback" not in err
 
 
+class TestMissingFiles:
+    def test_missing_config(self, tmp_path, capsys):
+        assert run_cli("run", "--config", str(tmp_path / "missing.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize("command,edit,field", [
         ("unlearn", _drop_unlearn_gamma, "unlearn.gamma"),

@@ -175,6 +175,13 @@ class TestSplits:
         assert np.all(self.DATA.labels[split.forget_idx] == 2)
         assert np.all(self.DATA.labels[split.retain_idx] != 2)
 
+    @pytest.mark.parametrize("test_fraction", [-0.2, float("nan"), 1.0])
+    def test_test_fraction_outside_unit_interval(self, test_fraction):
+        # -0.2 used to hold out 80% of the rows, NaN to fail inside int()
+        with pytest.raises(DomainError, match="test_fraction"):
+            ds.make_split(self.DATA, ds.RandomFraction(0.1), seed=0,
+                          test_fraction=test_fraction)
+
     def test_classwise_absent_class(self):
         with pytest.raises(DomainError):
             ds.make_split(self.DATA, ds.ClassWise(7), seed=2)

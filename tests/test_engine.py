@@ -12,6 +12,7 @@ from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import NoisePlan
 from blockwise_unlearn.errors import DomainError
 
+from test_model import dim, hits
 from test_reference_step import spy_momentum_steps
 from test_subspace import block_support
 
@@ -40,7 +41,7 @@ class TestNftStep:
     def test_zero_gradient_fixed_point(self):
         # zero parameters with class-balanced labels give a gradient that is
         # zero up to rounding; with lam = 0 and sigma2 = 0 the step is a no-op
-        params = mdl.ParamVector(np.zeros(mdl.param_dim(ARCH)), mdl.layer_map(ARCH))
+        params = mdl.ParamVector(np.zeros(dim(ARCH)), mdl.layer_map(ARCH))
         batch = mdl.Batch(np.ones((3, 4)), np.array([0, 1, 2]))
         assert np.max(np.abs(mdl.loss_and_grad(params, batch)[1].values)) <= 1e-15
         new, _, noise_norm, _, _ = eng.nft_step(
@@ -193,6 +194,13 @@ class TestRuns:
         cfg = small_config(plan=toy_plan(steps=30), step_cap=10, fine_tune_steps=None)
         with pytest.raises(DomainError):
             eng.run_blockwise(params, cfg, (BLOBS.inputs, BLOBS.labels))
+
+    def test_negative_fine_tune_steps_rejected(self):
+        params = mdl.init_params(ARCH, seed=1)
+        with pytest.raises(DomainError, match="fine-tune steps"):
+            eng.run_blockwise(params, small_config(fine_tune_steps=-1),
+                              (BLOBS.inputs, BLOBS.labels))
+        assert small_config(fine_tune_steps=0).resolved_fine_tune_steps() == 0
 
     def test_fine_tune_fills_cap(self):
         params = mdl.init_params(ARCH, seed=1)
@@ -355,7 +363,7 @@ class TestRankUpdates:
         assert len(stepped) == len(rec.rows) == 2 * k + 5
         sets = [WIDE_SETS.test, WIDE_SETS.retain, WIDE_SETS.forget]
         for row, params in zip(rec.rows, stepped):
-            expected = [n / len(y) for n, (_, y) in zip(mdl.hits(params, sets), sets)]
+            expected = [n / len(y) for n, (_, y) in zip(hits(params, sets), sets)]
             assert [row.test_acc, row.retain_acc, row.forget_acc] == expected
 
     def test_long_noisy_phase_tracks_the_direct_product(self, monkeypatch):
@@ -366,14 +374,15 @@ class TestRankUpdates:
                               plan=toy_plan(k=10, steps=21, sigma2=0.02))
         rec = eng.run_blockwise(params0, config,
                                 (WIDE_DATA.inputs[300:], WIDE_DATA.labels[300:]))
-        scorer = mdl.Scorer(params0.layer_map, [WIDE_SETS.test, WIDE_SETS.retain])
-        updates = eng._RankUpdates(scorer, eng._first_layer_spans(basis, params0.layer_map))
+        sets = [WIDE_SETS.test, WIDE_SETS.retain]
+        scorer = mdl.Scorer(params0.layer_map, sets)
+        spans = eng._first_layer_spans(basis, params0.layer_map)
         worst = 0.0
         for row, params in zip(rec.rows, stepped):
-            counts = updates(params, row.block)
-            assert counts == scorer.hits(params)
-            direct = scorer.first_layer(*scorer.weights(params)[0])
-            worst = max(worst, np.abs(updates.h1 - direct).max() / np.abs(direct).max())
+            counts = scorer.step_hits(params, spans[row.block - 1])
+            assert counts == hits(params, sets)
+            direct = mdl._first_layer(*mdl._weights(params)[0], scorer.inputs)
+            worst = max(worst, np.abs(scorer._h1 - direct).max() / np.abs(direct).max())
         assert len(stepped) == 210  # one direct pass, then 209 updates
         assert 0.0 < worst <= 1e-12
 
@@ -402,7 +411,7 @@ class TestRankUpdates:
         direct_peak, direct = peak(None)
         update_peak, updated = peak(spans)
         assert [r[4:7] for r in updated.rows] == [r[4:7] for r in direct.rows]
-        assert update_peak <= direct_peak + 256 * eng._SCRATCH_COLUMNS * 8
+        assert update_peak <= direct_peak + 256 * mdl._SCRATCH_COLUMNS * 8
 
 
 class TestCsv:
@@ -433,6 +442,14 @@ class TestCsv:
 
 
 class TestTraining:
+    def test_negative_steps_rejected(self):
+        # steps=-3 used to train nothing and return the initial model
+        with pytest.raises(DomainError, match="training steps"):
+            eng.TrainConfig(steps=-3)
+        params = eng.train(ARCH, (BLOBS.inputs, BLOBS.labels), eng.Seeds(0, 1, 2),
+                           eng.TrainConfig(steps=0))
+        assert np.array_equal(params.values, mdl.init_params(ARCH, seed=0).values)
+
     def test_loss_decreases_on_blobs(self, monkeypatch):
         cfg = eng.TrainConfig(steps=300, lr=0.05, batch_size=64)
         steps = spy_momentum_steps(monkeypatch)

@@ -294,6 +294,14 @@ class TestRunExperiment:
         # the retrain baseline is still present
         assert any(c.method == "retrain" for c in result.cells)
 
+    def test_test_fraction_outside_unit_interval_is_a_domain_error(self, tmp_path):
+        doc = base_config_doc(str(tmp_path / "out"))
+        doc["test_fraction"] = -0.2
+        doc["n_seeds"] = 1
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        assert result.errors["seed0"].startswith("DomainError: test_fraction")
+        assert not result.cells
+
     def test_each_model_audited_once(self, tmp_path, monkeypatch):
         fits = []
         fit_logistic = audit._fit_logistic

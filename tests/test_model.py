@@ -17,6 +17,16 @@ from test_datasets import assert_allocates_little
 TINY = mdl.MlpSpec((2, 4, 2))
 
 
+def dim(spec):
+    """Length d of a spec's parameter vector."""
+    return mdl.init_params(spec, seed=0).d
+
+
+def hits(params, sets):
+    """Hits in each (inputs, labels) set from a fresh scorer's direct pass."""
+    return mdl.Scorer(params.layer_map, sets).hits(params)
+
+
 def tiny_batch():
     rng = np.random.default_rng(99)
     return mdl.Batch(rng.standard_normal((3, 2)), np.array([0, 1, 0]))
@@ -61,7 +71,7 @@ class TestSpecs:
         assert lm[1] == ("fc1.b", (5,), 15)
         assert lm[2] == ("fc2.w", (2, 5), 20)
         assert lm[3] == ("fc2.b", (2,), 30)
-        assert mdl.param_dim(mdl.MlpSpec((3, 5, 2))) == 32
+        assert dim(mdl.MlpSpec((3, 5, 2))) == 32
 
     def test_init_deterministic(self):
         a = mdl.init_params(TINY, seed=3)
@@ -74,7 +84,7 @@ class TestSpecs:
 class TestForward:
     def test_zero_params_uniform_loss(self):
         spec = mdl.MlpSpec((3, 6, 4))
-        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        params = mdl.ParamVector(np.zeros(dim(spec)), mdl.layer_map(spec))
         batch = mdl.Batch(np.random.default_rng(0).standard_normal((8, 3)),
                           np.array([0, 1, 2, 3, 0, 1, 2, 3]))
         _, loss = mdl.forward(params, batch)
@@ -192,7 +202,7 @@ class TestBackward:
 class TestParamVector:
     def test_view_writes_through_for_every_entry(self):
         spec = mdl.MlpSpec((3, 5, 4, 2))
-        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        params = mdl.ParamVector(np.zeros(dim(spec)), mdl.layer_map(spec))
         for i, (name, shape, offset) in enumerate(params.layer_map):
             view = params.view(name)
             assert view.shape == shape
@@ -208,7 +218,7 @@ class TestParamVector:
 
     def test_length_must_match_layer_map(self):
         with pytest.raises(DomainError):
-            mdl.ParamVector(np.zeros(mdl.param_dim(TINY) + 1), mdl.layer_map(TINY))
+            mdl.ParamVector(np.zeros(dim(TINY) + 1), mdl.layer_map(TINY))
 
     def test_view_on_loaded_params(self, tmp_path):
         params = mdl.init_params(mdl.MlpSpec((3, 7, 2)), seed=9)
@@ -288,7 +298,7 @@ class TestAccuracy:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 3))
         y = rng.integers(0, 4, size=40)
-        correct = sum(mdl.hits(params, [(x[i : i + 1], y[i : i + 1])])[0] for i in range(40))
+        correct = sum(hits(params, [(x[i : i + 1], y[i : i + 1])])[0] for i in range(40))
         assert mdl.accuracy(params, x, y) == correct / 40
 
     def test_empty_set(self):
@@ -298,13 +308,13 @@ class TestAccuracy:
 
     def test_ties_go_to_lowest_class(self):
         spec = mdl.MlpSpec((1, 2, 3))
-        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        params = mdl.ParamVector(np.zeros(dim(spec)), mdl.layer_map(spec))
         one = np.array([[1.0]])
-        assert mdl.hits(params, [(one, [0]), (one, [1]), (one, [2])]) == [1, 0, 0]
+        assert hits(params, [(one, [0]), (one, [1]), (one, [2])]) == [1, 0, 0]
         params.view("fc2.b")[:] = 0.7
         x = np.random.default_rng(0).standard_normal((6, 1))
-        assert mdl.hits(params, [(x, np.full(6, c)) for c in range(3)]) == [6, 0, 0]
-        assert mdl.hits(params, [(x, np.zeros(6)), (x[:2], np.ones(2))]) == [6, 0]
+        assert hits(params, [(x, np.full(6, c)) for c in range(3)]) == [6, 0, 0]
+        assert hits(params, [(x, np.zeros(6)), (x[:2], np.ones(2))]) == [6, 0]
 
     # one label used to broadcast against the 5 rows, three to fail inside
     # numpy, a (5, 1) column to broadcast to (5, 5) and a scalar to fail in len()
@@ -335,10 +345,10 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             mdl.accuracy(params, np.zeros((4, 3)), labels)
         with pytest.raises(DomainError):
-            mdl.hits(params, [(np.zeros((4, 3)), labels)])
+            hits(params, [(np.zeros((4, 3)), labels)])
         with pytest.raises(DomainError):
-            mdl.logits_and_hits(params, [(np.zeros((2, 3)), [0, 1]),
-                                         (np.zeros((4, 3)), labels)])
+            mdl.Scorer(params.layer_map, [(np.zeros((2, 3)), [0, 1]),
+                                          (np.zeros((4, 3)), labels)]).logits(params)
 
 
 def reference_forward(params, x):
@@ -361,7 +371,7 @@ class TestInPlaceForward:
     def test_equals_out_of_place_chain(self, widths, rows):
         spec = mdl.MlpSpec(widths)
         rng = np.random.default_rng(sum(widths) + rows)
-        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+        params = mdl.ParamVector(rng.standard_normal(dim(spec)),
                                  mdl.layer_map(spec))
         x = rng.standard_normal((rows, widths[0]))
         activations, logits = mdl._forward_pass(mdl._weights(params), x)
@@ -381,7 +391,7 @@ class TestInPlaceForward:
         x = (np.random.default_rng(2).standard_normal((9, 3)) * 4).astype(dtype)
         labels = np.arange(9) % 4
         before = x.copy()
-        mdl.hits(params, [(x, labels)])
+        hits(params, [(x, labels)])
         mdl.accuracy(params, x, labels)
         mdl.forward(params, mdl.Batch(x, labels))
         mdl.loss_and_grad(params, mdl.Batch(x, labels))
@@ -394,10 +404,10 @@ class TestInPlaceForward:
         params = mdl.init_params(spec, seed=0)
         rng = np.random.default_rng(0)
         sets = [(rng.standard_normal((4000, 8)), rng.integers(0, 5, size=4000))]
-        mdl.hits(params, sets)
+        hits(params, sets)
         tracemalloc.start()
         try:
-            mdl.hits(params, sets)
+            hits(params, sets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -497,7 +507,7 @@ class TestCheckpointHeader:
         write_checkpoint(path, {"d": 12, "layer_map": [["w", [3, 4], 0]]}, b"\x00" * 96)
         params = mdl.load_params(path)
         with pytest.raises(DomainError, match="no fc layers"):
-            mdl.hits(params, [(np.zeros((2, 4)), np.zeros(2))])
+            hits(params, [(np.zeros((2, 4)), np.zeros(2))])
 
     def test_layout_cache_is_bounded(self, tmp_path):
         path = tmp_path / "one.ckpt"
@@ -519,28 +529,28 @@ class TestScoring:
     def test_equals_row_major_argmax(self, widths, sizes):
         spec = mdl.MlpSpec(widths)
         rng = np.random.default_rng(sum(widths) + sum(sizes))
-        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+        params = mdl.ParamVector(rng.standard_normal(dim(spec)),
                                  mdl.layer_map(spec))
         sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
                 for n in sizes]
         # BLAS may sum the first layer's products in another order than the
         # row-major pass (it does at 784 inputs), so logits agree to rounding
-        scores = mdl._scores(mdl._weights(params), [x for x, _ in sets])
+        scores = mdl.Scorer(params.layer_map, sets).logits(params)
         ref = np.concatenate([reference_forward(params, x)[1] for x, _ in sets])
         np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         expected = [reference_predict(params, x) for x, _ in sets]
         # with the reference predictions as labels, every row is a hit
-        assert mdl.hits(params, [(x, ref) for (x, _), ref in zip(sets, expected)]) == list(sizes)
-        assert mdl.hits(params, sets) == [
+        assert hits(params, [(x, ref) for (x, _), ref in zip(sets, expected)]) == list(sizes)
+        assert hits(params, sets) == [
             int(np.count_nonzero(ref == y)) for (_, y), ref in zip(sets, expected)
         ]
 
     def test_tie_between_later_classes_goes_to_the_lower(self):
         spec = mdl.MlpSpec((2, 3, 4))
-        params = mdl.ParamVector(np.zeros(mdl.param_dim(spec)), mdl.layer_map(spec))
+        params = mdl.ParamVector(np.zeros(dim(spec)), mdl.layer_map(spec))
         params.view("fc2.b")[:] = [0.0, 2.0, 1.0, 2.0]
         x = np.ones((3, 2))
-        assert mdl.hits(params, [(x, np.full(3, c)) for c in range(4)]) == [0, 3, 0, 0]
+        assert hits(params, [(x, np.full(3, c)) for c in range(4)]) == [0, 3, 0, 0]
 
     @pytest.mark.parametrize("nan_class", [0, 1, 2])
     def test_nan_logit_raises(self, nan_class):
@@ -550,7 +560,7 @@ class TestScoring:
         params.view("fc2.b")[nan_class] = np.nan
         x = np.ones((4, 2))
         with pytest.raises(NumericalError):
-            mdl.hits(params, [(x, np.zeros(4))])
+            hits(params, [(x, np.zeros(4))])
         with pytest.raises(NumericalError):
             mdl.accuracy(params, x, np.zeros(4))
 
@@ -559,7 +569,7 @@ class TestScoring:
         x = np.ones((5, 2))
         x[3, 1] = np.nan
         with pytest.raises(NumericalError):
-            mdl.hits(params, [(np.ones((2, 2)), np.zeros(2)), (x, np.zeros(5))])
+            hits(params, [(np.ones((2, 2)), np.zeros(2)), (x, np.zeros(5))])
 
     @pytest.mark.parametrize("bad", [
         (np.zeros((0, 2)), np.zeros(0)),       # no rows
@@ -573,7 +583,7 @@ class TestScoring:
         params = mdl.init_params(TINY, seed=0)
         good = (np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(DomainError):
-            mdl.hits(params, [good, bad])
+            hits(params, [good, bad])
         with pytest.raises(DomainError):
             mdl.accuracy(params, *bad)
 
@@ -581,20 +591,27 @@ class TestScoring:
     def test_logits_and_hits_are_the_scoring_pass(self, widths):
         spec = mdl.MlpSpec(widths)
         rng = np.random.default_rng(sum(widths))
-        params = mdl.ParamVector(rng.standard_normal(mdl.param_dim(spec)),
+        params = mdl.ParamVector(rng.standard_normal(dim(spec)),
                                  mdl.layer_map(spec))
         sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
                 for n in (7, 1, 30)]
-        logits, counts = mdl.logits_and_hits(params, sets)
-        assert counts == mdl.hits(params, sets)
-        assert np.array_equal(logits, mdl._scores(mdl._weights(params), [x for x, _ in sets]))
+        scorer = mdl.Scorer(params.layer_map, sets)
+        logits = scorer.logits(params)
+        counts = scorer.count(logits)
+        assert counts == hits(params, sets)
+        layers = mdl._weights(params)
+        direct = mdl._later_layers(layers, mdl._first_layer(*layers[0], [x for x, _ in sets]))
+        assert np.array_equal(logits, direct)
+        # the kept first-layer buffer that `hits` writes into changes nothing
+        assert scorer.hits(params) == counts
+        assert np.array_equal(scorer.logits(params), direct)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_logits_and_hits_reject_non_finite_params(self, bad):
         params = mdl.init_params(TINY, seed=0)
         params.values[0] = bad
         with pytest.raises(NumericalError):
-            mdl.logits_and_hits(params, [(np.ones((3, 2)), np.zeros(3))])
+            mdl.Scorer(params.layer_map, [(np.ones((3, 2)), np.zeros(3))]).logits(params)
 
     def test_sets_are_scored_without_stacking_the_inputs(self):
         # the three inputs take 3 MB; a stacked or kept copy of them would too
@@ -603,7 +620,7 @@ class TestScoring:
         rng = np.random.default_rng(0)
         sets = [(rng.standard_normal((2000, 64)), rng.integers(0, 3, size=2000))
                 for _ in range(3)]
-        mdl.hits(params, sets)
+        hits(params, sets)
         tracemalloc.start()
         try:
             # the prepared state stays alive through the call
@@ -629,10 +646,30 @@ class TestScoring:
         assert np.array_equal(h, kept)
         assert np.array_equal(chunked, mdl._later_layers(layers, kept))
 
+    def test_step_hits_after_a_direct_pass_start_afresh(self):
+        # hits runs the ReLU in place on the kept pre-activations, so the
+        # noisy step after it must not update them from the step before
+        spec = mdl.MlpSpec((6, 9, 4))
+        rng = np.random.default_rng(7)
+        sets = [(rng.standard_normal((n, 6)), rng.integers(0, 4, size=n)) for n in (30, 11)]
+        p1, p2, p3 = (mdl.init_params(spec, seed=s) for s in (1, 2, 3))
+        scorer = mdl.Scorer(p1.layer_map, sets)
+        assert scorer.hits(p2) == hits(p2, sets)
+        assert scorer._h1 is None  # only step_hits keeps a buffer
+        assert scorer.step_hits(p1, None) == hits(p1, sets)
+        assert scorer.hits(p2) == hits(p2, sets)
+        # None claims that p3's first layer equals p1's; only a fresh start
+        # scores p3 as it is
+        assert scorer.step_hits(p3, None) == hits(p3, sets)
+        w, b = mdl._weights(p3)[0]
+        assert np.array_equal(scorer._h1, mdl._first_layer(w, b, scorer.inputs))
+
     def test_scorer_rejects_another_layer_map(self):
         scorer = mdl.Scorer(mdl.layer_map(TINY), [(np.ones((3, 2)), np.zeros(3))])
-        with pytest.raises(DomainError):
-            scorer.hits(mdl.init_params(mdl.MlpSpec((2, 5, 2)), seed=0))
+        other = mdl.init_params(mdl.MlpSpec((2, 5, 2)), seed=0)
+        for score in (scorer.hits, scorer.logits, lambda p: scorer.step_hits(p, None)):
+            with pytest.raises(DomainError):
+                score(other)
 
     # few distinct values, so ties at, below and above the label are frequent
     TIE_PRONE = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, np.inf])

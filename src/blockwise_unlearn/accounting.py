@@ -33,6 +33,18 @@ _DISC_TOL = 16 * sys.float_info.epsilon
 _STEP_SNAP = 1e-6
 
 
+def _check_dynamics(gamma: float, lam: float, c0: float, c1: float) -> None:
+    """The update-dynamics premises shared by a budget and each of its blocks."""
+    if not gamma > 0:
+        raise DomainError(f"gamma must be > 0, got {gamma}")
+    if lam < 0:
+        raise DomainError(f"lam must be >= 0, got {lam}")
+    if gamma * lam >= 1:
+        raise DomainError(f"gamma*lam must be < 1, got {gamma * lam}")
+    if not (c0 > 0 and c1 > 0):
+        raise DomainError(f"c0 and c1 must be > 0, got c0={c0}, c1={c1}")
+
+
 @dataclass(frozen=True)
 class BudgetSpec:
     """Unlearning budget and update-dynamics constants.
@@ -59,18 +71,7 @@ class BudgetSpec:
             raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
-        if self.gamma * self.lam >= 1:
-            raise DomainError(
-                f"gamma*lam must be < 1, got {self.gamma * self.lam}"
-            )
-        if not self.c1 > 0:
-            raise DomainError(f"c1 must be > 0, got {self.c1}")
-        if not self.c0 > 0:
-            raise DomainError(f"c0 must be > 0, got {self.c0}")
+        _check_dynamics(self.gamma, self.lam, self.c0, self.c1)
         if self.q is not None and not self.q > 1:
             raise DomainError(f"q must be > 1, got {self.q}")
 
@@ -90,16 +91,7 @@ class BlockBudget:
     eps_renyi: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
-        if self.gamma * self.lam >= 1:
-            raise DomainError(
-                f"gamma*lam must be < 1, got {self.gamma * self.lam}"
-            )
-        if not self.c0 > 0 or not self.c1 > 0:
-            raise DomainError("c0 and c1 must be > 0")
+        _check_dynamics(self.gamma, self.lam, self.c0, self.c1)
         if not self.q > 1:
             raise DomainError(f"q must be > 1, got {self.q}")
         if not self.eps_renyi > 0:
@@ -112,77 +104,46 @@ class BlockBudget:
 
 
 @dataclass(frozen=True)
-class QuadraticAux:
-    """Intermediate scalars of the step-count quadratic, kept for debugging.
-
-    zeta = 1/(1-(1-gamma*lam)^2); cb = sqrt(2*eps_renyi*sigma2/q);
-    beta0 = 2*c1/(lam*cb); beta1 = beta0*(lam*c0/c1 - 1); z = 1 - lam*c0/c1;
-    x is the root the caller worked with ((1-gamma*lam)^T or the largest
-    feasible root, depending on direction).
-    """
-
-    zeta: float
-    beta0: float
-    beta1: float
-    cb: float
-    z: float
-    x: float
-
-
-@dataclass(frozen=True)
 class NoisePlan:
     """Accounting output for a k-block unlearning run.
 
-    sigma2 and steps_per_block apply to every block (equal-size splitting
-    makes them identical across blocks).  The budget invariant is
-    sum(eps_renyi_per_block) + ln(1/delta)/(q_used-1) == epsilon.
+    Equal-size splitting gives all k blocks the same budget, so sigma2 and
+    steps_per_block apply to every block.  The budget invariant is
+    k * budget.eps_renyi + ln(1/delta)/(budget.q - 1) == epsilon.  aux: see `_aux`.
     """
 
+    budget: BlockBudget
+    k: int
     sigma2: float
     steps_per_block: int
-    q_used: float
-    eps_renyi_per_block: tuple[float, ...]
-    c0_per_block: float
-    c1_per_block: float
     regime: str
     epsilon: float
     delta: float
-    gamma: float
-    lam: float
-    aux: QuadraticAux | None = field(default=None, compare=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.eps_renyi_per_block)
+    aux: dict | None = field(default=None, compare=False)
 
     @property
     def total_steps(self) -> int:
         return self.k * self.steps_per_block
 
     def to_dict(self) -> dict:
+        """The plan as manifests and `cli plan` write it, under flat keys."""
+        b = self.budget
         d = {
             "sigma2": self.sigma2,
             "steps_per_block": self.steps_per_block,
             "total_steps": self.total_steps,
-            "q_used": self.q_used,
-            "eps_renyi_per_block": list(self.eps_renyi_per_block),
-            "c0_per_block": self.c0_per_block,
-            "c1_per_block": self.c1_per_block,
+            "q_used": b.q,
+            "eps_renyi_per_block": [b.eps_renyi] * self.k,
+            "c0_per_block": b.c0,
+            "c1_per_block": b.c1,
             "regime": self.regime,
             "epsilon": self.epsilon,
             "delta": self.delta,
-            "gamma": self.gamma,
-            "lam": self.lam,
+            "gamma": b.gamma,
+            "lam": b.lam,
         }
         if self.aux is not None:
-            d["aux"] = {
-                "zeta": self.aux.zeta,
-                "beta0": self.aux.beta0,
-                "beta1": self.aux.beta1,
-                "cb": self.aux.cb,
-                "z": self.aux.z,
-                "x": self.aux.x,
-            }
+            d["aux"] = dict(self.aux)
         return d
 
 
@@ -252,14 +213,23 @@ def min_noise(budget: BlockBudget) -> tuple[float, str]:
     return prefactor * budget.c1**2 / budget.lam, DECAY_DOMINANT
 
 
-def _aux(sigma2: float, budget: BlockBudget, x: float) -> QuadraticAux:
+def _aux(sigma2: float, budget: BlockBudget, x: float) -> dict:
+    """Intermediate scalars of the step-count quadratic.
+
+    zeta = 1/(1-(1-gamma*lam)^2); cb = sqrt(2*eps_renyi*sigma2/q);
+    beta0 = 2*c1/(lam*cb); beta1 = beta0*(lam*c0/c1 - 1); z = 1 - lam*c0/c1;
+    x is (1-gamma*lam)^T, or the largest feasible root at the minimal noise.
+    """
     cb = math.sqrt(2.0 * budget.eps_renyi * sigma2 / budget.q)
-    zeta = 1.0 / (1.0 - (1.0 - budget.gamma * budget.lam) ** 2)
     beta0 = 2.0 * budget.c1 / (budget.lam * cb)
-    beta1 = beta0 * (budget.ratio - 1.0)
-    return QuadraticAux(
-        zeta=zeta, beta0=beta0, beta1=beta1, cb=cb, z=1.0 - budget.ratio, x=x
-    )
+    return {
+        "zeta": 1.0 / (1.0 - (1.0 - budget.gamma * budget.lam) ** 2),
+        "beta0": beta0,
+        "beta1": beta0 * (budget.ratio - 1.0),
+        "cb": cb,
+        "z": 1.0 - budget.ratio,
+        "x": x,
+    }
 
 
 def _require_contraction(budget: BlockBudget) -> None:
@@ -407,7 +377,7 @@ def make_plan(
     steps=None selects the minimal-noise point (noise = min_noise, step count
     from the largest feasible root); an integer fixes the per-block step
     count and solves for the matching noise.  Either way the composition
-    invariant  sum(eps_renyi_per_block) + ln(1/delta)/(q-1) == epsilon  holds.
+    invariant  k * eps_renyi + ln(1/delta)/(q-1) == epsilon  holds.
     """
     q = spec.q if spec.q is not None else optimize_q(spec.epsilon, spec.delta)
     eps_renyi_total = dp_to_rdp(spec.epsilon, q, spec.delta)
@@ -425,30 +395,14 @@ def make_plan(
     else:
         t = int(steps)
         sigma2 = noise_for_steps(t, budget)
-        x = (1.0 - spec.gamma * spec.lam) ** t
+        x = (1.0 - budget.gamma * budget.lam) ** t
     return NoisePlan(
+        budget=budget,
+        k=k,
         sigma2=sigma2,
         steps_per_block=t,
-        q_used=q,
-        eps_renyi_per_block=per_block,
-        c0_per_block=c0_b,
-        c1_per_block=c1_b,
         regime=regime,
         epsilon=spec.epsilon,
         delta=spec.delta,
-        gamma=spec.gamma,
-        lam=spec.lam,
         aux=_aux(sigma2, budget, x=x),
-    )
-
-
-def plan_block_budget(plan: NoisePlan) -> BlockBudget:
-    """Per-block dynamics constants implied by a plan (all blocks identical)."""
-    return BlockBudget(
-        gamma=plan.gamma,
-        lam=plan.lam,
-        c0=plan.c0_per_block,
-        c1=plan.c1_per_block,
-        q=plan.q_used,
-        eps_renyi=plan.eps_renyi_per_block[0],
     )

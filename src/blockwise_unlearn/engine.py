@@ -299,12 +299,12 @@ def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
     in turn, then `ft_steps` fine-tuning steps from where they left off.
     Yields (params, phase, block, loss, noise_norm, grad_norm_pre,
     grad_norm_post) after each step."""
-    plan, basis = config.plan, config.basis
+    plan, basis, budget = config.plan, config.basis, config.plan.budget
     for i in range(plan.k):
         phase, block = f"unlearn_block_{i + 1}", None if basis is None else i
         for _ in range(plan.steps_per_block):
             params, loss, noise, pre, post = nft_step(
-                params, batcher.next(), plan.gamma, plan.lam, plan.c1_per_block,
+                params, batcher.next(), budget.gamma, budget.lam, budget.c1,
                 plan.sigma2, rng, basis, block,
             )
             yield params, phase, i + 1, loss, noise, pre, post

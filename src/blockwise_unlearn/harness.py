@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise DomainError(f"seed0 must be >= 0, got {self.seed0}")
         if self.basis_strategy not in sub.STRATEGIES:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
+        if not 0 <= self.test_fraction < 1:
+            raise DomainError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
         if any(k < 1 for k in self.k_values):
             raise DomainError("block counts must be >= 1")
         # a cell's key holds f"{epsilon:g}" and k, and nothing of delta
@@ -70,6 +72,22 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     return config_from_dict(ds.read_json(path, "config"))
+
+
+# The keys each config section may hold ("" is the top level; the dataset and
+# deletion sections by their kind).  Any other key is a typo.
+_KEYS = {
+    "": "dataset deletion model train unlearn finetune budgets k_values method "
+        "basis_strategy test_fraction step_cap n_seeds seed0 output_dir",
+    "model": "hidden",
+    "train": "steps lr momentum weight_decay batch_size",
+    "unlearn": "gamma lam c1 c0 delta_rho q steps batch_size scale_c0",
+    "finetune": "steps lr momentum weight_decay",
+    "dataset.blobs": "kind n classes dim separation seed",
+    "dataset.mnist_idx": "kind train_images train_labels test_images test_labels",
+    "deletion.random_fraction": "kind fraction",
+    "deletion.classwise": "kind class_id",
+}
 
 
 _REQUIRED = object()
@@ -86,7 +104,7 @@ def _field(section: dict, path: str, kind, default=_REQUIRED):
         return default
     try:
         return kind(section[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"config field {path} is malformed: {exc!r}") from exc
 
 
@@ -106,12 +124,15 @@ def _budgets(values) -> tuple[tuple[float, float], ...]:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The config of a JSON document, read through the builders the cells use,
+    so that a config error fails before any seed trains."""
     if not isinstance(doc, dict):
         raise FormatError(f"config must be a JSON object, got {type(doc).__name__}")
-    return ExperimentConfig(
+    model = _field(doc, "model", dict)
+    config = ExperimentConfig(
         dataset=_field(doc, "dataset", dict),
         deletion=_field(doc, "deletion", dict),
-        model_hidden=_field(_field(doc, "model", dict), "model.hidden", _ints),
+        model_hidden=_field(model, "model.hidden", _ints),
         train=_field(doc, "train", dict),
         unlearn=_field(doc, "unlearn", dict),
         finetune=_field(doc, "finetune", dict, {}),
@@ -125,6 +146,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed0=_field(doc, "seed0", int, 0),
         output_dir=_field(doc, "output_dir", str, "runs"),
     )
+    for name, section in (("", doc), ("model", model), ("train", config.train),
+                          ("unlearn", config.unlearn), ("finetune", config.finetune),
+                          ("dataset", config.dataset), ("deletion", config.deletion)):
+        keys = _KEYS.get(name) or _KEYS.get(f"{name}.{section.get('kind')}")
+        if keys is None:
+            raise DomainError(f"unknown {name} kind {section.get('kind')!r}")
+        unknown = sorted(set(section) - set(keys.split()))
+        if unknown:
+            path = f"{name}.{unknown[0]}" if name else unknown[0]
+            raise FormatError(f"config has unknown field {path}")
+    train_config(config)
+    deletion_request(config)
+    for epsilon, delta in config.budgets:
+        budget_spec(config, epsilon, delta)
+    unlearn_settings(config)
+    return config
 
 
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -202,6 +239,23 @@ def budget_spec(config: ExperimentConfig, epsilon: float, delta: float) -> acc.B
         c1=_field(u, "unlearn.c1", float),
         c0=c0,
         q=None if u.get("q") is None else _field(u, "unlearn.q", float),
+    )
+
+
+def unlearn_settings(config: ExperimentConfig) -> tuple[dict, dict]:
+    """The cells' settings besides the budget: `make_plan`'s keyword
+    arguments, and `RunConfig`'s other than the plan, basis and seeds."""
+    u, f = config.unlearn, config.finetune
+    steps = None if u.get("steps") is None else _field(u, "unlearn.steps", int)
+    ft_steps = None if f.get("steps") is None else _field(f, "finetune.steps", int)
+    return (
+        {"steps": steps, "scale_c0": _field(u, "unlearn.scale_c0", _boolean, True)},
+        {"batch_size": _field(u, "unlearn.batch_size", int, 64),
+         "fine_tune_steps": ft_steps,
+         "fine_tune_lr": _field(f, "finetune.lr", float, 0.01),
+         "fine_tune_momentum": _field(f, "finetune.momentum", float, 0.9),
+         "fine_tune_weight_decay": _field(f, "finetune.weight_decay", float, 0.0),
+         "step_cap": config.step_cap},
     )
 
 
@@ -313,10 +367,15 @@ def train_full(seed: PreparedSeed) -> mdl.ParamVector:
 
 
 def full_model(seed: PreparedSeed) -> mdl.ParamVector:
-    """The seed's full model, loaded from its checkpoint, or trained and saved
-    when there is none."""
+    """The seed's full model: its checkpoint, which must hold the config's
+    architecture, or trained and saved when there is none."""
     path = model_path(seed, "full")
-    return mdl.load_params(path) if os.path.exists(path) else train_full(seed)
+    if not os.path.exists(path):
+        return train_full(seed)
+    params = mdl.load_params(path)
+    if params.layer_map != mdl.layer_map(architecture(seed.config, seed.data)):
+        raise FormatError(f"{path} holds a model of another architecture than the config's")
+    return params
 
 
 def retrain(seed: PreparedSeed) -> tuple[mdl.ParamVector, float]:
@@ -344,29 +403,15 @@ def run_cell(
     """
     config, out = seed.config, seed.out
     key = cell_key(method, epsilon, k, seed.index)
-    u, f = config.unlearn, config.finetune
-    plan = acc.make_plan(
-        budget_spec(config, epsilon, delta), k,
-        steps=None if u.get("steps") is None else _field(u, "unlearn.steps", int),
-        scale_c0=_field(u, "unlearn.scale_c0", _boolean, True),
-    )
+    plan_args, run_args = unlearn_settings(config)
+    plan = acc.make_plan(budget_spec(config, epsilon, delta), k, **plan_args)
     basis = None
     if k > 1:
         basis = sub.build_basis(
             config.basis_strategy, full_params.layer_map, k,
             seed=basis_seed(config, seed.index),
         )
-    run_cfg = eng.RunConfig(
-        plan=plan,
-        basis=basis,
-        batch_size=_field(u, "unlearn.batch_size", int, 64),
-        fine_tune_steps=None if f.get("steps") is None else _field(f, "finetune.steps", int),
-        fine_tune_lr=_field(f, "finetune.lr", float, 0.01),
-        fine_tune_momentum=_field(f, "finetune.momentum", float, 0.9),
-        fine_tune_weight_decay=_field(f, "finetune.weight_decay", float, 0.0),
-        seeds=seed.seeds,
-        step_cap=config.step_cap,
-    )
+    run_cfg = eng.RunConfig(plan=plan, basis=basis, seeds=seed.seeds, **run_args)
     record, rte = _timed(
         out, key, eng.run_blockwise, full_params, run_cfg, seed.eval_sets.retain, seed.eval_sets
     )

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockwise_unlearn import accounting as acc
+from blockwise_unlearn import harness
 from blockwise_unlearn.errors import DomainError, InfeasibleBudget, InfeasibleNoise
 
 
@@ -471,8 +474,8 @@ class TestMakePlan:
 
     def test_reference_fixed_steps_plan(self):
         plan = acc.make_plan(self.MNIST_LIKE, k=2, steps=2)
-        assert plan.q_used == pytest.approx(24.5, abs=0.1)
-        assert plan.eps_renyi_per_block[0] == pytest.approx(0.255, abs=1e-3)
+        assert plan.budget.q == pytest.approx(24.5, abs=0.1)
+        assert plan.budget.eps_renyi == pytest.approx(0.255, abs=1e-3)
         assert plan.steps_per_block == 2
         assert plan.total_steps == 4
         assert plan.regime == acc.CLIP_DOMINANT
@@ -482,8 +485,8 @@ class TestMakePlan:
             epsilon=10.0, delta=1e-3, gamma=1e-3, lam=3.0, c1=55.0, c0=0.025
         )
         plan = acc.make_plan(spec, k=4, steps=2)
-        assert plan.q_used == pytest.approx(2.77, abs=0.05)
-        assert math.fsum(plan.eps_renyi_per_block) == pytest.approx(6.101, abs=5e-3)
+        assert plan.budget.q == pytest.approx(2.77, abs=0.05)
+        assert plan.k * plan.budget.eps_renyi == pytest.approx(6.101, abs=5e-3)
 
     def test_k1_min_noise_reduces_to_baseline(self):
         spec = acc.BudgetSpec(
@@ -501,10 +504,10 @@ class TestMakePlan:
         for k in (1, 2, 5, 13):
             plan = acc.make_plan(self.MNIST_LIKE, k=k, steps=2)
             total = acc.rdp_to_dp(
-                math.fsum(plan.eps_renyi_per_block), plan.q_used, plan.delta
+                math.fsum(plan.to_dict()["eps_renyi_per_block"]), plan.budget.q, plan.delta
             )
             assert total == pytest.approx(plan.epsilon, abs=1e-9)
-            floor, _ = acc.min_noise(acc.plan_block_budget(plan))
+            floor, _ = acc.min_noise(plan.budget)
             assert plan.sigma2 >= floor * (1 - 1e-12)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -537,8 +540,9 @@ class TestMakePlan:
             block_ratio = ratio if scale_c0 else ratio * math.sqrt(k)
             assert steps is None and block_ratio >= 1 - 1e-12
             return
-        assert len(plan.eps_renyi_per_block) == k
-        total = math.fsum(plan.eps_renyi_per_block) + math.log(1.0 / delta) / (plan.q_used - 1)
+        eps_renyi_per_block = plan.to_dict()["eps_renyi_per_block"]
+        assert plan.k == len(eps_renyi_per_block) == k
+        total = math.fsum(eps_renyi_per_block) + math.log(1.0 / delta) / (plan.budget.q - 1)
         # ln(1/delta)/(q-1) is the same float here as in the plan; the
         # subtraction from epsilon, the split into k equal shares, their sum
         # and the addition above each move the total by at most an ulp of epsilon
@@ -581,6 +585,29 @@ class TestMakePlan:
         assert 0.0 < half.sigma2 < full.sigma2 < 0.0980
 
 
+class TestPlanBytes:
+    """The plans of the shipped configs' budget, pinned byte for byte as
+    manifests and `cli plan` write them (perfbench's checks read their keys).
+    plan_bytes.json was written by the flat-field NoisePlan that held copies
+    of its per-block budget; the plan that holds a BlockBudget must match."""
+
+    EXPECTED = json.loads((Path(__file__).parent / "plan_bytes.json").read_text())
+
+    @pytest.mark.parametrize("name", ["blobs_random10", "blobs_classwise"])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    @pytest.mark.parametrize("mode", ["steps", "min-noise"])
+    @pytest.mark.parametrize("scale_c0", [True, False])
+    def test_to_dict_bytes(self, name, k, mode, scale_c0):
+        root = Path(__file__).resolve().parents[1]
+        config = harness.load_config(root / "configs" / f"{name}.json")
+        (epsilon, delta), = config.budgets
+        steps = int(config.unlearn["steps"]) if mode == "steps" else None
+        plan = acc.make_plan(harness.budget_spec(config, epsilon, delta), k,
+                             steps=steps, scale_c0=scale_c0)
+        key = f"{name} k={k} {mode} scale_c0={str(scale_c0).lower()}"
+        assert json.dumps(plan.to_dict(), sort_keys=True) == self.EXPECTED[key]
+
+
 class TestDomainGuards:
     def test_contraction_violation_rejected(self):
         with pytest.raises(DomainError):
@@ -593,18 +620,18 @@ class TestDomainGuards:
             epsilon=1.0, delta=1e-5, gamma=1e-4, lam=10.0, c1=100.0, c0=0.005
         )
         plan = acc.make_plan(spec, k=2, steps=2)
-        aux = plan.aux
+        aux = plan.to_dict()["aux"]
         gl = spec.gamma * spec.lam
-        assert aux.zeta == pytest.approx(1.0 / (1.0 - (1.0 - gl) ** 2), rel=1e-12)
-        assert aux.zeta > 0
-        assert aux.cb == pytest.approx(
-            math.sqrt(2.0 * plan.eps_renyi_per_block[0] * plan.sigma2 / plan.q_used),
+        assert aux["zeta"] == pytest.approx(1.0 / (1.0 - (1.0 - gl) ** 2), rel=1e-12)
+        assert aux["zeta"] > 0
+        assert aux["cb"] == pytest.approx(
+            math.sqrt(2.0 * plan.budget.eps_renyi * plan.sigma2 / plan.budget.q),
             rel=1e-12,
         )
-        ratio = spec.lam * plan.c0_per_block / plan.c1_per_block
-        assert aux.beta1 == pytest.approx(aux.beta0 * (ratio - 1.0), rel=1e-12)
-        assert aux.z == pytest.approx(1.0 - ratio, rel=1e-12)
-        assert 0.0 < aux.x <= 1.0
+        ratio = spec.lam * plan.budget.c0 / plan.budget.c1
+        assert aux["beta1"] == pytest.approx(aux["beta0"] * (ratio - 1.0), rel=1e-12)
+        assert aux["z"] == pytest.approx(1.0 - ratio, rel=1e-12)
+        assert 0.0 < aux["x"] <= 1.0
 
 
 class TestPurity:

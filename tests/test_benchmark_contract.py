@@ -17,22 +17,26 @@ import pytest
 
 from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
+from blockwise_unlearn import harness
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
-from blockwise_unlearn.accounting import NoisePlan
+from blockwise_unlearn.accounting import BlockBudget, NoisePlan
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def traced_names():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TRACED
+def perfbench_module(name):
+    """perfbench/<name>.py, imported by its path: perfbench is no package.
+    The module is registered first, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("module_name,func_name", traced_names())
+@pytest.mark.parametrize("module_name,func_name", perfbench_module("spans").TRACED)
 def test_traced_function_exists(module_name, func_name):
     module = importlib.import_module(f"blockwise_unlearn.{module_name}")
     assert callable(getattr(module, func_name, None))
@@ -58,10 +62,9 @@ def blobs():
 
 def toy_plan(k):
     return NoisePlan(
-        sigma2=0.01, steps_per_block=2, q_used=2.0,
-        eps_renyi_per_block=tuple([0.5 / k] * k), c0_per_block=0.1,
-        c1_per_block=1.0, regime="ClipDominant", epsilon=1.0, delta=1e-5,
-        gamma=0.05, lam=0.1,
+        budget=BlockBudget(gamma=0.05, lam=0.1, c0=0.1, c1=1.0, q=2.0, eps_renyi=0.5 / k),
+        k=k, sigma2=0.01, steps_per_block=2, regime="ClipDominant", epsilon=1.0,
+        delta=1e-5,
     )
 
 
@@ -105,6 +108,21 @@ def test_coupled_retrain_reaches_train_through_the_module(monkeypatch):
     calls = counting(monkeypatch, eng, "train")
     eng.coupled_retrain(ARCH, blobs(), eng.Seeds(), eng.TrainConfig(steps=3))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_config_loads(path):
+    harness.load_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
+def test_benchmark_workload_config_loads(tmp_path, name):
+    # the shipped configs as the benchmark edits them, and the MNIST-shaped
+    # config it writes next to its IDX files
+    workloads = perfbench_module("workloads")
+    path = workloads.write_config(workloads.WORKLOADS[name], ROOT, tmp_path, seed=1)
+    harness.load_config(path)
 
 
 def test_benchmark_runs_and_its_checks_pass(tmp_path):

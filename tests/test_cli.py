@@ -154,6 +154,19 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_unlearn_rejects_a_full_model_of_another_architecture(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"], doc["model"]["hidden"] = 1, [32]
+        assert run_cli("train", "--config", str(write_config(tmp_path, doc))) == 0
+        doc["model"]["hidden"] = [16]
+        config_path = write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert run_cli("unlearn", "--config", str(config_path), "--blocks", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "architecture" in err and "Traceback" not in err
+        assert not list(out.glob("blockwise_*"))
+
     def test_negative_seed0_in_config_is_an_error(self, tmp_path, capsys):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["seed0"] = -1
@@ -312,6 +325,16 @@ def _hidden_not_a_list(doc):
     return doc
 
 
+def _drop_unlearn_c1(doc):
+    del doc["unlearn"]["c1"]
+    return doc
+
+
+def _finetune_typo(doc):
+    doc["finetune"]["step"] = doc["finetune"].pop("steps")
+    return doc
+
+
 class TestNonUtf8Files:
     def test_binary_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.bin"
@@ -348,8 +371,10 @@ class TestMalformedConfig:
         ("train", _hidden_not_a_list, "model.hidden"),
         ("train", lambda doc: [doc], "JSON object"),
         ("unlearn", _scale_c0_string, "unlearn.scale_c0"),
+        ("run", _drop_unlearn_c1, "unlearn.c1"),
+        ("run", _finetune_typo, "finetune.step"),
     ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list",
-            "scale-c0-string"])
+            "scale-c0-string", "run-missing-unlearn-c1", "run-finetune-typo"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1
@@ -359,6 +384,7 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # it failed before any seed trained
 
 
 def test_package_import_leaves_scipy_unloaded():

@@ -9,7 +9,7 @@ from blockwise_unlearn import engine as eng
 from blockwise_unlearn import harness
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
-from blockwise_unlearn.accounting import NoisePlan
+from blockwise_unlearn.accounting import BlockBudget, NoisePlan
 from blockwise_unlearn.errors import DomainError
 
 from test_model import dim, hits
@@ -19,17 +19,13 @@ from test_subspace import block_support
 
 def toy_plan(k=1, sigma2=0.01, steps=2, gamma=0.05, lam=0.1, c1=1.0):
     return NoisePlan(
+        budget=BlockBudget(gamma=gamma, lam=lam, c0=0.1, c1=c1, q=2.0, eps_renyi=0.5 / k),
+        k=k,
         sigma2=sigma2,
         steps_per_block=steps,
-        q_used=2.0,
-        eps_renyi_per_block=tuple([0.5 / k] * k),
-        c0_per_block=0.1,
-        c1_per_block=c1,
         regime="ClipDominant",
         epsilon=1.0,
         delta=1e-5,
-        gamma=gamma,
-        lam=lam,
     )
 
 
@@ -147,8 +143,8 @@ class TestRuns:
         for _ in range(6):
             batch = batcher.next()
             g = mdl.loss_and_grad(replay, batch)[1].values
-            gc = mdl.clip(g, plan.c1_per_block)
-            delta = -plan.gamma * (gc + plan.lam * replay.values)
+            gc = mdl.clip(g, plan.budget.c1)
+            delta = -plan.budget.gamma * (gc + plan.budget.lam * replay.values)
             replay = mdl.ParamVector(replay.values + delta, replay.layer_map)
         assert np.array_equal(rec.final_params.values, replay.values)
 

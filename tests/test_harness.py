@@ -57,7 +57,11 @@ class TestConfig:
         (lambda doc: doc["model"].update(hidden=16), "model.hidden"),
         (lambda doc: doc["budgets"][0].pop("delta"), "budgets"),
         (lambda doc: doc.update(n_seeds="two"), "n_seeds"),
-    ], ids=["hidden-string", "hidden-int", "budget-without-delta", "n-seeds-string"])
+        # JSON reads 1e400 as an infinite float, which int() cannot convert
+        (lambda doc: doc.update(step_cap=float("inf")), "step_cap"),
+        (lambda doc: doc["train"].update(steps=float("inf")), "train.steps"),
+    ], ids=["hidden-string", "hidden-int", "budget-without-delta", "n-seeds-string",
+            "step-cap-infinite", "train-steps-infinite"])
     def test_malformed_field_is_named(self, edit, field):
         doc = base_config_doc("x")
         edit(doc)
@@ -91,17 +95,55 @@ class TestConfig:
     def test_missing_train_steps(self):
         doc = base_config_doc("x")
         del doc["train"]["steps"]
-        config = harness.config_from_dict(doc)
         with pytest.raises(FormatError, match="train.steps"):
-            harness.train_config(config)
+            harness.config_from_dict(doc)
 
     @pytest.mark.parametrize("name", ["gamma", "lam", "c1"])
     def test_missing_unlearn_field(self, name):
         doc = base_config_doc("x")
         del doc["unlearn"][name]
-        config = harness.config_from_dict(doc)
         with pytest.raises(FormatError, match=f"unlearn.{name}"):
-            harness.budget_spec(config, 1.0, 1e-5)
+            harness.config_from_dict(doc)
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "n_seed"), ("train", "step"), ("unlearn", "scale_co"), ("finetune", "step"),
+        ("model", "hiden"), ("dataset", "sep"), ("deletion", "class_id"),
+    ])
+    def test_unknown_field_is_named(self, section, key):
+        doc = base_config_doc("x")
+        (doc if section is None else doc[section])[key] = 12
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(FormatError, match=f"unknown field {path}$"):
+            harness.config_from_dict(doc)
+
+    def test_dataset_fields_are_those_of_its_kind(self):
+        doc = base_config_doc("x")
+        doc["dataset"] = {"kind": "mnist_idx", "train_images": "a", "train_labels": "b",
+                          "test_images": "c", "test_labels": "d"}
+        harness.config_from_dict(doc)  # the files are not read at load
+        doc["dataset"]["n"] = 800
+        with pytest.raises(FormatError, match="unknown field dataset.n$"):
+            harness.config_from_dict(doc)
+        doc["dataset"] = {"kind": "gaussians", "n": 800}
+        with pytest.raises(DomainError, match="unknown dataset kind 'gaussians'"):
+            harness.config_from_dict(doc)
+
+    @pytest.mark.parametrize("edit,error,field", [
+        (lambda doc: doc["deletion"].update(fraction=1.5), DomainError, "fraction"),
+        (lambda doc: doc["deletion"].update(kind="all"), DomainError, "deletion kind"),
+        (lambda doc: doc["budgets"][0].update(epsilon=-1.0), DomainError, "epsilon"),
+        (lambda doc: doc["unlearn"].update(c0=0.1), DomainError, "c0 or delta_rho"),
+        (lambda doc: doc["unlearn"].update(steps="two"), FormatError, "unlearn.steps"),
+        (lambda doc: doc["unlearn"].update(batch_size=None), FormatError, "unlearn.batch_size"),
+        (lambda doc: doc["finetune"].update(lr="fast"), FormatError, "finetune.lr"),
+        (lambda doc: doc["train"].update(steps=-1), DomainError, "training steps"),
+    ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
+            "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps"])
+    def test_config_errors_fail_at_load(self, edit, error, field):
+        doc = base_config_doc("x")
+        edit(doc)
+        with pytest.raises(error, match=field):
+            harness.config_from_dict(doc)
 
     def test_bad_method(self, tmp_path):
         doc = base_config_doc(str(tmp_path))
@@ -162,9 +204,8 @@ class TestConfig:
     def test_budget_spec_requires_radius(self):
         doc = base_config_doc("x")
         del doc["unlearn"]["delta_rho"]
-        config = harness.config_from_dict(doc)
         with pytest.raises(DomainError):
-            harness.budget_spec(config, 1.0, 1e-5)
+            harness.config_from_dict(doc)
 
     def test_budget_spec_halves_proximity_bound(self):
         config = harness.config_from_dict(base_config_doc("x"))
@@ -298,9 +339,13 @@ class TestRunExperiment:
         doc = base_config_doc(str(tmp_path / "out"))
         doc["test_fraction"] = -0.2
         doc["n_seeds"] = 1
-        result = harness.run_experiment(harness.config_from_dict(doc))
-        assert result.errors["seed0"].startswith("DomainError: test_fraction")
-        assert not result.cells
+        with pytest.raises(DomainError, match="^test_fraction"):
+            harness.config_from_dict(doc)
+        # also with an external test set, whose split ignores test_fraction
+        doc["dataset"] = {"kind": "mnist_idx", "train_images": "a", "train_labels": "b",
+                          "test_images": "c", "test_labels": "d"}
+        with pytest.raises(DomainError, match="^test_fraction"):
+            harness.config_from_dict(doc)
 
     def test_each_model_audited_once(self, tmp_path, monkeypatch):
         fits = []
@@ -350,12 +395,9 @@ class TestRunExperiment:
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1
         doc["unlearn"]["scale_c0"] = value
-        result = harness.run_experiment(harness.config_from_dict(doc))
-        # every unlearning cell fails with the field named; the retrain baseline stands
-        assert set(result.errors) == {"blockwise_eps1_k1_seed0", "blockwise_eps1_k2_seed0"}
-        assert all(msg.startswith("FormatError") and "unlearn.scale_c0" in msg
-                   for msg in result.errors.values())
-        assert [c.method for c in result.cells] == ["retrain"]
+        # the config fails at load, with the field named, before any seed trains
+        with pytest.raises(FormatError, match="unlearn.scale_c0"):
+            harness.config_from_dict(doc)
 
     @pytest.mark.parametrize("value,c0_per_block", [
         (True, 0.025 / np.sqrt(2)), (False, 0.025), (None, 0.025 / np.sqrt(2)),

@@ -14,7 +14,7 @@ from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
-from blockwise_unlearn.accounting import NoisePlan
+from blockwise_unlearn.accounting import BlockBudget, NoisePlan
 from blockwise_unlearn.errors import NumericalError
 
 
@@ -154,7 +154,7 @@ def ref_run_blockwise(params0, config, retain, eval_sets=()):
     for i in range(plan.k):
         for _ in range(plan.steps_per_block):
             params, loss, norms = ref_nft_step(
-                params, batcher.next(), plan.gamma, plan.lam, plan.c1_per_block,
+                params, batcher.next(), plan.budget.gamma, plan.budget.lam, plan.budget.c1,
                 plan.sigma2, noise_rng, basis, None if basis is None else i,
             )
             rows.append((loss, *norms, *(ref_accuracy(params, *s) for s in eval_sets)))
@@ -196,10 +196,9 @@ def batches(widths, seed):
 
 def toy_plan(k, sigma2=0.01):
     return NoisePlan(
-        sigma2=sigma2, steps_per_block=3, q_used=2.0,
-        eps_renyi_per_block=tuple([0.5 / k] * k), c0_per_block=0.1,
-        c1_per_block=0.5, regime="ClipDominant", epsilon=1.0, delta=1e-5,
-        gamma=0.05, lam=0.1,
+        budget=BlockBudget(gamma=0.05, lam=0.1, c0=0.1, c1=0.5, q=2.0, eps_renyi=0.5 / k),
+        k=k, sigma2=sigma2, steps_per_block=3, regime="ClipDominant", epsilon=1.0,
+        delta=1e-5,
     )
 
 

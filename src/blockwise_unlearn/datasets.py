@@ -44,7 +44,7 @@ class Dataset:
 
 
 def generate_blobs(
-    n: int, classes: int, dim: int, separation: float, seed: int
+    n: int, classes: int, dim: int, separation: float, seed: int = 0
 ) -> Dataset:
     """Seeded Gaussian mixture, one unit-covariance component per class.
 

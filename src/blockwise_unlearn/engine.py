@@ -54,6 +54,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise DomainError(f"training steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise DomainError(f"training batch size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,12 @@ class RunConfig:
     seeds: Seeds = field(default_factory=Seeds)
     step_cap: int = 1000
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.fine_tune_steps is not None and self.fine_tune_steps < 0:
+            raise DomainError(f"fine-tune steps must be >= 0, got {self.fine_tune_steps}")
+
     def resolved_fine_tune_steps(self) -> int:
         noisy = self.plan.total_steps
         if self.step_cap < noisy:
@@ -76,8 +84,6 @@ class RunConfig:
             )
         if self.fine_tune_steps is None:
             return self.step_cap - noisy
-        if self.fine_tune_steps < 0:
-            raise DomainError(f"fine-tune steps must be >= 0, got {self.fine_tune_steps}")
         return self.fine_tune_steps
 
 
@@ -139,7 +145,7 @@ class _Batcher:
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.inputs) < 1:
             raise DomainError("empty dataset")
-        self.batch_size = max(1, min(batch_size, len(self.inputs)))
+        self.batch_size = min(batch_size, len(self.inputs))
         self.rng = rng
         self._order = None
         self._pos = 0

@@ -39,10 +39,10 @@ class ExperimentConfig:
     model_hidden: tuple[int, ...]
     train: dict
     unlearn: dict
-    finetune: dict
     budgets: tuple[tuple[float, float], ...]
-    k_values: tuple[int, ...]
-    method: str
+    finetune: dict = field(default_factory=dict)
+    k_values: tuple[int, ...] = (1,)
+    method: str = METHOD_BLOCKWISE
     basis_strategy: str = "random_orthonormal"
     test_fraction: float = 0.2
     step_cap: int = 1000
@@ -61,8 +61,6 @@ class ExperimentConfig:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
         if not 0 <= self.test_fraction < 1:
             raise DomainError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
-        if any(k < 1 for k in self.k_values):
-            raise DomainError("block counts must be >= 1")
         # a cell's key holds f"{epsilon:g}" and k, and nothing of delta
         if len({f"{eps:g}" for eps, _ in self.budgets}) < len(self.budgets):
             raise DomainError(f"budgets share an epsilon: {self.budgets}")
@@ -74,88 +72,116 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(ds.read_json(path, "config"))
 
 
-# The keys each config section may hold ("" is the top level; the dataset and
-# deletion sections by their kind).  Any other key is a typo.
-_KEYS = {
-    "": "dataset deletion model train unlearn finetune budgets k_values method "
-        "basis_strategy test_fraction step_cap n_seeds seed0 output_dir",
-    "model": "hidden",
-    "train": "steps lr momentum weight_decay batch_size",
-    "unlearn": "gamma lam c1 c0 delta_rho q steps batch_size scale_c0",
-    "finetune": "steps lr momentum weight_decay",
-    "dataset.blobs": "kind n classes dim separation seed",
-    "dataset.mnist_idx": "kind train_images train_labels test_images test_labels",
-    "deletion.random_fraction": "kind fraction",
-    "deletion.classwise": "kind class_id",
-}
+# Kinds: each reads one JSON type and no other (an integer is neither a float
+# nor a bool, a number is not a string), raising TypeError for any other.
+def _json(types, name, convert=None):
+    def read(value):
+        if not isinstance(value, types) or (type(value) is bool and types is not bool):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return value if convert is None else convert(value)
+    return read
 
 
-_REQUIRED = object()
+_integer, _number = _json(int, "a JSON integer"), _json((int, float), "a JSON number", float)
+_string, _boolean = _json(str, "a JSON string"), _json(bool, "true or false")
+_object, _array = _json(dict, "a JSON object"), _json(list, "a JSON array")
 
 
-def _field(section: dict, path: str, kind, default=_REQUIRED):
-    """The config field `path` (its last dotted part keys `section`) converted
-    by `kind`, or `default` when absent; FormatError naming the field when it
-    is missing or does not convert."""
-    key = path.rsplit(".", 1)[-1]
-    if key not in section:
-        if default is _REQUIRED:
-            raise FormatError(f"config missing field {path}")
-        return default
-    try:
-        return kind(section[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"config field {path} is malformed: {exc!r}") from exc
-
-
-def _boolean(value) -> bool:
-    """A JSON true or false; a string, a number or null is malformed."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+def _raw(value):
+    """Read as given; the record built from it checks it."""
     return value
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _nullable(kind):
+    return lambda value: None if value is None else kind(value)
 
 
-def _budgets(values) -> tuple[tuple[float, float], ...]:
-    return tuple((float(b["epsilon"]), float(b["delta"])) for b in values)
+def _at_least(floor: int):
+    """A JSON integer >= floor; a count below it is a DomainError."""
+    def read(value):
+        if _integer(value) < floor:
+            raise DomainError(f"must be >= {floor}, got {value}")
+        return value
+    return read
+
+
+def _counts(floor: int):
+    """A JSON array of JSON integers >= floor, as a tuple."""
+    return lambda value: tuple(map(_at_least(floor), _array(value)))
+
+
+# The config format: per section ("" is the top level; each entry of
+# `budgets` is read as section "budgets"; the dataset and deletion sections
+# by their kind) its required keys, and the kind reading each key it may
+# hold.  A key's default lives in the record the key builds.
+_SECTIONS = {
+    "": ("dataset deletion model train unlearn budgets", dict(
+        dataset=_object, deletion=_object, model=_object, train=_object,
+        unlearn=_object, finetune=_object, budgets=_array, k_values=_counts(1),
+        method=_raw, basis_strategy=_raw, test_fraction=_number, step_cap=_integer,
+        n_seeds=_integer, seed0=_integer, output_dir=_string)),
+    "model": ("hidden", dict(hidden=_counts(1))),
+    "budgets": ("epsilon delta", dict(epsilon=_number, delta=_number)),
+    "train": ("steps", dict(steps=_integer, lr=_number, momentum=_number,
+                            weight_decay=_number, batch_size=_at_least(1))),
+    "unlearn": ("gamma lam c1", dict(
+        gamma=_number, lam=_number, c1=_number, c0=_number, delta_rho=_number,
+        q=_nullable(_number), steps=_nullable(_at_least(1)),
+        batch_size=_at_least(1), scale_c0=_boolean)),
+    "finetune": ("", dict(steps=_nullable(_at_least(0)), lr=_number,
+                          momentum=_number, weight_decay=_number)),
+    "dataset.blobs": ("n classes dim separation", dict(
+        n=_integer, classes=_integer, dim=_integer, separation=_number,
+        seed=_at_least(0))),
+    "dataset.mnist_idx": ("train_images train_labels", dict(
+        train_images=_string, train_labels=_string, test_images=_string,
+        test_labels=_string)),
+    "deletion.random_fraction": ("fraction", dict(fraction=_number)),
+    "deletion.classwise": ("class_id", dict(class_id=_integer)),
+}
+
+
+def _read(name: str, section) -> dict:
+    """The keys present in config section `name`, each read by its kind (a
+    kinded section's `kind` is left out).  FormatError naming the dotted key
+    when one is unknown, missing or does not read; DomainError for an
+    unknown kind or a count below its floor."""
+    if not isinstance(section, dict):
+        raise FormatError(f"config {name or 'document'} is not a JSON object")
+    if name not in _SECTIONS:
+        kind = section.get("kind")
+        if f"{name}.{kind}" not in _SECTIONS:
+            raise DomainError(f"unknown {name} kind {kind!r}")
+        name = f"{name}.{kind}"
+        section = {key: value for key, value in section.items() if key != "kind"}
+    required, kinds = _SECTIONS[name]
+    prefix = name.split(".")[0] + "." if name else ""
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise FormatError(f"config has unknown field {prefix}{unknown[0]}")
+    for key in required.split():
+        if key not in section:
+            raise FormatError(f"config missing field {prefix}{key}")
+    fields = {}
+    for key, value in section.items():
+        try:
+            fields[key] = kinds[key](value)
+        except DomainError as exc:
+            raise DomainError(f"config field {prefix}{key} {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"config field {prefix}{key} is malformed: {exc}") from exc
+    return fields
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The config of a JSON document, read through the builders the cells use,
     so that a config error fails before any seed trains."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"config must be a JSON object, got {type(doc).__name__}")
-    model = _field(doc, "model", dict)
-    config = ExperimentConfig(
-        dataset=_field(doc, "dataset", dict),
-        deletion=_field(doc, "deletion", dict),
-        model_hidden=_field(model, "model.hidden", _ints),
-        train=_field(doc, "train", dict),
-        unlearn=_field(doc, "unlearn", dict),
-        finetune=_field(doc, "finetune", dict, {}),
-        budgets=_field(doc, "budgets", _budgets),
-        k_values=_field(doc, "k_values", _ints, (1,)),
-        method=doc.get("method", METHOD_BLOCKWISE),
-        basis_strategy=doc.get("basis_strategy", "random_orthonormal"),
-        test_fraction=_field(doc, "test_fraction", float, 0.2),
-        step_cap=_field(doc, "step_cap", int, 1000),
-        n_seeds=_field(doc, "n_seeds", int, 5),
-        seed0=_field(doc, "seed0", int, 0),
-        output_dir=_field(doc, "output_dir", str, "runs"),
-    )
-    for name, section in (("", doc), ("model", model), ("train", config.train),
-                          ("unlearn", config.unlearn), ("finetune", config.finetune),
-                          ("dataset", config.dataset), ("deletion", config.deletion)):
-        keys = _KEYS.get(name) or _KEYS.get(f"{name}.{section.get('kind')}")
-        if keys is None:
-            raise DomainError(f"unknown {name} kind {section.get('kind')!r}")
-        unknown = sorted(set(section) - set(keys.split()))
-        if unknown:
-            path = f"{name}.{unknown[0]}" if name else unknown[0]
-            raise FormatError(f"config has unknown field {path}")
+    fields = _read("", doc)
+    model = _read("model", fields.pop("model"))
+    budgets = [_read("budgets", entry) for entry in fields["budgets"]]
+    fields["budgets"] = tuple((b["epsilon"], b["delta"]) for b in budgets)
+    config = ExperimentConfig(model_hidden=model["hidden"], **fields)
+    _dataset_fields(config)
     train_config(config)
     deletion_request(config)
     for epsilon, delta in config.budgets:
@@ -170,38 +196,28 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
     return os.environ.get(ENV_OUTPUT_DIR, config.output_dir)
 
 
+def _dataset_fields(config: ExperimentConfig) -> dict:
+    fields = _read("dataset", config.dataset)
+    if ("test_images" in fields) != ("test_labels" in fields):
+        raise FormatError("config gives one of dataset.test_images and "
+                          "dataset.test_labels without the other")
+    return fields
+
+
 def load_dataset(config: ExperimentConfig) -> tuple[ds.Dataset, ds.Dataset | None]:
     """Returns (train pool, external test set or None)."""
-    spec = config.dataset
-    kind = spec.get("kind")
-    if kind == "blobs":
-        data = ds.generate_blobs(
-            n=_field(spec, "dataset.n", int),
-            classes=_field(spec, "dataset.classes", int),
-            dim=_field(spec, "dataset.dim", int),
-            separation=_field(spec, "dataset.separation", float),
-            seed=_field(spec, "dataset.seed", int, 0),
-        )
-        return data, None
-    if kind == "mnist_idx":
-        train = ds.load_idx(_field(spec, "dataset.train_images", str),
-                            _field(spec, "dataset.train_labels", str))
-        test = None
-        if "test_images" in spec:
-            test = ds.load_idx(_field(spec, "dataset.test_images", str),
-                               _field(spec, "dataset.test_labels", str))
-        return train, test
-    raise DomainError(f"unknown dataset kind {kind!r}")
+    f = _dataset_fields(config)
+    if config.dataset["kind"] == "blobs":
+        return ds.generate_blobs(**f), None
+    train = ds.load_idx(f["train_images"], f["train_labels"])
+    test = ds.load_idx(f["test_images"], f["test_labels"]) if "test_images" in f else None
+    return train, test
 
 
 def deletion_request(config: ExperimentConfig):
-    spec = config.deletion
-    kind = spec.get("kind")
-    if kind == "random_fraction":
-        return ds.RandomFraction(_field(spec, "deletion.fraction", float))
-    if kind == "classwise":
-        return ds.ClassWise(_field(spec, "deletion.class_id", int))
-    raise DomainError(f"unknown deletion kind {kind!r}")
+    fields = _read("deletion", config.deletion)
+    kinds = {"random_fraction": ds.RandomFraction, "classwise": ds.ClassWise}
+    return kinds[config.deletion["kind"]](**fields)
 
 
 def architecture(config: ExperimentConfig, data: ds.Dataset) -> mdl.MlpSpec:
@@ -211,52 +227,29 @@ def architecture(config: ExperimentConfig, data: ds.Dataset) -> mdl.MlpSpec:
 
 
 def train_config(config: ExperimentConfig) -> eng.TrainConfig:
-    t = config.train
-    return eng.TrainConfig(
-        steps=_field(t, "train.steps", int),
-        lr=_field(t, "train.lr", float, 0.01),
-        momentum=_field(t, "train.momentum", float, 0.9),
-        weight_decay=_field(t, "train.weight_decay", float, 1e-5),
-        batch_size=_field(t, "train.batch_size", int, 64),
-    )
+    return eng.TrainConfig(**_read("train", config.train))
 
 
 def budget_spec(config: ExperimentConfig, epsilon: float, delta: float) -> acc.BudgetSpec:
-    u = config.unlearn
-    if "c0" in u and "delta_rho" in u:
-        raise DomainError("give either c0 or delta_rho, not both")
-    if "c0" in u:
-        c0 = _field(u, "unlearn.c0", float)
-    elif "delta_rho" in u:
-        c0 = _field(u, "unlearn.delta_rho", float) / 2.0
-    else:
-        raise DomainError("unlearn config needs c0 or delta_rho")
-    return acc.BudgetSpec(
-        epsilon=epsilon,
-        delta=delta,
-        gamma=_field(u, "unlearn.gamma", float),
-        lam=_field(u, "unlearn.lam", float),
-        c1=_field(u, "unlearn.c1", float),
-        c0=c0,
-        q=None if u.get("q") is None else _field(u, "unlearn.q", float),
-    )
+    u = _read("unlearn", config.unlearn)
+    if ("c0" in u) == ("delta_rho" in u):
+        raise DomainError("unlearn config needs c0 or delta_rho, not both")
+    if "delta_rho" in u:
+        u["c0"] = u["delta_rho"] / 2.0
+    return acc.BudgetSpec(epsilon=epsilon, delta=delta, **{
+        key: u[key] for key in ("gamma", "lam", "c1", "c0", "q") if key in u})
 
 
 def unlearn_settings(config: ExperimentConfig) -> tuple[dict, dict]:
     """The cells' settings besides the budget: `make_plan`'s keyword
     arguments, and `RunConfig`'s other than the plan, basis and seeds."""
-    u, f = config.unlearn, config.finetune
-    steps = None if u.get("steps") is None else _field(u, "unlearn.steps", int)
-    ft_steps = None if f.get("steps") is None else _field(f, "finetune.steps", int)
-    return (
-        {"steps": steps, "scale_c0": _field(u, "unlearn.scale_c0", _boolean, True)},
-        {"batch_size": _field(u, "unlearn.batch_size", int, 64),
-         "fine_tune_steps": ft_steps,
-         "fine_tune_lr": _field(f, "finetune.lr", float, 0.01),
-         "fine_tune_momentum": _field(f, "finetune.momentum", float, 0.9),
-         "fine_tune_weight_decay": _field(f, "finetune.weight_decay", float, 0.0),
-         "step_cap": config.step_cap},
-    )
+    u = _read("unlearn", config.unlearn)
+    run_args = {f"fine_tune_{key}": value
+                for key, value in _read("finetune", config.finetune).items()}
+    if "batch_size" in u:
+        run_args["batch_size"] = u["batch_size"]
+    run_args["step_cap"] = config.step_cap
+    return {key: u[key] for key in ("steps", "scale_c0") if key in u}, run_args
 
 
 def cell_seeds(config: ExperimentConfig, seed_index: int) -> eng.Seeds:

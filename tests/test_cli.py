@@ -335,6 +335,11 @@ def _finetune_typo(doc):
     return doc
 
 
+def _negative_finetune_steps(doc):
+    doc["finetune"]["steps"] = -3
+    return doc
+
+
 class TestNonUtf8Files:
     def test_binary_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.bin"
@@ -373,8 +378,10 @@ class TestMalformedConfig:
         ("unlearn", _scale_c0_string, "unlearn.scale_c0"),
         ("run", _drop_unlearn_c1, "unlearn.c1"),
         ("run", _finetune_typo, "finetune.step"),
+        ("run", _negative_finetune_steps, "finetune.steps"),
     ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list",
-            "scale-c0-string", "run-missing-unlearn-c1", "run-finetune-typo"])
+            "scale-c0-string", "run-missing-unlearn-c1", "run-finetune-typo",
+            "run-negative-finetune-steps"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1

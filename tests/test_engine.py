@@ -446,6 +446,14 @@ class TestTraining:
                            eng.TrainConfig(steps=0))
         assert np.array_equal(params.values, mdl.init_params(ARCH, seed=0).values)
 
+    def test_batch_size_below_one_rejected(self):
+        # a batch size below 1 is an error, not a one-row batch
+        for size in (0, -1):
+            with pytest.raises(DomainError, match="batch size"):
+                eng.TrainConfig(steps=5, batch_size=size)
+            with pytest.raises(DomainError, match="batch size"):
+                small_config(batch_size=size)
+
     def test_loss_decreases_on_blobs(self, monkeypatch):
         cfg = eng.TrainConfig(steps=300, lr=0.05, batch_size=64)
         steps = spy_momentum_steps(monkeypatch)

@@ -1,6 +1,7 @@
 """Truncated and byte-mutated copies of every file format the package reads
-(config, split, checkpoint, IDX pair, timings) fail with the package's typed
-errors: nothing but an UnlearnError escapes a loader."""
+(config, split, checkpoint, IDX pair, timings), and configs with one value
+replaced by an arbitrary JSON value, fail with the package's typed errors:
+nothing but an UnlearnError escapes a loader."""
 
 import json
 
@@ -83,6 +84,41 @@ def test_corrupted_file_raises_only_typed_errors(tmp_path_factory, valid, kind, 
             pass
 
     check()
+
+
+def value_paths(node, prefix=()):
+    """The key path of every value nested in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@FUZZ
+@given(path=st.sampled_from(list(value_paths(base_config_doc("out")))), value=JSON_VALUES)
+def test_config_with_one_value_replaced_raises_only_typed_errors(path, value):
+    doc = base_config_doc("out")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        harness.config_from_dict(doc)
+    except UnlearnError:
+        pass
 
 
 def test_corrupted_idx_pair_raises_only_typed_errors(tmp_path_factory, valid):

@@ -1,10 +1,14 @@
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+from blockwise_unlearn import accounting as acc
 from blockwise_unlearn import audit, harness
+from blockwise_unlearn import datasets as ds
+from blockwise_unlearn import engine as eng
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.errors import DomainError, FormatError
 
@@ -60,8 +64,19 @@ class TestConfig:
         # JSON reads 1e400 as an infinite float, which int() cannot convert
         (lambda doc: doc.update(step_cap=float("inf")), "step_cap"),
         (lambda doc: doc["train"].update(steps=float("inf")), "train.steps"),
+        # none of these may be converted into another experiment: hidden (1, 6),
+        # k_values (1, 4), hidden (16,), 150 or 1 training steps, lr 0.05, a dict
+        (lambda doc: doc["model"].update(hidden="16"), "model.hidden"),
+        (lambda doc: doc.update(k_values="14"), "k_values"),
+        (lambda doc: doc["model"].update(hidden=[16.7]), "model.hidden"),
+        (lambda doc: doc["train"].update(steps=150.9), "train.steps"),
+        (lambda doc: doc["train"].update(steps=True), "train.steps"),
+        (lambda doc: doc["train"].update(lr="0.05"), "train.lr"),
+        (lambda doc: doc.update(train=[list(item) for item in doc["train"].items()]), "train"),
     ], ids=["hidden-string", "hidden-int", "budget-without-delta", "n-seeds-string",
-            "step-cap-infinite", "train-steps-infinite"])
+            "step-cap-infinite", "train-steps-infinite", "hidden-digit-string",
+            "k-values-digit-string", "hidden-float", "train-steps-float", "train-steps-bool",
+            "train-lr-string", "train-list-of-pairs"])
     def test_malformed_field_is_named(self, edit, field):
         doc = base_config_doc("x")
         edit(doc)
@@ -108,10 +123,12 @@ class TestConfig:
     @pytest.mark.parametrize("section,key", [
         (None, "n_seed"), ("train", "step"), ("unlearn", "scale_co"), ("finetune", "step"),
         ("model", "hiden"), ("dataset", "sep"), ("deletion", "class_id"),
+        ("budgets", "detla"),
     ])
     def test_unknown_field_is_named(self, section, key):
         doc = base_config_doc("x")
-        (doc if section is None else doc[section])[key] = 12
+        target = doc if section is None else doc[section]
+        (target[0] if isinstance(target, list) else target)[key] = 12
         path = key if section is None else f"{section}.{key}"
         with pytest.raises(FormatError, match=f"unknown field {path}$"):
             harness.config_from_dict(doc)
@@ -123,6 +140,9 @@ class TestConfig:
         harness.config_from_dict(doc)  # the files are not read at load
         doc["dataset"]["n"] = 800
         with pytest.raises(FormatError, match="unknown field dataset.n$"):
+            harness.config_from_dict(doc)
+        del doc["dataset"]["n"], doc["dataset"]["test_labels"]
+        with pytest.raises(FormatError, match="dataset.test_labels"):
             harness.config_from_dict(doc)
         doc["dataset"] = {"kind": "gaussians", "n": 800}
         with pytest.raises(DomainError, match="unknown dataset kind 'gaussians'"):
@@ -137,13 +157,85 @@ class TestConfig:
         (lambda doc: doc["unlearn"].update(batch_size=None), FormatError, "unlearn.batch_size"),
         (lambda doc: doc["finetune"].update(lr="fast"), FormatError, "finetune.lr"),
         (lambda doc: doc["train"].update(steps=-1), DomainError, "training steps"),
+        (lambda doc: doc["finetune"].update(steps=-1), DomainError, "finetune.steps"),
+        (lambda doc: doc["unlearn"].update(steps=0), DomainError, "unlearn.steps"),
+        (lambda doc: doc["train"].update(batch_size=0), DomainError, "train.batch_size"),
+        (lambda doc: doc["unlearn"].update(batch_size=0), DomainError, "unlearn.batch_size"),
+        # a negative seed fails at load, not as numpy's ValueError at data time
+        (lambda doc: doc["dataset"].update(seed=-1), DomainError, "dataset.seed"),
+        # a width of 0 fails at load, not in every seed
+        (lambda doc: doc["model"].update(hidden=[16, 0]), DomainError, "model.hidden"),
+        (lambda doc: doc.update(k_values=[1, 0]), DomainError, "k_values"),
     ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
-            "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps"])
+            "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps",
+            "negative-finetune-steps", "zero-unlearn-steps", "zero-train-batch-size",
+            "zero-unlearn-batch-size", "negative-dataset-seed", "zero-width", "zero-blocks"])
     def test_config_errors_fail_at_load(self, edit, error, field):
         doc = base_config_doc("x")
         edit(doc)
         with pytest.raises(error, match=field):
             harness.config_from_dict(doc)
+
+    # what each section's keys are passed to, and the parameter a key becomes
+    # where it is not the key's own name
+    BUILDS = {
+        "": ([harness.ExperimentConfig], {"model": "model_hidden"}),
+        "model": ([harness.ExperimentConfig], {"hidden": "model_hidden"}),
+        "budgets": ([acc.BudgetSpec], {}),
+        "train": ([eng.TrainConfig], {}),
+        "unlearn": ([acc.BudgetSpec, acc.make_plan, eng.RunConfig], {"delta_rho": "c0"}),
+        "finetune": ([eng.RunConfig], {key: f"fine_tune_{key}"
+                                       for key in ("steps", "lr", "momentum", "weight_decay")}),
+        "dataset.blobs": ([ds.generate_blobs], {}),
+        "dataset.mnist_idx": ([ds.load_idx], {"train_images": "images_path",
+                                              "test_images": "images_path",
+                                              "train_labels": "labels_path",
+                                              "test_labels": "labels_path"}),
+        "deletion.random_fraction": ([ds.RandomFraction], {}),
+        "deletion.classwise": ([ds.ClassWise], {}),
+    }
+
+    def test_every_key_is_a_parameter_of_what_its_section_builds(self):
+        # a key that is not would reach a constructor as an unexpected keyword
+        assert set(harness._SECTIONS) == set(self.BUILDS)
+        for section, (required, kinds) in harness._SECTIONS.items():
+            targets, renamed = self.BUILDS[section]
+            params = {p for t in targets for p in inspect.signature(t).parameters}
+            assert {renamed.get(key, key) for key in kinds} <= params, section
+            assert set(required.split()) <= set(kinds), section
+
+    def test_required_keys_alone_build_the_defaults(self):
+        doc = {
+            "dataset": {"kind": "blobs", "n": 800, "classes": 3, "dim": 6, "separation": 5.0},
+            "deletion": {"kind": "random_fraction", "fraction": 0.1},
+            "model": {"hidden": [16]},
+            "train": {"steps": 150},
+            "unlearn": {"gamma": 0.01, "lam": 1.0, "c1": 1.0, "delta_rho": 0.05},
+            "budgets": [{"epsilon": 1.0, "delta": 1e-5}],
+        }
+        config = harness.config_from_dict(doc)
+        assert (config.k_values, config.step_cap, config.test_fraction) == ((1,), 1000, 0.2)
+        assert (config.method, config.basis_strategy, config.finetune) == (
+            "blockwise", "random_orthonormal", {})
+        assert (config.n_seeds, config.seed0, config.output_dir) == (5, 0, "runs")
+        assert harness.train_config(config) == eng.TrainConfig(
+            steps=150, lr=0.01, momentum=0.9, weight_decay=1e-5, batch_size=64)
+        spec = harness.budget_spec(config, 1.0, 1e-5)
+        assert (spec.c0, spec.q) == (0.025, None)
+        plan_args, run_args = harness.unlearn_settings(config)
+        plan = acc.make_plan(spec, 2, **plan_args)
+        assert plan.to_dict() == acc.make_plan(spec, 2, steps=None).to_dict()
+        assert plan.budget.c0 == 0.025 / np.sqrt(2)  # scale_c0 true
+        run = eng.RunConfig(plan=plan, basis=None, **run_args)
+        assert (run.batch_size, run.fine_tune_steps, run.step_cap) == (64, None, 1000)
+        # fine-tuning has no weight decay by default, unlike training (1e-5)
+        assert (run.fine_tune_lr, run.fine_tune_momentum, run.fine_tune_weight_decay) == (
+            0.01, 0.9, 0.0)
+        data, external_test = harness.load_dataset(config)
+        seeded = ds.generate_blobs(800, 3, 6, 5.0, seed=0)
+        assert external_test is None
+        assert np.array_equal(data.inputs, seeded.inputs)
+        assert np.array_equal(data.labels, seeded.labels)
 
     def test_bad_method(self, tmp_path):
         doc = base_config_doc(str(tmp_path))

@@ -37,7 +37,7 @@ def _check_dynamics(gamma: float, lam: float, c0: float, c1: float) -> None:
     """The update-dynamics premises shared by a budget and each of its blocks."""
     if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
     if gamma * lam >= 1:
         raise DomainError(f"gamma*lam must be < 1, got {gamma * lam}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine as eng
 from . import subspace as sub
 from .accounting import BlockBudget
 from .errors import DomainError
@@ -157,7 +158,8 @@ def check_block_noise_equivalence(
     rng,
     ks_alpha: float = 0.01,
 ) -> NoiseEquivalenceReport:
-    """Monte-Carlo check that summed per-block noise is N(0, sigma2 I_d).
+    """Monte-Carlo check that summed per-block noise is N(0, sigma2 I_d), each
+    block's noise being the draw a noisy step adds, `engine.gaussian_noise`.
 
     Empirical covariance must stay within 3 standard errors of sigma2 I
     entrywise, and every coordinate must pass a KS test against N(0, sigma).
@@ -166,12 +168,11 @@ def check_block_noise_equivalence(
         raise DomainError("covariance estimation is limited to d <= 32")
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
-    draws = np.empty((n_samples, basis.d))
-    for t in range(n_samples):
-        total = np.zeros(basis.d)
-        for i in range(basis.k):
-            total += sub.sample_block_noise(basis, i, sigma2, rng)
-        draws[t] = total
+    draws = np.array([
+        sum(sub.lift_block(eng.gaussian_noise(n, sigma2, rng), basis, i)
+            for i, n in enumerate(basis.sizes))
+        for _ in range(n_samples)
+    ])
     if sigma2 == 0.0:
         passed = bool(np.all(draws == 0.0))
         return NoiseEquivalenceReport(

@@ -214,6 +214,16 @@ def _first_layer_spans(basis: sub.BlockBasis | None, layer_map: tuple):
     return tuple(rot.q[:, rows] if rows.size else None for rows in rot.row_groups)
 
 
+def gaussian_noise(n: int, sigma2: float, rng) -> np.ndarray:
+    """n draws of N(0, sigma2), the noise of a noisy step.  sigma2 = 0 returns
+    zeros without consuming the generator; NaN or sigma2 < 0 is a DomainError."""
+    if not sigma2 >= 0:
+        raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
+    if sigma2 == 0:
+        return np.zeros(n)
+    return rng.standard_normal(n) * np.sqrt(sigma2)
+
+
 def nft_step(
     params: mdl.ParamVector,
     batch: mdl.Batch,
@@ -250,10 +260,7 @@ def nft_step(
     pre = _norm(g)
     clipped = mdl.clip(g, c1)
     post = _norm(clipped)
-    if sigma2 > 0:
-        noise = rng.standard_normal(b.shape[0]) * np.sqrt(sigma2)
-    else:
-        noise = np.zeros(b.shape[0])
+    noise = gaussian_noise(b.shape[0], sigma2, rng)
     delta = np.multiply(b, lam)
     delta += clipped
     delta *= -gamma

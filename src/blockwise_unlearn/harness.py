@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
         if not 0 <= self.test_fraction < 1:
             raise DomainError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
+        for name in ("budgets", "k_values"):
+            if not getattr(self, name):
+                raise DomainError(f"config field {name} must not be empty")
         # a cell's key holds f"{epsilon:g}" and k, and nothing of delta
         if len({f"{eps:g}" for eps, _ in self.budgets}) < len(self.budgets):
             raise DomainError(f"budgets share an epsilon: {self.budgets}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import read_exactly
 from .errors import DomainError, FormatError, NumericalError
+from .subspace import layer_map_dim
 
 _CKPT_MAGIC = b"BWUNCKPT"
 _CKPT_VERSION = 1
@@ -500,7 +501,7 @@ def load_params(path) -> ParamVector:
 
 
 def _header_fields(header) -> tuple[int, tuple]:
-    """`d` and the layer map of a checkpoint header, checked for shape and type."""
+    """`d` and the layer map of a checkpoint header, checked for shape, type and extent."""
 
     def is_count(x) -> bool:
         return type(x) is int and x >= 0
@@ -515,6 +516,10 @@ def _header_fields(header) -> tuple[int, tuple]:
         for name, shape, offset in lm
     )):
         raise FormatError("malformed checkpoint header: ill-typed d or layer_map")
-    if _layout(lm).d != d:
+    try:
+        extent = layer_map_dim(lm)
+    except DomainError as exc:
+        raise FormatError(f"malformed checkpoint header: {exc}") from exc
+    if extent != d:
         raise FormatError(f"checkpoint d = {d} does not match its layer map")
     return d, lm

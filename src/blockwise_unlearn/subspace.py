@@ -16,7 +16,9 @@ together with the weight rows; other entries form their own group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,40 +69,35 @@ class _Rotation:
 
 @dataclass(frozen=True)
 class BlockBasis:
+    """What `build_basis` chooses: one rotation per group of the layer map.
+    The groups, d, the block sizes and the spans are derived from it once."""
+
     strategy: str
-    d: int
     k: int
     seed: int
-    sizes: tuple[int, ...]
     layer_map: LayerMap
-    groups: tuple[_Group, ...]
     rotations: tuple[_Rotation, ...]
+    groups: tuple[_Group, ...] = field(init=False)
+    d: int = field(init=False)
+    sizes: tuple[int, ...] = field(init=False)
     # per block, the work of project_block/lift_block, derived once from the
     # rotations so that each call does no indexing set-up
     _spans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if sum(self.sizes) != self.d:
-            raise DomainError(
-                f"block sizes {self.sizes} do not sum to d={self.d}"
-            )
-        if len(self.sizes) != self.k:
-            raise DomainError("sizes/k mismatch")
+        derive = partial(object.__setattr__, self)
+        derive("groups", tuple(_layer_groups(self.layer_map)))
+        derive("d", layer_map_dim(self.layer_map))
         self._check_rotations()
-        object.__setattr__(
-            self, "_spans", tuple(self._block_spans(i) for i in range(self.k))
-        )
+        derive("_spans", tuple(self._block_spans(i) for i in range(self.k)))
+        # a block's coordinates end where its last span stops
+        derive("sizes", tuple(spans[-1][1] if spans else 0 for spans in self._spans))
 
     def _check_rotations(self) -> None:
-        """The rotation groups tile the layer map exactly, and each rotation is
-        the identity or an (m, m) matrix, whose k row groups partition range(m)."""
-        if (
-            layer_map_dim(self.layer_map) != self.d
-            or self.groups != tuple(_layer_groups(self.layer_map))
-            or len(self.rotations) != len(self.groups)
-        ):
-            raise DomainError("rotation groups do not tile the layer map")
-        sizes = np.zeros(self.k, dtype=np.int64)
+        """One rotation per layer group, each the identity or an (m, m) matrix,
+        whose k row groups partition range(m)."""
+        if len(self.rotations) != len(self.groups):
+            raise DomainError(f"{len(self.rotations)} rotations for {len(self.groups)} layer groups")
         for g, rot in zip(self.groups, self.rotations):
             if rot.q is not None and np.shape(rot.q) != (g.m, g.m):
                 raise DomainError(f"rotation of shape {np.shape(rot.q)} for {g.m} rows")
@@ -108,9 +105,6 @@ class BlockBasis:
                 np.sort(np.concatenate(rot.row_groups)), np.arange(g.m)
             ):
                 raise DomainError(f"row groups do not partition the {g.m} rows into k blocks")
-            sizes += [len(r) * g.cols for r in rot.row_groups]
-        if tuple(sizes) != self.sizes:
-            raise DomainError(f"block sizes {self.sizes} do not match the row groups")
 
     def _block_spans(self, i: int) -> tuple:
         """Block i's coordinates as consecutive spans (start, stop, group, a),
@@ -141,9 +135,11 @@ class BlockBasis:
 
 
 def layer_map_dim(layer_map) -> int:
+    """The length of the flat vector a layer map covers; DomainError unless
+    its entries lie contiguously from offset 0."""
     d = 0
     for name, shape, offset in layer_map:
-        size = int(np.prod(shape)) if len(shape) else 1
+        size = math.prod(shape)
         if offset != d:
             raise DomainError(f"layer map entry {name} is not contiguous")
         d += size
@@ -229,7 +225,6 @@ def build_basis(strategy: str, layer_map, k: int, seed: int = 0) -> BlockBasis:
         raise DomainError("head_body needs at least two layers")
     rng = np.random.default_rng(seed)
     rotations = []
-    sizes = np.zeros(k, dtype=np.int64)
     for layer, g in enumerate(groups):
         q, order = None, np.arange(g.m)
         if strategy == RANDOM_ORTHONORMAL:
@@ -244,11 +239,8 @@ def build_basis(strategy: str, layer_map, k: int, seed: int = 0) -> BlockBasis:
         edges = np.cumsum([0] + counts)
         row_groups = tuple(np.sort(order[edges[i] : edges[i + 1]]) for i in range(k))
         rotations.append(_Rotation(q=q, row_groups=row_groups))
-        sizes += [len(r) * g.cols for r in row_groups]
-    return BlockBasis(
-        strategy=strategy, d=d, k=k, seed=seed, sizes=tuple(int(s) for s in sizes),
-        layer_map=layer_map, groups=tuple(groups), rotations=tuple(rotations),
-    )
+    return BlockBasis(strategy=strategy, k=k, seed=seed, layer_map=layer_map,
+                      rotations=tuple(rotations))
 
 
 def _check_dim(w: np.ndarray, basis: BlockBasis) -> np.ndarray:
@@ -317,20 +309,6 @@ def gap(w, w_other, basis: BlockBasis) -> np.ndarray:
     w_other = _check_dim(w_other, basis)
     diff = decompose(w - w_other, basis)
     return np.array([np.linalg.norm(b) for b in diff])
-
-
-def sample_block_noise(basis: BlockBasis, i: int, sigma2: float, rng) -> np.ndarray:
-    """Gaussian noise supported on block i: A_i zeta, zeta ~ N(0, sigma2 I).
-
-    sigma2 = 0 returns zeros without consuming the generator.
-    """
-    if sigma2 < 0:
-        raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
-    _check_block(basis, i)
-    if sigma2 == 0.0:
-        return np.zeros(basis.d, dtype=np.float64)
-    zeta = rng.standard_normal(basis.sizes[i]) * np.sqrt(sigma2)
-    return lift_block(zeta, basis, i)
 
 
 def orthogonality_defect(basis: BlockBasis) -> float:

@@ -615,6 +615,14 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             acc.BudgetSpec(epsilon=1.0, delta=1e-5, gamma=0.5, lam=2.5, c1=2.0, c0=1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), -0.5])
+    def test_lam_below_zero_or_nan_rejected(self, lam):
+        # NaN compares false with everything, so it must fail `lam >= 0`
+        with pytest.raises(DomainError, match="lam"):
+            acc.BlockBudget(gamma=0.1, lam=lam, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0)
+        with pytest.raises(DomainError, match="lam"):
+            acc.BudgetSpec(epsilon=1.0, delta=1e-5, gamma=0.1, lam=lam, c1=2.0, c0=1.0)
+
     def test_aux_identities(self):
         spec = acc.BudgetSpec(
             epsilon=1.0, delta=1e-5, gamma=1e-4, lam=10.0, c1=100.0, c0=0.005

@@ -125,14 +125,16 @@ def test_benchmark_workload_config_loads(tmp_path, name):
     harness.load_config(path)
 
 
-def test_benchmark_runs_and_its_checks_pass(tmp_path):
-    # one shortest run (two rounds) from a copy of the checkout, as the
-    # benchmark is run: its own scratch files stay inside the copy
+@pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
+def test_benchmark_runs_and_its_checks_pass(tmp_path, name):
+    # one shortest run (two rounds) of each workload from a copy of the
+    # checkout, as the benchmark is run: its own scratch files stay inside
+    # the copy
     skip = shutil.ignore_patterns("__pycache__", "_scratch", "_out")
-    for name in ("src", "perfbench", "configs"):
-        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    for dirname in ("src", "perfbench", "configs"):
+        shutil.copytree(ROOT / dirname, tmp_path / dirname, ignore=skip)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "blobs-random10",
+        [sys.executable, "perfbench/run.py", "--workload", name,
          "--seed", "1", "--seconds", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )

@@ -340,6 +340,18 @@ def _negative_finetune_steps(doc):
     return doc
 
 
+def _nan_lam(doc):
+    doc["unlearn"]["lam"] = float("nan")  # written as the JSON extension NaN
+    return doc
+
+
+def _empty(field):
+    def edit(doc):
+        doc[field] = []
+        return doc
+    return edit
+
+
 class TestNonUtf8Files:
     def test_binary_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.bin"
@@ -379,9 +391,13 @@ class TestMalformedConfig:
         ("run", _drop_unlearn_c1, "unlearn.c1"),
         ("run", _finetune_typo, "finetune.step"),
         ("run", _negative_finetune_steps, "finetune.steps"),
+        ("run", _nan_lam, "lam"),
+        ("run", _empty("k_values"), "k_values"),
+        ("run", _empty("budgets"), "budgets"),
     ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list",
             "scale-c0-string", "run-missing-unlearn-c1", "run-finetune-typo",
-            "run-negative-finetune-steps"])
+            "run-negative-finetune-steps", "run-nan-lam", "run-empty-k-values",
+            "run-empty-budgets"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1

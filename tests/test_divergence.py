@@ -5,8 +5,11 @@ import pytest
 
 from blockwise_unlearn import accounting as acc
 from blockwise_unlearn import divergence as dv
+from blockwise_unlearn import engine as eng
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.errors import DomainError
+
+from test_benchmark_contract import counting
 
 
 def normalized_box(box_lo, box_hi, lo, hi, n=2048):
@@ -134,6 +137,20 @@ class TestBlockNoiseEquivalence:
         assert rep.passed
         assert rep.max_cov_deviation <= rep.cov_threshold
         assert all(p >= rep.ks_alpha for p in rep.ks_pvalues)
+
+    def test_draws_the_engine_noise(self, monkeypatch):
+        # the check samples the noise a noisy step adds, one draw per block
+        # and sample, not a copy of it
+        basis = sub.build_basis(sub.PERMUTATION, self.LAYER_MAP, 4, seed=2)
+        calls = counting(monkeypatch, eng, "gaussian_noise")
+        dv.check_block_noise_equivalence(basis, 1.0, 50, np.random.default_rng(3))
+        assert [n for n, *_ in calls] == list(basis.sizes) * 50
+
+    @pytest.mark.parametrize("sigma2", [float("nan"), -1.0])
+    def test_sigma2_below_zero_or_nan_rejected(self, sigma2):
+        basis = sub.build_basis(sub.PERMUTATION, self.LAYER_MAP, 4, seed=2)
+        with pytest.raises(DomainError, match="sigma2"):
+            dv.check_block_noise_equivalence(basis, sigma2, 50, np.random.default_rng(3))
 
     def test_large_dimension_rejected(self):
         layer_map = (("w", (40, 1), 0),)

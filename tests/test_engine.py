@@ -12,6 +12,7 @@ from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import BlockBudget, NoisePlan
 from blockwise_unlearn.errors import DomainError
 
+from test_benchmark_contract import counting
 from test_model import dim, hits
 from test_reference_step import spy_momentum_steps
 from test_subspace import block_support
@@ -78,6 +79,22 @@ class TestNftStep:
         b, *_ = eng.nft_step(params, batch, 0.05, 0.1, 1.0, 0.3,
                              np.random.default_rng(123))
         assert np.array_equal(a.values, b.values)
+
+    def test_gaussian_noise(self):
+        rng = np.random.default_rng(5)
+        assert np.array_equal(eng.gaussian_noise(7, 0.0, rng), np.zeros(7))
+        # a zero variance leaves the generator where it was
+        draws = eng.gaussian_noise(7, 0.3, rng)
+        assert np.array_equal(draws, np.random.default_rng(5).standard_normal(7) * np.sqrt(0.3))
+
+    @pytest.mark.parametrize("sigma2", [float("nan"), -1.0])
+    def test_sigma2_below_zero_or_nan_rejected(self, sigma2):
+        params = mdl.init_params(ARCH, seed=1)
+        batch = mdl.Batch(BLOBS.inputs[:16], BLOBS.labels[:16])
+        with pytest.raises(DomainError, match="sigma2"):
+            eng.gaussian_noise(3, sigma2, np.random.default_rng(0))
+        with pytest.raises(DomainError, match="sigma2"):
+            eng.nft_step(params, batch, 0.05, 0.1, 1.0, sigma2, np.random.default_rng(0))
 
     def test_block_step_freezes_complement(self):
         params = mdl.init_params(ARCH, seed=2)
@@ -184,6 +201,24 @@ class TestRuns:
             ]
             se = sigma2 * np.sqrt(2.0 * r) / np.sqrt(len(sq))
             assert abs(np.mean(sq) - sigma2 * r) <= 3 * se
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nan_sigma2_plan_rejected(self, k):
+        # a plan whose variance is NaN would otherwise add no noise at all
+        params = mdl.init_params(ARCH, seed=1)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, params.layer_map, k) if k > 1 else None
+        cfg = small_config(k=k, basis=basis, plan=toy_plan(k=k, sigma2=float("nan")))
+        with pytest.raises(DomainError, match="sigma2"):
+            eng.run_blockwise(params, cfg, (BLOBS.inputs, BLOBS.labels))
+
+    def test_noisy_steps_draw_through_gaussian_noise(self, monkeypatch):
+        params = mdl.init_params(ARCH, seed=1)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, params.layer_map, 3, seed=7)
+        calls = counting(monkeypatch, eng, "gaussian_noise")
+        rec = eng.run_blockwise(params, small_config(k=3, basis=basis),
+                                (BLOBS.inputs, BLOBS.labels))
+        assert [n for n, *_ in calls] == [basis.sizes[i] for i in range(3) for _ in range(2)]
+        assert [r.noise_norm > 0 for r in rec.rows] == [True] * 6 + [False] * 5
 
     def test_cap_below_plan_rejected(self):
         params = mdl.init_params(ARCH, seed=1)

@@ -166,10 +166,15 @@ class TestConfig:
         # a width of 0 fails at load, not in every seed
         (lambda doc: doc["model"].update(hidden=[16, 0]), DomainError, "model.hidden"),
         (lambda doc: doc.update(k_values=[1, 0]), DomainError, "k_values"),
+        # NaN passes a `lam < 0` check, and an empty grid computes nothing
+        (lambda doc: doc["unlearn"].update(lam=float("nan")), DomainError, "lam"),
+        (lambda doc: doc.update(k_values=[]), DomainError, "k_values"),
+        (lambda doc: doc.update(budgets=[]), DomainError, "budgets"),
     ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
             "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps",
             "negative-finetune-steps", "zero-unlearn-steps", "zero-train-batch-size",
-            "zero-unlearn-batch-size", "negative-dataset-seed", "zero-width", "zero-blocks"])
+            "zero-unlearn-batch-size", "negative-dataset-seed", "zero-width", "zero-blocks",
+            "nan-lam", "empty-k-values", "empty-budgets"])
     def test_config_errors_fail_at_load(self, edit, error, field):
         doc = base_config_doc("x")
         edit(doc)

@@ -472,11 +472,16 @@ class TestCheckpointHeader:
             {"d": 4, "layer_map": [[1, [1, 2], 0]]},
             {"d": 4, "layer_map": [["fc1.w", [1, 2], 0.5]]},
             {"d": 5, "layer_map": GOOD_HEADER["layer_map"]},
+            # d agrees with the last entry's end, but the entries alias or skip
+            # coordinates of the payload
+            {"d": 2, "layer_map": [["fc1.w", [1, 2], 0], ["fc1.b", [2], 0]]},
+            {"d": 5, "layer_map": [["fc1.w", [1, 2], 0], ["fc1.b", [2], 3]]},
         ],
         ids=[
             "missing-d", "missing-layer-map", "not-an-object", "d-string", "d-float",
             "d-negative", "layer-map-int", "layer-map-empty", "entry-short",
             "shape-int", "shape-string", "name-int", "offset-float", "d-mismatch",
+            "entries-overlap", "entries-gap",
         ],
     )
     def test_malformed_header(self, tmp_path, header):

@@ -196,7 +196,7 @@ def _cmd_divergence_check(args) -> int:
         }
     report["block_noise_equivalence"] = noise_checks
 
-    trajectories = []
+    fixed_steps, min_noise_plans = [], []
     for _ in range(args.specs):
         gamma = float(10.0 ** rng.uniform(-3, -0.5))
         lam = float(rng.uniform(5e-3, 0.8) / gamma)
@@ -205,23 +205,28 @@ def _cmd_divergence_check(args) -> int:
         q = float(rng.uniform(1.5, 30.0))
         er = float(10.0 ** rng.uniform(-1.2, 0.7))
         budget = acc.BlockBudget(gamma=gamma, lam=lam, c0=c0, c1=c1, q=q, eps_renyi=er)
-        steps = int(rng.integers(1, 12))
-        sigma2 = acc.noise_for_steps(steps, budget)
-        trajectories.append(dv.check_budget_bound_on_trajectories(budget, sigma2, steps))
-    violations = sum(not rep.passed for rep in trajectories)
-    report["trajectory_bounds"] = {
-        "specs": args.specs,
-        "violations": violations,
-        "worst_margin": max(rep.numeric - rep.certified for rep in trajectories),
-        "tolerance": 1e-3,
-        "passed": violations == 0,
-    }
+        # a drawn step count, and the one a minimal-noise plan takes
+        for reports, steps in ((fixed_steps, int(rng.integers(1, 12))),
+                               (min_noise_plans, acc.min_noise_steps(budget))):
+            sigma2 = acc.noise_for_steps(steps, budget)
+            reports.append(dv.check_budget_bound_on_trajectories(budget, sigma2, steps))
+    for key, reports in (("trajectory_bounds", fixed_steps),
+                         ("min_noise_trajectory_bounds", min_noise_plans)):
+        violations = sum(not rep.passed for rep in reports)
+        report[key] = {
+            "specs": args.specs,
+            "violations": violations,
+            "worst_margin": max(rep.numeric - rep.certified for rep in reports),
+            "tolerance": 1e-3,
+            "passed": violations == 0,
+        }
     report["passed"] = all(
         section["passed"]
         for section in (
             report["gaussian_shift_quadrature"],
             *noise_checks.values(),
             report["trajectory_bounds"],
+            report["min_noise_trajectory_bounds"],
         )
     )
     _write_json(report, args.out)

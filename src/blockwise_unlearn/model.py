@@ -85,8 +85,7 @@ class _Layout:
             )
         except KeyError:
             self.layers = None
-        _, last_shape, last_offset = lm[-1]
-        self.d = last_offset + math.prod(last_shape)
+        self.d = layer_map_dim(lm)
 
 
 # A run sees one or two layer maps; the bound keeps a process that loads many

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockwise_unlearn import accounting as acc
@@ -60,6 +61,42 @@ def min_noise_by_bisection(budget, iters=200):
     return hi
 
 
+def exact_divergence(b, sigma2, t, gap):
+    """D_q in rational arithmetic, exact at the float inputs."""
+    gamma, lam, c1 = Fraction(b.gamma), Fraction(b.lam), Fraction(b.c1)
+    a = gamma * lam
+    x = (1 - a) ** t
+    g = x * Fraction(gap) + 2 * c1 * (1 - x) / lam
+    return Fraction(b.q) * g * g * a * (2 - a) / (2 * Fraction(sigma2) * (1 - x * x))
+
+
+def exact_noise(b, t):
+    """sigma^2(T) = D_q(sigma2=1, gap=2*c0) / eps_renyi, exact."""
+    return exact_divergence(b, 1.0, t, 2.0 * b.c0) / Fraction(b.eps_renyi)
+
+
+def exact_argmin_steps(b, t_max):
+    """The T in 1..t_max with the least exact sigma^2(T), the first on a tie.
+
+    sigma^2(T) is a positive constant times (lam c0 x + c1 (1-x))^2 / (1-x^2);
+    with x = (1 - gamma lam)^T = P/Q and the two coefficients scaled to
+    integers that is (A P + B (Q-P))^2 / (Q^2 - P^2), compared across T by
+    integer cross-multiplication.
+    """
+    step = 1 - Fraction(b.gamma) * Fraction(b.lam)
+    head, tail = Fraction(b.lam) * Fraction(b.c0), Fraction(b.c1)
+    a_int = head.numerator * tail.denominator
+    b_int = tail.numerator * head.denominator
+    p = q = 1
+    best = None
+    for t in range(1, t_max + 1):
+        p, q = p * step.numerator, q * step.denominator
+        num, den = (a_int * p + b_int * (q - p)) ** 2, q * q - p * p
+        if best is None or num * best[2] < best[1] * den:
+            best = (t, num, den)
+    return best[0]
+
+
 def grid_search_q(epsilon, delta, step=1e-3, hi=500.0):
     qs = np.arange(1.0 + step, hi + step, step)
     big_l = math.log(1.0 / delta)
@@ -98,6 +135,22 @@ def block_budgets(draw):
     return acc.BlockBudget(
         gamma=gamma, lam=lam, c0=c0, c1=lam * c0 / ratio,
         q=draw(st.floats(1.1, 100.0)), eps_renyi=10.0 ** draw(st.floats(-3.0, 1.0)),
+    )
+
+
+@st.composite
+def clip_dominant_specs(draw):
+    """A budget with gamma*lam in [1e-4, 0.99] whose blocks are clip-dominant,
+    with T* = ln(1 - lam*c0/c1)/ln(1 - gamma*lam) drawn up to 300."""
+    gamma_lam = draw(st.floats(1e-4, 0.99))
+    gamma = 10.0 ** draw(st.floats(-3.0, 0.0))
+    lam = gamma_lam / gamma
+    t_star = draw(st.floats(0.05, 300.0))
+    ratio = min(-math.expm1(t_star * math.log1p(-gamma_lam)), 1.0 - 1e-9)
+    c1 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return acc.BudgetSpec(
+        epsilon=draw(st.floats(0.1, 10.0)), delta=10.0 ** draw(st.floats(-10.0, -2.0)),
+        gamma=gamma, lam=lam, c1=c1, c0=ratio * c1 / lam,
     )
 
 
@@ -421,6 +474,68 @@ class TestNoiseForSteps:
         assert sigma2 == pytest.approx(0.1 * 2.0 * 4.0 * 2.0 * 2.0, rel=1e-12)
 
 
+class TestClosedForm:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(budgets_and_steps(), st.floats(0.0, 10.0), st.floats(-3.0, 3.0))
+    def test_block_divergence_is_the_nearest_float(self, budget_and_steps, gap_c0, log_s2):
+        b, t = budget_and_steps
+        sigma2, gap = 10.0**log_s2, gap_c0 * b.c0
+        got = acc.block_divergence(b, sigma2, t, gap)
+        exact = exact_divergence(b, sigma2, t, gap)
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2
+
+    # Every plan, in both modes, at or above the exact sigma^2(T) of its step
+    # count and within 8u (u = 2^-53) of it; every minimal-noise step count the
+    # integer that needs the least exact noise.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(clip_dominant_specs(), st.sampled_from([1, 2, 4, 10, 32]),
+           st.one_of(st.none(), st.integers(1, 300)))
+    def test_plans_meet_the_exact_noise(self, spec, k, steps):
+        plan = acc.make_plan(spec, k, steps=steps)
+        b, t = plan.budget, plan.steps_per_block
+        exact = exact_noise(b, t)
+        assert exact <= Fraction(plan.sigma2) <= exact * (1 + Fraction(8, 2**53))
+        if steps is None:
+            t_star = math.log1p(-b.ratio) / math.log1p(-b.gamma * b.lam)
+            assert t == exact_argmin_steps(b, math.ceil(t_star) + 1)
+
+    def test_noise_is_the_divergence_inverse(self):
+        for t in (1, 2, 7, 50):
+            sigma2 = acc.noise_for_steps(t, CANON)
+            d_q = acc.block_divergence(CANON, sigma2, t, 2.0 * CANON.c0)
+            assert d_q <= CANON.eps_renyi
+            assert d_q == pytest.approx(CANON.eps_renyi, rel=1e-15)
+
+    def test_contractions_beyond_float_range(self):
+        # (1 - 0.9)^400 underflows a float; the plan must not
+        spec = acc.BudgetSpec(epsilon=1.0, delta=1e-5, gamma=0.9, lam=1.0, c1=1.0, c0=0.025)
+        plan = acc.make_plan(spec, 1, steps=400)
+        assert math.isfinite(plan.sigma2)
+        assert plan.sigma2 >= acc.min_noise(plan.budget)[0]
+        # 1 - gamma*lam rounds to 1.0 at gamma*lam = 1e-17; the closed form holds
+        slow = dataclasses.replace(spec, gamma=1e-9, lam=1e-8, c0=1e7)
+        plan = acc.make_plan(slow, 1, steps=2)
+        exact = exact_noise(plan.budget, 2)
+        assert exact <= Fraction(plan.sigma2) <= exact * (1 + Fraction(8, 2**53))
+        # a product gamma*lam that underflows to 0 contracts nothing
+        with pytest.raises(DomainError):
+            acc.make_plan(dataclasses.replace(slow, gamma=1e-200, lam=1e-200), 1, steps=2)
+
+    @pytest.mark.parametrize("steps,sigma2,gap", [(0, 1.0, 1.0), (2, 0.0, 1.0),
+                                                  (2, float("nan"), 1.0), (2, 1.0, -1.0)])
+    def test_block_divergence_domain(self, steps, sigma2, gap):
+        with pytest.raises(DomainError):
+            acc.block_divergence(CANON, sigma2, steps, gap)
+
+    def test_min_noise_steps_at_canonical_instance(self):
+        # T* = ln(0.5)/ln(0.9) = 6.58; the minimal noise itself needs x = 0.5
+        assert acc.min_noise_steps(CANON) == 7
+        one_step = dataclasses.replace(CANON, c0=0.1)  # T* = ln(0.95)/ln(0.9) < 1
+        assert acc.min_noise_steps(one_step) == 1
+        with pytest.raises(InfeasibleNoise):
+            acc.min_noise_steps(dataclasses.replace(CANON, c0=2.0))
+
+
 # ---------------------------------------------------------------------------
 # budget splitting and plans
 # ---------------------------------------------------------------------------
@@ -496,9 +611,13 @@ class TestMakePlan:
         b = acc.BlockBudget(gamma=0.1, lam=1.0, c0=1.0, c1=2.0, q=8.0,
                             eps_renyi=acc.dp_to_rdp(2.0, 8.0, 1e-4))
         sigma2, regime = acc.min_noise(b)
-        assert plan.sigma2 == sigma2
+        assert plan.budget == b
         assert plan.regime == regime
-        assert plan.steps_per_block == acc.steps_for_noise(sigma2, b)
+        # T* = ln(0.5)/ln(0.9) = 6.58: of its integer neighbours 7 needs less
+        # noise, and any integer step count needs more than the infimum
+        assert acc.min_noise_steps(b) == plan.steps_per_block == 7
+        assert plan.sigma2 == acc.noise_for_steps(7, b)
+        assert sigma2 < plan.sigma2 < acc.noise_for_steps(6, b)
 
     def test_budget_invariant(self):
         for k in (1, 2, 5, 13):
@@ -588,8 +707,8 @@ class TestMakePlan:
 class TestPlanBytes:
     """The plans of the shipped configs' budget, pinned byte for byte as
     manifests and `cli plan` write them (perfbench's checks read their keys).
-    plan_bytes.json was written by the flat-field NoisePlan that held copies
-    of its per-block budget; the plan that holds a BlockBudget must match."""
+    plan_bytes.json was written when sigma2(T) became the rounded-up closed
+    form and every minimal-noise plan a fixed-step plan at min_noise_steps."""
 
     EXPECTED = json.loads((Path(__file__).parent / "plan_bytes.json").read_text())
 
@@ -609,6 +728,19 @@ class TestPlanBytes:
 
 
 class TestDomainGuards:
+    @pytest.mark.parametrize("field,value", [
+        ("k", 0), ("k", 1.0), ("steps_per_block", -3), ("steps_per_block", 0),
+        ("sigma2", float("nan")), ("sigma2", -1e-9),
+    ])
+    def test_plan_fields_checked(self, field, value):
+        plan = acc.make_plan(TestMakePlan.MNIST_LIKE, k=2, steps=2)
+        with pytest.raises(DomainError, match=field):
+            dataclasses.replace(plan, **{field: value})
+
+    def test_noise_free_plan_allowed(self):
+        plan = acc.make_plan(TestMakePlan.MNIST_LIKE, k=2, steps=2)
+        assert dataclasses.replace(plan, sigma2=0.0).sigma2 == 0.0
+
     def test_contraction_violation_rejected(self):
         with pytest.raises(DomainError):
             acc.BlockBudget(gamma=0.5, lam=2.5, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0)

@@ -438,6 +438,16 @@ class TestDivergenceCheckCommand:
         for section in doc["block_noise_equivalence"].values():
             assert section["passed"] is True
 
+    def test_minimal_noise_plans_checked(self, tmp_path):
+        # each drawn budget's plan at the step count make_plan takes in
+        # minimal-noise mode goes through the same trajectory bound
+        out_file = tmp_path / "divergence.json"
+        assert run_cli("divergence-check", "--specs", "10", "--seed", "3",
+                       "--out", str(out_file)) == 0
+        section = json.loads(out_file.read_text())["min_noise_trajectory_bounds"]
+        assert section["specs"] == 10 and section["violations"] == 0
+        assert section["passed"] is True and section["worst_margin"] <= section["tolerance"]
+
     def test_readme_arguments_pass(self, tmp_path):
         # `divergence-check --specs 50` at the default seed
         out_file = tmp_path / "divergence.json"

@@ -177,6 +177,20 @@ class TestTrajectoryBound:
         # integer step counts slightly overshoot the real-valued optimum
         assert rep.numeric == pytest.approx(1.0008143, abs=2e-5)
 
+    def test_make_plan_minimal_noise_plan_meets_budget(self):
+        # the plan make_plan takes at CANON's dynamics in minimal-noise mode:
+        # 7 steps at more than the minimal noise, and no overshoot
+        spec = acc.BudgetSpec(epsilon=1.0 + math.log(2.0), delta=0.5, gamma=0.1,
+                              lam=1.0, c1=2.0, c0=1.0, q=2.0)
+        plan = acc.make_plan(spec, 1)
+        assert plan.budget.eps_renyi == pytest.approx(CANON.eps_renyi, rel=1e-15)
+        assert plan.steps_per_block == 7
+        assert plan.sigma2 > acc.min_noise(plan.budget)[0]
+        rep = dv.check_budget_bound_on_trajectories(plan.budget, plan.sigma2, 7)
+        assert rep.passed
+        assert rep.closed_form <= plan.budget.eps_renyi * (1 + 1e-12)
+        assert rep.numeric == pytest.approx(plan.budget.eps_renyi, abs=2e-5)
+
     def test_extra_noise_shrinks_divergence(self):
         s2, _ = acc.min_noise(CANON)
         tight = dv.check_budget_bound_on_trajectories(CANON, s2, 7)
@@ -206,3 +220,14 @@ class TestTrajectoryBound:
             s2 = 1.5 * acc.noise_for_steps(t, budget)
             rep = dv.check_budget_bound_on_trajectories(budget, s2, t)
             assert rep.numeric == pytest.approx(rep.closed_form, abs=1e-4)
+
+    def test_block_divergence_matches_the_recurrence(self):
+        # the closed form against the lab's step-by-step gap and variance
+        rng = np.random.default_rng(9)
+        for budget in random_clip_budgets(rng, 40):
+            t = int(rng.integers(1, 300))
+            gap = float(rng.uniform(0.0, 4.0)) * budget.c0
+            s2 = float(10.0 ** rng.uniform(-2, 2))
+            rep = dv.check_budget_bound_on_trajectories(budget, s2, t, initial_gap=gap)
+            assert acc.block_divergence(budget, s2, t, gap) == pytest.approx(
+                rep.closed_form, rel=1e-12)

@@ -220,6 +220,17 @@ class TestParamVector:
         with pytest.raises(DomainError):
             mdl.ParamVector(np.zeros(dim(TINY) + 1), mdl.layer_map(TINY))
 
+    @pytest.mark.parametrize("values,layer_map", [
+        # the last entry ends where the vector does, but fc1.b aliases fc1.w
+        ([1.0, 2.0], (("fc1.w", (1, 2), 0), ("fc1.b", (2,), 0))),
+        # or nothing starts at offset 0
+        ([1.0, 2.0, 3.0, 4.0], (("fc1.w", (1, 2), 1), ("fc1.b", (1,), 3))),
+    ])
+    def test_non_contiguous_layer_map_rejected(self, values, layer_map):
+        # one extent rule with load_params: entries lie end to end from offset 0
+        with pytest.raises(DomainError, match="contiguous"):
+            mdl.ParamVector(values, layer_map)
+
     def test_view_on_loaded_params(self, tmp_path):
         params = mdl.init_params(mdl.MlpSpec((3, 7, 2)), seed=9)
         path = tmp_path / "model.ckpt"

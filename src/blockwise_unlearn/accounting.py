@@ -15,7 +15,7 @@ import decimal
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DomainError, InfeasibleBudget, InfeasibleNoise
@@ -111,17 +111,15 @@ class NoisePlan:
 
     Equal-size splitting gives all k blocks the same budget, so sigma2 and
     steps_per_block apply to every block.  The budget invariant is
-    k * budget.eps_renyi + ln(1/delta)/(budget.q - 1) == epsilon.  aux: see `_aux`.
+    k * budget.eps_renyi + ln(1/delta)/(budget.q - 1) == epsilon.
     """
 
     budget: BlockBudget
     k: int
     sigma2: float
     steps_per_block: int
-    regime: str
     epsilon: float
     delta: float
-    aux: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("k", self.k), ("steps_per_block", self.steps_per_block)):
@@ -134,10 +132,15 @@ class NoisePlan:
     def total_steps(self) -> int:
         return self.k * self.steps_per_block
 
+    @property
+    def regime(self) -> str:
+        """The regime of min_noise at the plan's block budget."""
+        return CLIP_DOMINANT if self.budget.ratio < 1.0 else DECAY_DOMINANT
+
     def to_dict(self) -> dict:
         """The plan as manifests and `cli plan` write it, under flat keys."""
         b = self.budget
-        d = {
+        return {
             "sigma2": self.sigma2,
             "steps_per_block": self.steps_per_block,
             "total_steps": self.total_steps,
@@ -151,9 +154,6 @@ class NoisePlan:
             "gamma": b.gamma,
             "lam": b.lam,
         }
-        if self.aux is not None:
-            d["aux"] = dict(self.aux)
-        return d
 
 
 def rdp_to_dp(eps_renyi: float, q: float, delta: float) -> float:
@@ -222,25 +222,6 @@ def min_noise(budget: BlockBudget) -> tuple[float, str]:
     return prefactor * budget.c1**2 / budget.lam, DECAY_DOMINANT
 
 
-def _aux(sigma2: float, budget: BlockBudget, x: float) -> dict:
-    """Intermediate scalars of the certification quadratic of largest_feasible_x.
-
-    zeta = 1/(1-(1-gamma*lam)^2) = 1/(gamma*lam (2-gamma*lam)); cb = sqrt(2*eps_renyi*sigma2/q);
-    beta0 = 2*c1/(lam*cb); beta1 = beta0*(lam*c0/c1 - 1); z = 1 - lam*c0/c1;
-    x is the realized contraction (1-gamma*lam)^T of the plan's step count.
-    """
-    cb = math.sqrt(2.0 * budget.eps_renyi * sigma2 / budget.q)
-    beta0 = 2.0 * budget.c1 / (budget.lam * cb)
-    return {
-        "zeta": 1.0 / (budget.gamma * budget.lam * (2.0 - budget.gamma * budget.lam)),
-        "beta0": beta0,
-        "beta1": beta0 * (budget.ratio - 1.0),
-        "cb": cb,
-        "z": 1.0 - budget.ratio,
-        "x": x,
-    }
-
-
 def _require_contraction(budget: BlockBudget) -> None:
     if not budget.gamma * budget.lam > 0:
         raise DomainError(
@@ -251,12 +232,11 @@ def _require_contraction(budget: BlockBudget) -> None:
 def largest_feasible_x(sigma2: float, budget: BlockBudget) -> float:
     """Largest root in (0, 1] of the certification quadratic.
 
-    The quadratic is (beta1^2+zeta) x^2 + 2 beta0 beta1 x + (beta0^2-zeta)=0;
-    its largest root is the contraction level x = (1-gamma*lam)^T reached by
-    the fewest certified steps.  Divided by zeta it reads
-    u (1 - z x)^2 = 1 - x^2, with u = sigma2_dec/sigma2 (sigma2_dec the
-    decay-dominant bound of min_noise) and z = 1 - lam*c0/c1, and its
-    discriminant is D = (1 - u) + u z^2.  1 - u comes from one exact
+    The quadratic is block_divergence(gap=2*c0) == eps_renyi in
+    x = (1-gamma*lam)^T: u (1 - z x)^2 = 1 - x^2, with u = sigma2_dec/sigma2
+    (sigma2_dec the decay-dominant bound of min_noise) and z = 1 - lam*c0/c1.
+    Its largest root is the contraction level reached by the fewest certified
+    steps, and its discriminant is D = (1 - u) + u z^2.  1 - u comes from one exact
     subtraction and each root formula below adds terms of one sign, so roots
     far below sqrt(ulp) survive.  Raises InfeasibleNoise when no root lies in
     (0, 1] (noise below the certified threshold, or at the strict
@@ -403,5 +383,4 @@ def make_plan(spec: BudgetSpec, k: int, steps: int | None = None,
     t = min_noise_steps(budget) if steps is None else int(steps)
     sigma2 = noise_for_steps(t, budget)
     return NoisePlan(budget=budget, k=k, sigma2=sigma2, steps_per_block=t,
-                     regime=min_noise(budget)[1], epsilon=spec.epsilon, delta=spec.delta,
-                     aux=_aux(sigma2, budget, x=(1.0 - budget.gamma * budget.lam) ** t))
+                     epsilon=spec.epsilon, delta=spec.delta)

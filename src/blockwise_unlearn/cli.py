@@ -108,12 +108,10 @@ def _cmd_unlearn(args) -> int:
         epsilon = args.epsilon
     if args.delta is not None:
         delta = args.delta
-    k = args.blocks if args.method == harness.METHOD_BLOCKWISE else 1
     harness.run_cell(
-        seed, harness.full_model(seed),
-        method=args.method, epsilon=epsilon, delta=delta, k=k,
+        seed, harness.full_model(seed), epsilon=epsilon, delta=delta, k=args.blocks
     )
-    key = harness.cell_key(args.method, epsilon, k, args.seed)
+    key = harness.cell_key(harness.METHOD_BLOCKWISE, epsilon, args.blocks, args.seed)
     print(os.path.join(seed.out, f"{key}.ckpt"))
     return 0
 
@@ -258,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parsers.add_parser("unlearn", help="unlearn from a trained checkpoint")
     _stage_args(p)
-    p.add_argument("--method", choices=[harness.METHOD_NFT, harness.METHOD_BLOCKWISE],
-                   default=harness.METHOD_BLOCKWISE)
-    p.add_argument("--blocks", type=int, default=1)
+    p.add_argument("--blocks", type=int, default=1,
+                   help="block count; 1 is plain noisy fine-tuning")
     p.add_argument("--epsilon", type=float, default=None, help="budget override")
     p.add_argument("--delta", type=float, default=None, help="budget override")
     p.set_defaults(fn=_cmd_unlearn)

@@ -25,12 +25,9 @@ from . import model as mdl
 from . import subspace as sub
 from .errors import DomainError, FormatError
 
-ENV_OUTPUT_DIR = "BLOCKWISE_UNLEARN_OUTDIR"
-
-METHOD_NFT = "nft"
 METHOD_BLOCKWISE = "blockwise"
 METHOD_RETRAIN = "retrain"
-METHODS = (METHOD_NFT, METHOD_BLOCKWISE, METHOD_RETRAIN)
+METHODS = (METHOD_BLOCKWISE, METHOD_RETRAIN)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -194,9 +191,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> str:
-    if override:
-        return override
-    return os.environ.get(ENV_OUTPUT_DIR, config.output_dir)
+    return override or config.output_dir
 
 
 def _dataset_fields(config: ExperimentConfig) -> dict:
@@ -314,12 +309,15 @@ def evaluation_sets(data, external_test, split) -> eng.EvalSets:
 
 def prepare_seed(config, out, data, external_test, seed_index) -> PreparedSeed:
     """Split one seed and write its split under `out`.  Rows are held out for
-    testing only when no external test set was loaded."""
+    testing only when no external test set was loaded, and then at least one."""
     seeds = cell_seeds(config, seed_index)
     test_fraction = config.test_fraction if external_test is None else 0.0
     split = ds.make_split(
         data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
     )
+    if external_test is None and not split.test_idx.size:
+        raise DomainError(f"test_fraction {config.test_fraction} holds out no row "
+                          f"of {len(data)}; the held-out test set needs at least one")
     ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
     return PreparedSeed(
         config, out, data, seed_index, seeds, split,
@@ -387,10 +385,10 @@ def retrain(seed: PreparedSeed) -> tuple[mdl.ParamVector, float]:
 
 
 def run_cell(
-    seed: PreparedSeed, full_params, *, method, epsilon, delta, k,
+    seed: PreparedSeed, full_params, *, epsilon, delta, k,
 ) -> tuple[eng.RunRecord, float]:
-    """Unlearn one cell from the full model and write its CSV, checkpoint and
-    manifest under the seed's output directory.
+    """Unlearn one blockwise cell from the full model and write its CSV,
+    checkpoint and manifest under the seed's output directory.
 
     Builds the plan and, for k > 1, the basis; runs the block schedule on the
     retain rows and checks that no forget row fed a gradient.  Returns the run
@@ -398,7 +396,7 @@ def run_cell(
     cell's key.
     """
     config, out = seed.config, seed.out
-    key = cell_key(method, epsilon, k, seed.index)
+    key = cell_key(METHOD_BLOCKWISE, epsilon, k, seed.index)
     plan_args, run_args = unlearn_settings(config)
     plan = acc.make_plan(budget_spec(config, epsilon, delta), k, **plan_args)
     basis = None
@@ -419,7 +417,7 @@ def run_cell(
     mdl.save_params(record.final_params, os.path.join(out, f"{key}.ckpt"))
     manifest = {
         "key": key,
-        "method": method,
+        "method": METHOD_BLOCKWISE,
         "epsilon": epsilon,
         "delta": delta,
         "k": k,
@@ -443,7 +441,6 @@ def run_experiment(
     os.makedirs(out, exist_ok=True)
     data, external_test = load_dataset(config)
     result = ExperimentResult()
-    k_values = config.k_values if config.method == METHOD_BLOCKWISE else (1,)
 
     for seed_index in range(config.n_seeds):
         try:
@@ -474,12 +471,11 @@ def run_experiment(
             continue
 
         for epsilon, delta in config.budgets:
-            for k in k_values:
-                key = cell_key(config.method, epsilon, k, seed_index)
+            for k in config.k_values:
+                key = cell_key(METHOD_BLOCKWISE, epsilon, k, seed_index)
                 try:
                     record, rte = run_cell(
-                        seed, full_params,
-                        method=config.method, epsilon=epsilon, delta=delta, k=k,
+                        seed, full_params, epsilon=epsilon, delta=delta, k=k
                     )
                     report = audit.against_baseline(
                         audit.compute_metrics(
@@ -491,7 +487,7 @@ def run_experiment(
                     result.cells.append(
                         CellResult(
                             key=key,
-                            method=config.method,
+                            method=METHOD_BLOCKWISE,
                             epsilon=epsilon,
                             k=k,
                             seed_index=seed_index,

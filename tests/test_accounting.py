@@ -755,24 +755,6 @@ class TestDomainGuards:
         with pytest.raises(DomainError, match="lam"):
             acc.BudgetSpec(epsilon=1.0, delta=1e-5, gamma=0.1, lam=lam, c1=2.0, c0=1.0)
 
-    def test_aux_identities(self):
-        spec = acc.BudgetSpec(
-            epsilon=1.0, delta=1e-5, gamma=1e-4, lam=10.0, c1=100.0, c0=0.005
-        )
-        plan = acc.make_plan(spec, k=2, steps=2)
-        aux = plan.to_dict()["aux"]
-        gl = spec.gamma * spec.lam
-        assert aux["zeta"] == pytest.approx(1.0 / (1.0 - (1.0 - gl) ** 2), rel=1e-12)
-        assert aux["zeta"] > 0
-        assert aux["cb"] == pytest.approx(
-            math.sqrt(2.0 * plan.budget.eps_renyi * plan.sigma2 / plan.budget.q),
-            rel=1e-12,
-        )
-        ratio = spec.lam * plan.budget.c0 / plan.budget.c1
-        assert aux["beta1"] == pytest.approx(aux["beta0"] * (ratio - 1.0), rel=1e-12)
-        assert aux["z"] == pytest.approx(1.0 - ratio, rel=1e-12)
-        assert 0.0 < aux["x"] <= 1.0
-
 
 class TestPurity:
     def test_bit_identical_outputs(self):

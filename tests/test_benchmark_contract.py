@@ -63,8 +63,7 @@ def blobs():
 def toy_plan(k):
     return NoisePlan(
         budget=BlockBudget(gamma=0.05, lam=0.1, c0=0.1, c1=1.0, q=2.0, eps_renyi=0.5 / k),
-        k=k, sigma2=0.01, steps_per_block=2, regime="ClipDominant", epsilon=1.0,
-        delta=1e-5,
+        k=k, sigma2=0.01, steps_per_block=2, epsilon=1.0, delta=1e-5,
     )
 
 

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ class TestPlanCommand:
         assert doc["q_used"] == pytest.approx(24.5, abs=0.1)
         assert doc["eps_renyi_per_block"][0] == pytest.approx(0.255, abs=1e-3)
         assert doc["c1_per_block"] == pytest.approx(70.71, abs=0.01)
-        assert set(doc["aux"]) == {"zeta", "beta0", "beta1", "cb", "z", "x"}
+        assert "aux" not in doc
 
     def test_min_noise_mode(self, capsys):
         rc = run_cli(
@@ -82,7 +84,7 @@ class TestPipelineCommands:
 
         assert run_cli(
             "unlearn", "--config", str(config_path), "--seed", "0",
-            "--method", "blockwise", "--blocks", "2",
+            "--blocks", "2",
         ) == 0
         assert (out / "blockwise_eps1_k2_seed0.ckpt").exists()
         assert (out / "blockwise_eps1_k2_seed0.csv").exists()
@@ -115,7 +117,7 @@ class TestPipelineCommands:
         config_path = write_config(tmp_path, doc)
         assert run_cli(
             "unlearn", "--config", str(config_path), "--seed", "0",
-            "--method", "blockwise", "--blocks", "2",
+            "--blocks", "2",
         ) == 0
         manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
         assert manifest["basis_strategy"] == "layer_cyclic"
@@ -181,10 +183,9 @@ class TestPipelineCommands:
         doc["n_seeds"] = 1
         config_path = write_config(tmp_path, doc)
         assert run_cli(
-            "unlearn", "--config", str(config_path), "--seed", "0",
-            "--method", "nft",
+            "unlearn", "--config", str(config_path), "--seed", "0", "--blocks", "1",
         ) == 0
-        assert (out / "nft_eps1_k1_seed0.ckpt").exists()
+        assert (out / "blockwise_eps1_k1_seed0.ckpt").exists()
 
     def test_calibrate_delta(self, tmp_path, capsys):
         doc = base_config_doc(str(tmp_path / "out"))
@@ -421,6 +422,21 @@ def test_package_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `blockwise-unlearn` command in README's CLI
+    block, with its backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("blockwise-unlearn ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_parse(argv):
+    # a flag removed from the parser must not stay in the docs
+    assert cli.build_parser().parse_args(argv).fn is not None
 
 
 class TestDivergenceCheckCommand:

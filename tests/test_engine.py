@@ -24,7 +24,6 @@ def toy_plan(k=1, sigma2=0.01, steps=2, gamma=0.05, lam=0.1, c1=1.0):
         k=k,
         sigma2=sigma2,
         steps_per_block=steps,
-        regime="ClipDominant",
         epsilon=1.0,
         delta=1e-5,
     )

@@ -242,9 +242,10 @@ class TestConfig:
         assert np.array_equal(data.inputs, seeded.inputs)
         assert np.array_equal(data.labels, seeded.labels)
 
-    def test_bad_method(self, tmp_path):
+    @pytest.mark.parametrize("method", ["gradient_ascent", "nft"])
+    def test_bad_method(self, tmp_path, method):
         doc = base_config_doc(str(tmp_path))
-        doc["method"] = "gradient_ascent"
+        doc["method"] = method
         with pytest.raises(DomainError):
             harness.config_from_dict(doc)
 
@@ -290,12 +291,9 @@ class TestConfig:
         with pytest.raises(DomainError, match="k_values"):
             harness.config_from_dict(doc)
 
-    def test_env_override(self, tmp_path, monkeypatch):
+    def test_output_dir_override(self):
         config = harness.config_from_dict(base_config_doc("default_dir"))
-        monkeypatch.setenv(harness.ENV_OUTPUT_DIR, str(tmp_path / "env_dir"))
-        assert harness.resolve_output_dir(config) == str(tmp_path / "env_dir")
         assert harness.resolve_output_dir(config, "explicit") == "explicit"
-        monkeypatch.delenv(harness.ENV_OUTPUT_DIR)
         assert harness.resolve_output_dir(config) == "default_dir"
 
     def test_budget_spec_requires_radius(self):
@@ -413,14 +411,6 @@ class TestRunExperiment:
         report_text = (tmp_path / "out" / "report.txt").read_text()
         assert report_text.splitlines()[1].startswith("retrain")
 
-    def test_nft_ignores_k_grid(self, tmp_path):
-        doc = base_config_doc(str(tmp_path / "out"))
-        doc["method"] = "nft"
-        doc["n_seeds"] = 1
-        result = harness.run_experiment(harness.config_from_dict(doc))
-        nft_cells = [c for c in result.cells if c.method == "nft"]
-        assert len(nft_cells) == 1 and nft_cells[0].k == 1
-
     def test_infeasible_cell_recorded_others_proceed(self, tmp_path):
         doc = base_config_doc(str(tmp_path / "out"))
         # q fixed too small for the budget: no Renyi budget remains
@@ -443,6 +433,16 @@ class TestRunExperiment:
                           "test_images": "c", "test_labels": "d"}
         with pytest.raises(DomainError, match="^test_fraction"):
             harness.config_from_dict(doc)
+
+    def test_empty_held_out_set_fails_before_training(self, tmp_path):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["test_fraction"], doc["n_seeds"] = 0.0, 1
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        assert not result.cells
+        assert list(result.errors) == ["seed0"]
+        assert result.errors["seed0"].startswith("DomainError: test_fraction")
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt", "summary.json"]
 
     def test_each_model_audited_once(self, tmp_path, monkeypatch):
         fits = []

@@ -197,8 +197,7 @@ def batches(widths, seed):
 def toy_plan(k, sigma2=0.01):
     return NoisePlan(
         budget=BlockBudget(gamma=0.05, lam=0.1, c0=0.1, c1=0.5, q=2.0, eps_renyi=0.5 / k),
-        k=k, sigma2=sigma2, steps_per_block=3, regime="ClipDominant", epsilon=1.0,
-        delta=1e-5,
+        k=k, sigma2=sigma2, steps_per_block=3, epsilon=1.0, delta=1e-5,
     )
 
 

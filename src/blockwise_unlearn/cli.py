@@ -42,32 +42,24 @@ def _add_plan_parser(sub_parsers) -> None:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--c1", type=float, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta-rho", type=float, help="proximity bound; c0 = delta_rho/2")
-    group.add_argument("--c0", type=float,
-                       help="initial-distance radius; an assumed bound, not enforced")
+    p.add_argument("--delta-rho", type=float, required=True,
+                   help="proximity bound; c0 = delta_rho/2 is an assumed bound on "
+                        "the initial distance, not enforced")
     p.add_argument("--blocks", type=int, default=1)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int, help="fixed per-block step count")
     mode.add_argument("--min-noise", action="store_true", help="minimal-noise mode")
     p.add_argument("--q", type=float, default=None, help="Renyi order (default: optimize)")
-    p.add_argument("--no-scale-c0", action="store_true",
-                   help="keep the initial-distance radius global across blocks")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_plan)
 
 
 def _cmd_plan(args) -> int:
-    c0 = args.c0 if args.c0 is not None else args.delta_rho / 2.0
     spec = acc.BudgetSpec(
         epsilon=args.epsilon, delta=args.delta, gamma=args.gamma,
-        lam=args.lam, c1=args.c1, c0=c0, q=args.q,
+        lam=args.lam, c1=args.c1, c0=args.delta_rho / 2.0, q=args.q,
     )
-    plan = acc.make_plan(
-        spec, args.blocks,
-        steps=None if args.min_noise else args.steps,
-        scale_c0=not args.no_scale_c0,
-    )
+    plan = acc.make_plan(spec, args.blocks, steps=None if args.min_noise else args.steps)
     _write_json(plan.to_dict(), args.out)
     return 0
 

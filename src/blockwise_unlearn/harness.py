@@ -83,17 +83,13 @@ def _json(types, name, convert=None):
 
 
 _integer, _number = _json(int, "a JSON integer"), _json((int, float), "a JSON number", float)
-_string, _boolean = _json(str, "a JSON string"), _json(bool, "true or false")
+_string = _json(str, "a JSON string")
 _object, _array = _json(dict, "a JSON object"), _json(list, "a JSON array")
 
 
 def _raw(value):
     """Read as given; the record built from it checks it."""
     return value
-
-
-def _nullable(kind):
-    return lambda value: None if value is None else kind(value)
 
 
 def _at_least(floor: int):
@@ -124,12 +120,11 @@ _SECTIONS = {
     "budgets": ("epsilon delta", dict(epsilon=_number, delta=_number)),
     "train": ("steps", dict(steps=_integer, lr=_number, momentum=_number,
                             weight_decay=_number, batch_size=_at_least(1))),
-    "unlearn": ("gamma lam c1", dict(
-        gamma=_number, lam=_number, c1=_number, c0=_number, delta_rho=_number,
-        q=_nullable(_number), steps=_nullable(_at_least(1)),
-        batch_size=_at_least(1), scale_c0=_boolean)),
-    "finetune": ("", dict(steps=_nullable(_at_least(0)), lr=_number,
-                          momentum=_number, weight_decay=_number)),
+    "unlearn": ("gamma lam c1 delta_rho", dict(
+        gamma=_number, lam=_number, c1=_number, delta_rho=_number, q=_number,
+        steps=_at_least(1), batch_size=_at_least(1))),
+    "finetune": ("", dict(steps=_at_least(0), lr=_number, momentum=_number,
+                          weight_decay=_number)),
     "dataset.blobs": ("n classes dim separation", dict(
         n=_integer, classes=_integer, dim=_integer, separation=_number,
         seed=_at_least(0))),
@@ -230,12 +225,8 @@ def train_config(config: ExperimentConfig) -> eng.TrainConfig:
 
 def budget_spec(config: ExperimentConfig, epsilon: float, delta: float) -> acc.BudgetSpec:
     u = _read("unlearn", config.unlearn)
-    if ("c0" in u) == ("delta_rho" in u):
-        raise DomainError("unlearn config needs c0 or delta_rho, not both")
-    if "delta_rho" in u:
-        u["c0"] = u["delta_rho"] / 2.0
-    return acc.BudgetSpec(epsilon=epsilon, delta=delta, **{
-        key: u[key] for key in ("gamma", "lam", "c1", "c0", "q") if key in u})
+    return acc.BudgetSpec(epsilon=epsilon, delta=delta, c0=u["delta_rho"] / 2.0, **{
+        key: u[key] for key in ("gamma", "lam", "c1", "q") if key in u})
 
 
 def unlearn_settings(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -247,7 +238,7 @@ def unlearn_settings(config: ExperimentConfig) -> tuple[dict, dict]:
     if "batch_size" in u:
         run_args["batch_size"] = u["batch_size"]
     run_args["step_cap"] = config.step_cap
-    return {key: u[key] for key in ("steps", "scale_c0") if key in u}, run_args
+    return ({"steps": u["steps"]} if "steps" in u else {}), run_args
 
 
 def cell_seeds(config: ExperimentConfig, seed_index: int) -> eng.Seeds:
@@ -309,20 +300,20 @@ def evaluation_sets(data, external_test, split) -> eng.EvalSets:
 
 def prepare_seed(config, out, data, external_test, seed_index) -> PreparedSeed:
     """Split one seed and write its split under `out`.  Rows are held out for
-    testing only when no external test set was loaded, and then at least one."""
+    testing only when no external test set was loaded.  The test set, held
+    out or external, needs at least one row."""
     seeds = cell_seeds(config, seed_index)
     test_fraction = config.test_fraction if external_test is None else 0.0
     split = ds.make_split(
         data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
     )
-    if external_test is None and not split.test_idx.size:
-        raise DomainError(f"test_fraction {config.test_fraction} holds out no row "
-                          f"of {len(data)}; the held-out test set needs at least one")
+    eval_sets = evaluation_sets(data, external_test, split)
+    if not len(eval_sets.test[1]):
+        source = ("dataset.test_images holds no row" if external_test is not None else
+                  f"test_fraction {config.test_fraction} holds out no row of {len(data)}")
+        raise DomainError(f"{source}; the test set needs at least one")
     ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
-    return PreparedSeed(
-        config, out, data, seed_index, seeds, split,
-        evaluation_sets(data, external_test, split),
-    )
+    return PreparedSeed(config, out, data, seed_index, seeds, split, eval_sets)
 
 
 def model_path(seed: PreparedSeed, name: str) -> str:

@@ -155,6 +155,31 @@ def clip_dominant_specs(draw):
 
 
 @st.composite
+def plans_and_gap_splits(draw):
+    """A make_plan plan with lam*c0/c1 in [0.01, 3], gamma*lam in [1e-4, 0.99],
+    k in 1..32 and T in 1..300 or, where lam*c0/c1 < 1, the minimal-noise T;
+    and per-block gaps g_i >= 0 scaled so that sum(g_i^2) = 4 c0^2, with c0
+    the radius before the sqrt(k) split (as floats, within a few ulp)."""
+    gamma_lam = draw(st.floats(1e-4, 0.99))
+    gamma = 10.0 ** draw(st.floats(-3.0, 0.0))
+    lam = gamma_lam / gamma
+    ratio = draw(st.floats(0.01, 3.0))
+    c1 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    spec = acc.BudgetSpec(
+        epsilon=draw(st.floats(0.1, 10.0)), delta=10.0 ** draw(st.floats(-10.0, -2.0)),
+        gamma=gamma, lam=lam, c1=c1, c0=ratio * c1 / lam,
+    )
+    k = draw(st.integers(1, 32))
+    fixed = st.integers(1, 300)
+    steps = draw(st.one_of(st.none(), fixed) if ratio < 1 - 1e-9 else fixed)
+    weights = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False),
+                            min_size=k, max_size=k).filter(any))
+    norm = math.hypot(*weights)
+    return acc.make_plan(spec, k, steps=steps), spec.c0, [2 * spec.c0 * (w / norm)
+                                                           for w in weights]
+
+
+@st.composite
 def budgets_and_steps(draw):
     """A block budget from block_budgets and a step count T with
     (1 - gamma*lam)^T > 1e-12."""
@@ -580,6 +605,26 @@ class TestSplitBudget:
     def test_bad_k(self):
         with pytest.raises(DomainError):
             acc.split_budget(1.0, 3.0, 1e-5, 0, 1.0, 1.0)
+
+    # The composed certificate of a k-block plan is sum_i D_q(g_i) over the
+    # blocks' shares g_i of the initial gap; the basis is orthonormal, so
+    # sum(g_i^2) = ||gap||^2 <= 4 c0^2.  D_q grows as (x g + b)^2 with b >= 0,
+    # so at a fixed sum(g_i^2) the sum is largest at the equal split
+    # g_i = 2 c0/sqrt(k) = 2 c0_per_block, which the plan's noise certifies.
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(plans_and_gap_splits())
+    def test_sqrt_k_split_certifies_every_split_of_the_gap(self, plan_and_gaps):
+        plan, c0, gaps = plan_and_gaps
+        b, t = plan.budget, plan.steps_per_block
+        bound = plan.k * b.eps_renyi
+        total = math.fsum(acc.block_divergence(b, plan.sigma2, t, g) for g in gaps)
+        # Drawn as floats, sum(g_i^2) may round above 4 c0^2 (at k = 2, gaps
+        # one ulp above 2 c0_per_block went one ulp over the budget).  Gaps s
+        # times a split of the sphere need at most s^2 times its divergence.
+        overshoot = max(1, sum(Fraction(g) ** 2 for g in gaps) / (4 * Fraction(c0) ** 2))
+        assert Fraction(total) <= Fraction(bound) * overshoot
+        equal = math.fsum([acc.block_divergence(b, plan.sigma2, t, 2 * b.c0)] * plan.k)
+        assert bound * (1 - 1e-14) <= equal <= bound
 
 
 class TestMakePlan:

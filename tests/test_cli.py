@@ -39,13 +39,23 @@ class TestPlanCommand:
     def test_min_noise_mode(self, capsys):
         rc = run_cli(
             "plan", "--epsilon", "2.0", "--delta", "1e-4", "--gamma", "0.1",
-            "--lambda", "1.0", "--c1", "2.0", "--c0", "1.0", "--q", "8",
+            "--lambda", "1.0", "--c1", "2.0", "--delta-rho", "2.0", "--q", "8",
             "--blocks", "1", "--min-noise",
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["regime"] == "ClipDominant"
         assert doc["steps_per_block"] >= 1
+
+    @pytest.mark.parametrize("flags", [["--c0", "1.0"], ["--delta-rho", "2.0", "--no-scale-c0"]],
+                             ids=["c0", "no-scale-c0"])
+    def test_removed_radius_flags_exit_2(self, capsys, flags):
+        # the radius is given once, as --delta-rho, and always split by sqrt(k)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plan", "--epsilon", "1.0", "--delta", "1e-5", "--gamma", "1e-4",
+                    "--lambda", "10", "--c1", "100", "--steps", "2", *flags)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_infeasible_budget_exit_code(self, capsys):
         rc = run_cli(

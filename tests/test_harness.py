@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.errors import DomainError, FormatError
+
+from test_datasets import write_idx_fixture
 
 
 def base_config_doc(output_dir):
@@ -152,7 +156,7 @@ class TestConfig:
         (lambda doc: doc["deletion"].update(fraction=1.5), DomainError, "fraction"),
         (lambda doc: doc["deletion"].update(kind="all"), DomainError, "deletion kind"),
         (lambda doc: doc["budgets"][0].update(epsilon=-1.0), DomainError, "epsilon"),
-        (lambda doc: doc["unlearn"].update(c0=0.1), DomainError, "c0 or delta_rho"),
+        (lambda doc: doc["unlearn"].update(c0=0.1), FormatError, "unlearn.c0"),
         (lambda doc: doc["unlearn"].update(steps="two"), FormatError, "unlearn.steps"),
         (lambda doc: doc["unlearn"].update(batch_size=None), FormatError, "unlearn.batch_size"),
         (lambda doc: doc["finetune"].update(lr="fast"), FormatError, "finetune.lr"),
@@ -170,11 +174,18 @@ class TestConfig:
         (lambda doc: doc["unlearn"].update(lam=float("nan")), DomainError, "lam"),
         (lambda doc: doc.update(k_values=[]), DomainError, "k_values"),
         (lambda doc: doc.update(budgets=[]), DomainError, "budgets"),
+        # a missing key is the only way to ask for a default
+        (lambda doc: doc["unlearn"].update(q=None), FormatError, "unlearn.q"),
+        (lambda doc: doc["unlearn"].update(steps=None), FormatError, "unlearn.steps"),
+        (lambda doc: doc["finetune"].update(steps=None), FormatError, "finetune.steps"),
+        # every cell splits c0 by sqrt(k)
+        (lambda doc: doc["unlearn"].update(scale_c0=False), FormatError, "unlearn.scale_c0"),
     ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
             "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps",
             "negative-finetune-steps", "zero-unlearn-steps", "zero-train-batch-size",
             "zero-unlearn-batch-size", "negative-dataset-seed", "zero-width", "zero-blocks",
-            "nan-lam", "empty-k-values", "empty-budgets"])
+            "nan-lam", "empty-k-values", "empty-budgets", "null-unlearn-q",
+            "null-unlearn-steps", "null-finetune-steps", "scale-c0"])
     def test_config_errors_fail_at_load(self, edit, error, field):
         doc = base_config_doc("x")
         edit(doc)
@@ -209,6 +220,21 @@ class TestConfig:
             assert {renamed.get(key, key) for key in kinds} <= params, section
             assert set(required.split()) <= set(kinds), section
 
+    def test_readme_config_table_matches_the_sections(self):
+        # a key removed from the config format must not stay in the docs
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("| Section | Required | Optional (default) |\n", 1)[1]
+        documented = {}
+        for row in table.split("\n\n", 1)[0].splitlines()[1:]:
+            section, required, optional = (
+                re.findall(r"`([^`]*)`", re.sub(r"\([^)]*\)", "", cell))
+                for cell in row.strip("|").split("|"))
+            name = ".".join(part.removeprefix("kind: ") for part in section)
+            documented[name] = (set(required), set(optional))
+        assert documented == {
+            name: (set(required.split()), set(kinds) - set(required.split()))
+            for name, (required, kinds) in harness._SECTIONS.items()}
+
     def test_required_keys_alone_build_the_defaults(self):
         doc = {
             "dataset": {"kind": "blobs", "n": 800, "classes": 3, "dim": 6, "separation": 5.0},
@@ -230,7 +256,7 @@ class TestConfig:
         plan_args, run_args = harness.unlearn_settings(config)
         plan = acc.make_plan(spec, 2, **plan_args)
         assert plan.to_dict() == acc.make_plan(spec, 2, steps=None).to_dict()
-        assert plan.budget.c0 == 0.025 / np.sqrt(2)  # scale_c0 true
+        assert plan.budget.c0 == 0.025 / np.sqrt(2)
         run = eng.RunConfig(plan=plan, basis=None, **run_args)
         assert (run.batch_size, run.fine_tune_steps, run.step_cap) == (64, None, 1000)
         # fine-tuning has no weight decay by default, unlike training (1e-5)
@@ -299,7 +325,7 @@ class TestConfig:
     def test_budget_spec_requires_radius(self):
         doc = base_config_doc("x")
         del doc["unlearn"]["delta_rho"]
-        with pytest.raises(DomainError):
+        with pytest.raises(FormatError, match="unlearn.delta_rho"):
             harness.config_from_dict(doc)
 
     def test_budget_spec_halves_proximity_bound(self):
@@ -444,6 +470,27 @@ class TestRunExperiment:
         assert result.errors["seed0"].startswith("DomainError: test_fraction")
         assert sorted(p.name for p in out.iterdir()) == ["report.txt", "summary.json"]
 
+    def test_empty_external_test_set_fails_before_training(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(2, dtype=np.uint8), 100)
+        train_img, train_lbl = write_idx_fixture(
+            tmp_path, rng.integers(0, 256, size=(200, 2, 3), dtype=np.uint8), labels)
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        test_img, test_lbl = write_idx_fixture(
+            test_dir, np.zeros((0, 2, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["dataset"] = {"kind": "mnist_idx", "train_images": str(train_img),
+                          "train_labels": str(train_lbl), "test_images": str(test_img),
+                          "test_labels": str(test_lbl)}
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        assert not result.cells
+        assert list(result.errors) == ["seed0", "seed1"]
+        assert all(e.startswith("DomainError: dataset.test_images holds no row")
+                   for e in result.errors.values())
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt", "summary.json"]
+
     def test_each_model_audited_once(self, tmp_path, monkeypatch):
         fits = []
         fit_logistic = audit._fit_logistic
@@ -496,15 +543,12 @@ class TestRunExperiment:
         with pytest.raises(FormatError, match="unlearn.scale_c0"):
             harness.config_from_dict(doc)
 
-    @pytest.mark.parametrize("value,c0_per_block", [
-        (True, 0.025 / np.sqrt(2)), (False, 0.025), (None, 0.025 / np.sqrt(2)),
-    ], ids=["true", "false", "absent"])
-    def test_scale_c0_boolean_sets_the_block_radius(self, tmp_path, value, c0_per_block):
+    # c0 = delta_rho/2 = 0.025, split by sqrt(k) in every cell
+    @pytest.mark.parametrize("c0_per_block", [0.025 / np.sqrt(2)], ids=["absent"])
+    def test_scale_c0_boolean_sets_the_block_radius(self, tmp_path, c0_per_block):
         out = tmp_path / "out"
         doc = base_config_doc(str(out))
         doc["n_seeds"], doc["k_values"] = 1, [2]
-        if value is not None:
-            doc["unlearn"]["scale_c0"] = value
         assert not harness.run_experiment(harness.config_from_dict(doc)).errors
         manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
         assert manifest["plan"]["c0_per_block"] == c0_per_block

@@ -11,6 +11,7 @@ separate file so they never break determinism.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ from . import datasets as ds
 from . import engine as eng
 from . import model as mdl
 from . import subspace as sub
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, UnlearnError
 
 METHOD_BLOCKWISE = "blockwise"
 METHOD_RETRAIN = "retrain"
@@ -54,6 +55,8 @@ class ExperimentConfig:
             raise DomainError("n_seeds must be >= 1")
         if self.seed0 < 0:
             raise DomainError(f"seed0 must be >= 0, got {self.seed0}")
+        if self.step_cap < 0:
+            raise DomainError(f"step_cap must be >= 0, got {self.step_cap}")
         if self.basis_strategy not in sub.STRATEGIES:
             raise DomainError(f"unknown basis strategy {self.basis_strategy!r}")
         if not 0 <= self.test_fraction < 1:
@@ -101,6 +104,21 @@ def _at_least(floor: int):
     return read
 
 
+def _number_in(text: str, holds):
+    """A JSON number x for which holds(x); any other number is a DomainError."""
+    def read(value):
+        x = _number(value)
+        if not holds(x):
+            raise DomainError(f"must be {text}, got {value}")
+        return x
+    return read
+
+
+# an optimizer's step size and weight decay, and its momentum
+_rate = _number_in("finite and >= 0", lambda x: 0 <= x < math.inf)
+_momentum = _number_in("in [0, 1)", lambda x: 0 <= x < 1)
+
+
 def _counts(floor: int):
     """A JSON array of JSON integers >= floor, as a tuple."""
     return lambda value: tuple(map(_at_least(floor), _array(value)))
@@ -118,13 +136,13 @@ _SECTIONS = {
         n_seeds=_integer, seed0=_integer, output_dir=_string)),
     "model": ("hidden", dict(hidden=_counts(1))),
     "budgets": ("epsilon delta", dict(epsilon=_number, delta=_number)),
-    "train": ("steps", dict(steps=_integer, lr=_number, momentum=_number,
-                            weight_decay=_number, batch_size=_at_least(1))),
+    "train": ("steps", dict(steps=_integer, lr=_rate, momentum=_momentum,
+                            weight_decay=_rate, batch_size=_at_least(1))),
     "unlearn": ("gamma lam c1 delta_rho", dict(
         gamma=_number, lam=_number, c1=_number, delta_rho=_number, q=_number,
         steps=_at_least(1), batch_size=_at_least(1))),
-    "finetune": ("", dict(steps=_at_least(0), lr=_number, momentum=_number,
-                          weight_decay=_number)),
+    "finetune": ("", dict(steps=_at_least(0), lr=_rate, momentum=_momentum,
+                          weight_decay=_rate)),
     "dataset.blobs": ("n classes dim separation", dict(
         n=_integer, classes=_integer, dim=_integer, separation=_number,
         seed=_at_least(0))),
@@ -170,7 +188,9 @@ def _read(name: str, section) -> dict:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The config of a JSON document, read through the builders the cells use,
-    so that a config error fails before any seed trains."""
+    so that a config error fails before any seed trains.  A cell whose plan
+    does not build is left to record that error when the grid runs; the plan
+    of every other cell must fit in `step_cap`."""
     fields = _read("", doc)
     model = _read("model", fields.pop("model"))
     budgets = [_read("budgets", entry) for entry in fields["budgets"]]
@@ -179,9 +199,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     _dataset_fields(config)
     train_config(config)
     deletion_request(config)
+    plan_args, _ = unlearn_settings(config)
     for epsilon, delta in config.budgets:
-        budget_spec(config, epsilon, delta)
-    unlearn_settings(config)
+        spec = budget_spec(config, epsilon, delta)
+        for k in config.k_values:
+            try:
+                noisy = acc.make_plan(spec, k, **plan_args).total_steps
+            except UnlearnError:
+                continue
+            if config.step_cap < noisy:
+                raise DomainError(
+                    f"step_cap {config.step_cap} is below the {noisy} noisy steps "
+                    f"of the cells at epsilon {epsilon:g}, k = {k}")
     return config
 
 

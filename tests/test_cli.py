@@ -356,6 +356,16 @@ def _nan_lam(doc):
     return doc
 
 
+def _nan_train_lr(doc):
+    doc["train"]["lr"] = float("nan")
+    return doc
+
+
+def _step_cap_below_plan(doc):
+    doc["step_cap"] = 3  # the k = 2 cells take 4 noisy steps
+    return doc
+
+
 def _empty(field):
     def edit(doc):
         doc[field] = []
@@ -405,10 +415,12 @@ class TestMalformedConfig:
         ("run", _nan_lam, "lam"),
         ("run", _empty("k_values"), "k_values"),
         ("run", _empty("budgets"), "budgets"),
+        ("run", _nan_train_lr, "train.lr"),
+        ("run", _step_cap_below_plan, "step_cap"),
     ], ids=["missing-unlearn-gamma", "missing-train-steps", "hidden-string", "list",
             "scale-c0-string", "run-missing-unlearn-c1", "run-finetune-typo",
             "run-negative-finetune-steps", "run-nan-lam", "run-empty-k-values",
-            "run-empty-budgets"])
+            "run-empty-budgets", "run-nan-train-lr", "run-step-cap-below-plan"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, edit, field):
         doc = base_config_doc(str(tmp_path / "out"))
         doc["n_seeds"] = 1

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -485,6 +486,24 @@ class TestTraining:
                 eng.TrainConfig(steps=5, batch_size=size)
             with pytest.raises(DomainError, match="batch size"):
                 small_config(batch_size=size)
+
+    @pytest.mark.parametrize("name,value,match", [
+        # a NaN lr trains into non-finite parameters, a negative one ascends the loss
+        ("lr", float("nan"), "lr"), ("lr", -0.05, "lr"), ("lr", math.inf, "lr"),
+        ("weight_decay", float("nan"), "weight decay"),
+        ("weight_decay", -1e-5, "weight decay"), ("weight_decay", math.inf, "weight decay"),
+        ("momentum", 1.5, "momentum"), ("momentum", 1.0, "momentum"),
+        ("momentum", -0.1, "momentum"), ("momentum", float("nan"), "momentum"),
+    ])
+    def test_optimizer_settings_out_of_range_rejected(self, name, value, match):
+        with pytest.raises(DomainError, match=f"training {match}"):
+            eng.TrainConfig(steps=5, **{name: value})
+        with pytest.raises(DomainError, match=f"fine-tune {match}"):
+            small_config(**{f"fine_tune_{name}": value})
+
+    def test_optimizer_settings_at_their_bounds_accepted(self):
+        eng.TrainConfig(steps=5, lr=0.0, momentum=0.0, weight_decay=0.0)
+        small_config(fine_tune_lr=0.0, fine_tune_momentum=0.0, fine_tune_weight_decay=0.0)
 
     def test_loss_decreases_on_blobs(self, monkeypatch):
         cfg = eng.TrainConfig(steps=300, lr=0.05, batch_size=64)

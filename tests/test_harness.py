@@ -180,17 +180,50 @@ class TestConfig:
         (lambda doc: doc["finetune"].update(steps=None), FormatError, "finetune.steps"),
         # every cell splits c0 by sqrt(k)
         (lambda doc: doc["unlearn"].update(scale_c0=False), FormatError, "unlearn.scale_c0"),
+        # a NaN lr trains into non-finite parameters, a negative one ascends
+        # the loss, and a momentum of 1 or more never decays the velocity
+        (lambda doc: doc["train"].update(lr=float("nan")), DomainError, "train.lr"),
+        (lambda doc: doc["train"].update(lr=-0.05), DomainError, "train.lr"),
+        (lambda doc: doc["train"].update(momentum=1.5), DomainError, "train.momentum"),
+        (lambda doc: doc["train"].update(weight_decay=float("inf")), DomainError,
+         "train.weight_decay"),
+        (lambda doc: doc["finetune"].update(lr=float("-inf")), DomainError, "finetune.lr"),
+        (lambda doc: doc["finetune"].update(momentum=1.0), DomainError, "finetune.momentum"),
+        (lambda doc: doc["finetune"].update(weight_decay=-1e-4), DomainError,
+         "finetune.weight_decay"),
+        (lambda doc: doc.update(step_cap=-1), DomainError, "step_cap"),
+        # the k = 2 cells take 2 noisy steps in each block
+        (lambda doc: doc.update(step_cap=3), DomainError, "step_cap 3 .* 4 noisy steps"),
     ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
             "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps",
             "negative-finetune-steps", "zero-unlearn-steps", "zero-train-batch-size",
             "zero-unlearn-batch-size", "negative-dataset-seed", "zero-width", "zero-blocks",
             "nan-lam", "empty-k-values", "empty-budgets", "null-unlearn-q",
-            "null-unlearn-steps", "null-finetune-steps", "scale-c0"])
+            "null-unlearn-steps", "null-finetune-steps", "scale-c0", "nan-train-lr",
+            "negative-train-lr", "train-momentum-above-one", "infinite-train-weight-decay",
+            "infinite-finetune-lr", "finetune-momentum-one", "negative-finetune-weight-decay",
+            "negative-step-cap", "step-cap-below-noisy-steps"])
     def test_config_errors_fail_at_load(self, edit, error, field):
         doc = base_config_doc("x")
         edit(doc)
         with pytest.raises(error, match=field):
             harness.config_from_dict(doc)
+
+    def test_step_cap_below_a_shipped_plan_fails_at_load(self):
+        # at load, before any seed trains, not as an error in each cell
+        path = Path(__file__).resolve().parents[1] / "configs" / "blobs_random10.json"
+        doc = json.loads(path.read_text())
+        doc["step_cap"] = 20  # the k = 10 cells: 10 blocks of 2 noisy steps
+        harness.config_from_dict(doc)
+        doc["step_cap"] = 5
+        with pytest.raises(DomainError, match="^step_cap 5 is below the 8 noisy steps"):
+            harness.config_from_dict(doc)
+
+    def test_step_cap_ignores_cells_whose_plan_does_not_build(self):
+        doc = base_config_doc("x")
+        doc["unlearn"]["q"] = 1.5  # no Renyi budget remains: no plan builds
+        doc["step_cap"] = 0
+        harness.config_from_dict(doc)
 
     # what each section's keys are passed to, and the parameter a key becomes
     # where it is not the key's own name

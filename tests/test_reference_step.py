@@ -256,6 +256,19 @@ class TestMomentumStep:
             assert same_bits(new.values, ref_new.values) and same_bits(v, ref_v)
             assert same_bits(loss, ref_loss) and same_bits(gnorm, ref_gnorm)
 
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "d"])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=lambda w: "-".join(map(str, w)))
+    def test_any_chunk_length_equals_reference(self, monkeypatch, widths, chunk):
+        params = perturbed_params(widths, 4)
+        monkeypatch.setattr(eng, "_CHUNK", params.d if chunk is None else chunk)
+        velocity = np.random.default_rng(5).standard_normal(params.d)
+        batch = batches(widths, 6)[1]
+        new, v, loss, gnorm = eng._momentum_step(params, velocity.copy(), batch, 0.01, 0.9, 1e-5)
+        ref_new, ref_v, ref_loss, ref_gnorm = ref_momentum_step(
+            params, velocity, batch, 0.01, 0.9, 1e-5)
+        assert same_bits(new.values, ref_new.values) and same_bits(v, ref_v)
+        assert same_bits(loss, ref_loss) and same_bits(gnorm, ref_gnorm)
+
     def test_inputs_kept_and_result_owns_its_memory(self):
         params = perturbed_params((8, 12, 4), 7)
         before = params.values.copy()
@@ -271,6 +284,19 @@ class TestTrain:
     def test_50_steps_equal_reference(self, monkeypatch):
         arch, data = mdl.MlpSpec((8, 12, 4)), (DATA.inputs, DATA.labels)
         seeds, config = eng.Seeds(1, 2, 3), eng.TrainConfig(steps=50, lr=0.05)
+        steps = spy_momentum_steps(monkeypatch)
+        params = eng.train(arch, data, seeds, config)
+        ref_params, ref_rows = ref_train(arch, data, seeds, config)
+        assert same_bits(params.values, ref_params.values)
+        assert same_bits([(loss, gnorm) for _, _, loss, gnorm in steps], ref_rows)
+
+    def test_several_chunks_equal_reference(self, monkeypatch):
+        arch = mdl.MlpSpec((784, 64, 10))
+        d = mdl.init_params(arch, 0).d  # 50,890: a full chunk and a partial one
+        assert eng._CHUNK < d and d % eng._CHUNK
+        rng = np.random.default_rng(14)
+        data = (rng.standard_normal((200, 784)), rng.integers(0, 10, 200))
+        seeds, config = eng.Seeds(1, 2, 3), eng.TrainConfig(steps=5, lr=0.05)
         steps = spy_momentum_steps(monkeypatch)
         params = eng.train(arch, data, seeds, config)
         ref_params, ref_rows = ref_train(arch, data, seeds, config)

@@ -37,6 +37,9 @@ _STEP_SNAP = 1e-6
 
 def _check_dynamics(gamma: float, lam: float, c0: float, c1: float) -> None:
     """The update-dynamics premises shared by a budget and each of its blocks."""
+    for name, value in (("gamma", gamma), ("lam", lam), ("c0", c0), ("c1", c1)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if not lam >= 0:
@@ -45,6 +48,11 @@ def _check_dynamics(gamma: float, lam: float, c0: float, c1: float) -> None:
         raise DomainError(f"gamma*lam must be < 1, got {gamma * lam}")
     if not (c0 > 0 and c1 > 0):
         raise DomainError(f"c0 and c1 must be > 0, got c0={c0}, c1={c1}")
+
+
+def _check_order(q: float) -> None:
+    if not 1 < q < math.inf:
+        raise DomainError(f"q must be finite and > 1, got {q}")
 
 
 @dataclass(frozen=True)
@@ -69,13 +77,13 @@ class BudgetSpec:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
         _check_dynamics(self.gamma, self.lam, self.c0, self.c1)
-        if self.q is not None and not self.q > 1:
-            raise DomainError(f"q must be > 1, got {self.q}")
+        if self.q is not None:
+            _check_order(self.q)
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,9 @@ class BlockBudget:
 
     def __post_init__(self) -> None:
         _check_dynamics(self.gamma, self.lam, self.c0, self.c1)
-        if not self.q > 1:
-            raise DomainError(f"q must be > 1, got {self.q}")
-        if not self.eps_renyi > 0:
-            raise DomainError(f"eps_renyi must be > 0, got {self.eps_renyi}")
+        _check_order(self.q)
+        if not 0 < self.eps_renyi < math.inf:
+            raise DomainError(f"eps_renyi must be finite and > 0, got {self.eps_renyi}")
 
     @property
     def ratio(self) -> float:
@@ -125,8 +132,8 @@ class NoisePlan:
         for name, value in (("k", self.k), ("steps_per_block", self.steps_per_block)):
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.sigma2 >= 0:
-            raise DomainError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @property
     def total_steps(self) -> int:
@@ -302,8 +309,9 @@ def block_divergence(budget: BlockBudget, sigma2: float, steps: int, gap: float)
 
 def _divergence(budget: BlockBudget, sigma2: float, steps: int, gap: float) -> Decimal:
     _require_contraction(budget)
-    if steps < 1 or not sigma2 > 0 or not gap >= 0:
-        raise DomainError(f"need steps >= 1, sigma2 > 0, gap >= 0: {steps}, {sigma2}, {gap}")
+    if steps < 1 or not 0 < sigma2 < math.inf or not 0 <= gap < math.inf:
+        raise DomainError(f"need steps >= 1, finite sigma2 > 0 and finite gap >= 0: "
+                          f"{steps}, {sigma2}, {gap}")
     gamma, lam = Decimal(budget.gamma), Decimal(budget.lam)
     digits = 40 + max(0, -gamma.adjusted() - lam.adjusted())
     with decimal.localcontext(decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)):
@@ -334,6 +342,9 @@ def min_noise_steps(budget: BlockBudget) -> int:
     if not budget.ratio < 1.0:
         raise InfeasibleNoise(f"lam*c0/c1 = {budget.ratio}: no step count attains min_noise")
     t_star = math.log1p(-budget.ratio) / math.log1p(-budget.gamma * budget.lam)
+    if t_star == math.inf:
+        raise InfeasibleNoise(f"the least-noise step count T* overflows: gamma*lam = "
+                              f"{budget.gamma * budget.lam}, lam*c0/c1 = {budget.ratio}")
     candidates = sorted({max(1, math.floor(t_star)), max(1, math.ceil(t_star))})
     return min(candidates, key=lambda t: _divergence(budget, 1.0, t, 2.0 * budget.c0))
 

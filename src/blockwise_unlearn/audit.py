@@ -68,11 +68,9 @@ def _attack_features(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row (max softmax probability, cross-entropy loss) features of
     (classes, rows) logits, from a row-wise log-softmax of a (rows, classes)
     copy, as the row-major forward pass lays its logits out."""
-    logits = np.ascontiguousarray(logits.T)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = mdl.log_softmax(np.ascontiguousarray(logits.T))
     max_prob = np.exp(log_probs.max(axis=1))
-    ce = -log_probs[np.arange(len(labels)), labels]
+    ce = -log_probs.take(mdl.label_entries(log_probs, labels))
     return np.column_stack([max_prob, ce])
 
 

@@ -70,36 +70,36 @@ def _stage_args(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed index within the grid")
 
 
-def _stage_setup(args) -> harness.PreparedSeed:
+def _stage_setup(args, config: harness.ExperimentConfig) -> harness.PreparedSeed:
     """The prepared seed of a stage, under its output directory."""
-    config = harness.load_config(args.config)
     out = harness.resolve_output_dir(config, args.out)
     os.makedirs(out, exist_ok=True)
     data, external_test = harness.load_dataset(config)
     return harness.prepare_seed(config, out, data, external_test, args.seed)
 
 
-def _cmd_train(args) -> int:
-    seed = _stage_setup(args)
-    harness.train_full(seed)
-    print(harness.model_path(seed, "full"))
-    return 0
+# the harness step of each model stage, and the name of the model it saves
+_MODEL_STAGES = {"train": (harness.train_full, "full"), "retrain": (harness.retrain, "retrain")}
 
 
-def _cmd_retrain(args) -> int:
-    seed = _stage_setup(args)
-    harness.retrain(seed)
-    print(harness.model_path(seed, "retrain"))
+def _cmd_model_stage(args) -> int:
+    step, name = _MODEL_STAGES[args.command]
+    seed = _stage_setup(args, harness.load_config(args.config))
+    step(seed)
+    print(harness.model_path(seed, name))
     return 0
 
 
 def _cmd_unlearn(args) -> int:
-    seed = _stage_setup(args)
-    epsilon, delta = seed.config.budgets[0]
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-    if args.delta is not None:
-        delta = args.delta
+    config = harness.load_config(args.config)
+    # the budget whose epsilon prints as --epsilon does, as in a cell's key
+    budgets = {f"{eps:g}": (eps, delta) for eps, delta in config.budgets}
+    name = next(iter(budgets)) if args.epsilon is None else f"{args.epsilon:g}"
+    if name not in budgets:
+        raise DomainError(f"--epsilon {name} matches none of the config's budgets "
+                          f"(epsilon {', '.join(budgets)}); add the budget to the config")
+    epsilon, delta = budgets[name]
+    seed = _stage_setup(args, config)
     harness.run_cell(
         seed, harness.full_model(seed), epsilon=epsilon, delta=delta, k=args.blocks
     )
@@ -207,7 +207,7 @@ def _cmd_divergence_check(args) -> int:
             "specs": args.specs,
             "violations": violations,
             "worst_margin": max(rep.numeric - rep.certified for rep in reports),
-            "tolerance": 1e-3,
+            "tolerance": reports[0].tolerance,
             "passed": violations == 0,
         }
     report["passed"] = all(
@@ -241,17 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_plan_parser(sub_parsers)
 
-    for name, fn in (("train", _cmd_train), ("retrain", _cmd_retrain)):
+    for name in _MODEL_STAGES:
         p = sub_parsers.add_parser(name, help=f"{name} one seed of the pipeline")
         _stage_args(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_model_stage)
 
     p = sub_parsers.add_parser("unlearn", help="unlearn from a trained checkpoint")
     _stage_args(p)
     p.add_argument("--blocks", type=int, default=1,
                    help="block count; 1 is plain noisy fine-tuning")
-    p.add_argument("--epsilon", type=float, default=None, help="budget override")
-    p.add_argument("--delta", type=float, default=None, help="budget override")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="epsilon of the config budget to unlearn under (default: the first)")
     p.set_defaults(fn=_cmd_unlearn)
 
     p = sub_parsers.add_parser("audit", help="evaluate a checkpoint against a split")

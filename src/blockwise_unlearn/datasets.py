@@ -4,6 +4,7 @@ readers the package's file formats share."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -43,6 +44,19 @@ class Dataset:
         return self.inputs, self.labels
 
 
+def check_blobs(n: int, classes: int, dim: int, separation: float) -> None:
+    """DomainError naming the first of a blob mixture's fields out of range:
+    classes >= 2, n >= classes, dim >= 1 and a finite separation."""
+    for name, value, holds, rule in (
+        ("classes", classes, classes >= 2, ">= 2"),
+        ("n", n, n >= classes, f">= classes ({classes})"),
+        ("dim", dim, dim >= 1, ">= 1"),
+        ("separation", separation, math.isfinite(separation), "finite"),
+    ):
+        if not holds:
+            raise DomainError(f"{name} must be {rule}, got {value}")
+
+
 def generate_blobs(
     n: int, classes: int, dim: int, separation: float, seed: int = 0
 ) -> Dataset:
@@ -52,8 +66,7 @@ def generate_blobs(
     every class identically distributed, large separation makes the mixture
     linearly separable.  Rows are shuffled so class labels interleave.
     """
-    if n < classes or classes < 2 or dim < 1:
-        raise DomainError("need n >= classes >= 2 and dim >= 1")
+    check_blobs(n, classes, dim, separation)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((classes, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -87,6 +100,12 @@ def read_json(path, what: str):
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as the package's JSON artifacts hold it: indent 2, keys sorted."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _read_be_u32(fh, what: str) -> int:

@@ -206,8 +206,6 @@ class TrajectoryBoundReport:
     numeric: float
     closed_form: float
     certified: float
-    terminal_gap: float
-    terminal_variance: float
     tolerance: float
     passed: bool
 
@@ -247,8 +245,6 @@ def check_budget_bound_on_trajectories(
         numeric=numeric,
         closed_form=closed,
         certified=budget.eps_renyi,
-        terminal_gap=gap,
-        terminal_variance=variance,
         tolerance=tolerance,
         passed=passed,
     )

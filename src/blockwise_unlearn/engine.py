@@ -229,9 +229,10 @@ def _first_layer_spans(basis: sub.BlockBasis | None, layer_map: tuple):
 
 def gaussian_noise(n: int, sigma2: float, rng) -> np.ndarray:
     """n draws of N(0, sigma2), the noise of a noisy step.  sigma2 = 0 returns
-    zeros without consuming the generator; NaN or sigma2 < 0 is a DomainError."""
-    if not sigma2 >= 0:
-        raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
+    zeros without consuming the generator; a sigma2 that is not finite and
+    >= 0 is a DomainError."""
+    if not 0 <= sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be finite and >= 0, got {sigma2}")
     if sigma2 == 0:
         return np.zeros(n)
     return rng.standard_normal(n) * np.sqrt(sigma2)
@@ -270,9 +271,9 @@ def nft_step(
             raise DomainError("block update requires a basis")
         g = sub.project_block(grad.values, basis, block)
         b = sub.project_block(params.values, basis, block)
-    pre = _norm(g)
+    pre = mdl.vector_norm(g)
     clipped = mdl.clip(g, c1)
-    post = _norm(clipped)
+    post = mdl.vector_norm(clipped)
     noise = gaussian_noise(b.shape[0], sigma2, rng)
     delta = np.multiply(b, lam)
     delta += clipped
@@ -281,13 +282,7 @@ def nft_step(
     if block is not None:
         delta = sub.lift_block(delta, basis, block)
     delta += params.values  # x' = x + delta, in delta's buffer
-    return mdl.ParamVector(delta, params.layer_map), loss, _norm(noise), pre, post
-
-
-def _norm(x: np.ndarray) -> float:
-    """`np.linalg.norm` of a real vector (the root of its dot product with
-    itself), without the wrapper's argument handling."""
-    return math.sqrt(x.dot(x))
+    return mdl.ParamVector(delta, params.layer_map), loss, mdl.vector_norm(noise), pre, post
 
 
 # Elements per chunk of the momentum update: 256 KiB per array, so the
@@ -306,7 +301,7 @@ def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
     """
     loss, grad = mdl.loss_and_grad(params, batch)
     g, p = grad.values, params.values
-    gnorm = _norm(g)
+    gnorm = mdl.vector_norm(g)
     new = np.empty(p.shape)
     for lo in range(0, p.size, _CHUNK):
         hi = lo + _CHUNK

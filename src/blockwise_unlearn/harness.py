@@ -10,7 +10,6 @@ separate file so they never break determinism.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -85,9 +84,18 @@ def _json(types, name, convert=None):
     return read
 
 
-_integer, _number = _json(int, "a JSON integer"), _json((int, float), "a JSON number", float)
+_integer, _float = _json(int, "a JSON integer"), _json((int, float), "a JSON number", float)
 _string = _json(str, "a JSON string")
 _object, _array = _json(dict, "a JSON object"), _json(list, "a JSON array")
+
+
+def _number(value) -> float:
+    """A JSON number, as a float; NaN and the infinities, which Python's JSON
+    reader accepts, are a DomainError."""
+    x = _float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"must be finite, got {value}")
+    return x
 
 
 def _raw(value):
@@ -115,7 +123,7 @@ def _number_in(text: str, holds):
 
 
 # an optimizer's step size and weight decay, and its momentum
-_rate = _number_in("finite and >= 0", lambda x: 0 <= x < math.inf)
+_rate = _number_in(">= 0", lambda x: x >= 0)
 _momentum = _number_in("in [0, 1)", lambda x: 0 <= x < 1)
 
 
@@ -150,7 +158,7 @@ _SECTIONS = {
         train_images=_string, train_labels=_string, test_images=_string,
         test_labels=_string)),
     "deletion.random_fraction": ("fraction", dict(fraction=_number)),
-    "deletion.classwise": ("class_id", dict(class_id=_integer)),
+    "deletion.classwise": ("class_id", dict(class_id=_at_least(0))),
 }
 
 
@@ -196,9 +204,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     budgets = [_read("budgets", entry) for entry in fields["budgets"]]
     fields["budgets"] = tuple((b["epsilon"], b["delta"]) for b in budgets)
     config = ExperimentConfig(model_hidden=model["hidden"], **fields)
-    _dataset_fields(config)
+    classes = _dataset_fields(config).get("classes", math.inf)  # IDX: read with the data
     train_config(config)
-    deletion_request(config)
+    deletion = deletion_request(config)
+    if isinstance(deletion, ds.ClassWise) and deletion.class_id >= classes:
+        raise DomainError(f"config field deletion.class_id must be < dataset.classes "
+                          f"({classes}), got {deletion.class_id}")
     plan_args, _ = unlearn_settings(config)
     for epsilon, delta in config.budgets:
         spec = budget_spec(config, epsilon, delta)
@@ -223,6 +234,11 @@ def _dataset_fields(config: ExperimentConfig) -> dict:
     if ("test_images" in fields) != ("test_labels" in fields):
         raise FormatError("config gives one of dataset.test_images and "
                           "dataset.test_labels without the other")
+    if config.dataset["kind"] == "blobs":
+        try:
+            ds.check_blobs(fields["n"], fields["classes"], fields["dim"], fields["separation"])
+        except DomainError as exc:
+            raise DomainError(f"config field dataset.{exc}") from exc
     return fields
 
 
@@ -362,8 +378,7 @@ def _timed(out, key, fn, *args):
     if not isinstance(timings, dict):
         raise FormatError("timings file is not a JSON object")
     timings[key] = minutes
-    with open(path, "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
+    ds.write_json(path, timings)
     return result, minutes
 
 
@@ -449,8 +464,7 @@ def run_cell(
         "basis_strategy": None if basis is None else config.basis_strategy,
         "basis_seed": None if basis is None else basis.seed,
     }
-    with open(os.path.join(out, f"{key}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    ds.write_json(os.path.join(out, f"{key}_manifest.json"), manifest)
     return record, rte
 
 
@@ -520,8 +534,7 @@ def run_experiment(
                     result.errors[key] = f"{type(exc).__name__}: {exc}"
 
     result.summary = summarize(result)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
+    ds.write_json(os.path.join(out, "summary.json"), result.summary)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(format_report(result))
     return result

@@ -192,7 +192,7 @@ def _forward_cached(params: ParamVector, batch: Batch):
     return layers, activations, logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def log_softmax(logits: np.ndarray) -> np.ndarray:
     # np.maximum.reduce and np.add.reduce are what `max` and `sum` call, minus
     # their Python-level argument handling
     log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -200,7 +200,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return log_probs
 
 
-def _label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Flat position of each row's label entry in (rows, classes) log_probs."""
     rows, classes = log_probs.shape
     return np.arange(0, rows * classes, classes) + labels
@@ -218,8 +218,8 @@ def _mean_nll(log_probs: np.ndarray, at: np.ndarray) -> float:
 def forward(params: ParamVector, batch: Batch):
     """Logits and mean softmax cross-entropy loss."""
     _, _, logits = _forward_cached(params, batch)
-    log_probs = _log_softmax(logits)
-    return logits, _mean_nll(log_probs, _label_entries(log_probs, batch.labels))
+    log_probs = log_softmax(logits)
+    return logits, _mean_nll(log_probs, label_entries(log_probs, batch.labels))
 
 
 def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
@@ -231,8 +231,8 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector
     `(delta @ w) * (a > 0)` chain, so the result is the same bit for bit.
     """
     layers, activations, logits = _forward_cached(params, batch)
-    delta = _log_softmax(logits)
-    at = _label_entries(delta, batch.labels)
+    delta = log_softmax(logits)
+    at = label_entries(delta, batch.labels)
     loss = _mean_nll(delta, at)
     np.exp(delta, out=delta)  # softmax probabilities
     flat = delta.reshape(-1)  # a view: delta is C-contiguous
@@ -260,17 +260,23 @@ def clip(v: np.ndarray, c: float) -> np.ndarray:
     if not c > 0:
         raise DomainError(f"clipping radius must be > 0, got {c}")
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= c:
+    length = vector_norm(v)
+    if length <= c:
         return v.copy()
-    out = v * (c / norm)
+    out = v * (c / length)
     # rounding can leave the scaled norm a few ulps above c
     for _ in range(4):
-        norm = float(np.linalg.norm(out))
-        if norm <= c:
+        length = vector_norm(out)
+        if length <= c:
             return out
-        out = out * (c / norm)
+        out = out * (c / length)
     return out * (1.0 - 1e-15)
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a real vector (the root of its dot product with
+    itself), without the wrapper's argument handling."""
+    return math.sqrt(x.dot(x))
 
 
 def _first_layer(w, b, inputs_list, out=None) -> np.ndarray:

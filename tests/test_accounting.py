@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockwise_unlearn import accounting as acc
 from blockwise_unlearn import harness
-from blockwise_unlearn.errors import DomainError, InfeasibleBudget, InfeasibleNoise
+from blockwise_unlearn.errors import (
+    DomainError, InfeasibleBudget, InfeasibleNoise, UnlearnError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +777,42 @@ class TestPlanBytes:
 class TestDomainGuards:
     @pytest.mark.parametrize("field,value", [
         ("k", 0), ("k", 1.0), ("steps_per_block", -3), ("steps_per_block", 0),
-        ("sigma2", float("nan")), ("sigma2", -1e-9),
+        ("sigma2", float("nan")), ("sigma2", -1e-9), ("sigma2", float("inf")),
+        ("sigma2", float("-inf")),
     ])
     def test_plan_fields_checked(self, field, value):
         plan = acc.make_plan(TestMakePlan.MNIST_LIKE, k=2, steps=2)
         with pytest.raises(DomainError, match=field):
             dataclasses.replace(plan, **{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["gamma", "lam", "c0", "c1", "q", "eps_renyi"])
+    def test_block_budget_premises_must_be_finite(self, field, value):
+        good = dict(gamma=0.1, lam=1.0, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0)
+        with pytest.raises(DomainError, match=field):
+            acc.BlockBudget(**{**good, field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["epsilon", "delta", "gamma", "lam", "c0", "c1", "q"])
+    def test_budget_spec_premises_must_be_finite(self, field, value):
+        good = dict(epsilon=1.0, delta=1e-5, gamma=0.1, lam=1.0, c1=2.0, c0=1.0, q=8.0)
+        with pytest.raises(DomainError, match=field):
+            acc.BudgetSpec(**{**good, field: value})
+
+    def test_initial_gap_that_overflows_is_a_domain_error(self):
+        # 2*c0 is inf above half the largest float; at 10^7 steps x underflows
+        # to 0 in Decimal, and 0 * inf was an InvalidOperation
+        b = acc.BlockBudget(gamma=0.5, lam=1.0, c0=1.7e308, c1=1.0, q=2.0, eps_renyi=1.0)
+        with pytest.raises(DomainError, match="gap"):
+            acc.noise_for_steps(10**7, b)
+
+    def test_least_noise_step_count_past_the_floats_is_infeasible(self):
+        # T* = ln(1 - lam*c0/c1) / ln(1 - gamma*lam) = -23 / -5e-324 is inf,
+        # which math.floor raised OverflowError on
+        b = acc.BlockBudget(gamma=5e-324, lam=1.0, c0=0.9999999999, c1=1.0, q=2.0,
+                            eps_renyi=1.0)
+        with pytest.raises(InfeasibleNoise, match="T\\* overflows"):
+            acc.min_noise_steps(b)
 
     def test_noise_free_plan_allowed(self):
         plan = acc.make_plan(TestMakePlan.MNIST_LIKE, k=2, steps=2)
@@ -799,6 +831,41 @@ class TestDomainGuards:
             acc.BlockBudget(gamma=0.1, lam=lam, c0=1.0, c1=2.0, q=2.0, eps_renyi=1.0)
         with pytest.raises(DomainError, match="lam"):
             acc.BudgetSpec(epsilon=1.0, delta=1e-5, gamma=0.1, lam=lam, c1=2.0, c0=1.0)
+
+
+def premise_floats(lo, hi):
+    """Floats of a premise: mostly in [lo, hi], where plans build, and
+    otherwise anywhere on the float line, NaN and the infinities included."""
+    return st.one_of(st.floats(lo, hi), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestPremisesOverTheFloatLine:
+    # two raw exceptions it exposed: a 2*c0 that overflows, at a step count
+    # where x underflows to 0 in Decimal, and a T* past the largest float
+    @example(gamma=0.5, lam=1.0, c0=1.7e308, c1=1.0, q=None, epsilon=1.0, delta=1e-5,
+             k=1, steps=10**7)
+    @example(gamma=5e-324, lam=1.0, c0=0.9999999999, c1=1.0, q=None, epsilon=1.0,
+             delta=1e-5, k=1, steps=None)
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(
+        gamma=premise_floats(1e-4, 1.0), lam=premise_floats(1e-3, 10.0),
+        c0=premise_floats(1e-3, 10.0), c1=premise_floats(1e-2, 100.0),
+        q=st.one_of(st.none(), premise_floats(1.001, 100.0)),
+        epsilon=premise_floats(1e-2, 100.0), delta=premise_floats(1e-12, 0.5),
+        k=st.integers(1, 64), steps=st.one_of(st.none(), st.integers(1, 10**6)),
+    )
+    def test_make_plan_is_finite_or_a_typed_error(
+        self, gamma, lam, c0, c1, q, epsilon, delta, k, steps,
+    ):
+        premises = [gamma, lam, c0, c1, epsilon, delta] + ([] if q is None else [q])
+        try:
+            plan = acc.make_plan(acc.BudgetSpec(epsilon=epsilon, delta=delta, gamma=gamma,
+                                                lam=lam, c1=c1, c0=c0, q=q), k, steps=steps)
+        except UnlearnError as exc:
+            assert isinstance(exc, DomainError) or all(map(math.isfinite, premises))
+            return
+        assert all(map(math.isfinite, premises))
+        assert 0 <= plan.sigma2 < math.inf
 
 
 class TestPurity:

@@ -151,6 +151,40 @@ class TestPipelineCommands:
         timings = json.loads((stage / "timings.json").read_text())
         assert set(timings) == set(json.loads((grid / "timings.json").read_text()))
 
+    def test_unlearn_epsilon_selects_a_config_budget(self, tmp_path, capsys):
+        # the second budget's cell, from the stage, is the one `run` writes
+        doc = base_config_doc(str(tmp_path / "run"))
+        doc["n_seeds"] = 1
+        doc["budgets"] = [{"epsilon": 1.0, "delta": 1e-5}, {"epsilon": 2.0, "delta": 1e-3}]
+        config_path = write_config(tmp_path, doc)
+        stage = tmp_path / "stage"
+        assert run_cli("unlearn", "--config", str(config_path), "--out", str(stage),
+                       "--epsilon", "2", "--blocks", "2") == 0
+        assert run_cli("run", "--config", str(config_path)) == 0
+        for name in ("blockwise_eps2_k2_seed0.csv", "blockwise_eps2_k2_seed0.ckpt",
+                     "blockwise_eps2_k2_seed0_manifest.json"):
+            assert (stage / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+        manifest = json.loads((stage / "blockwise_eps2_k2_seed0_manifest.json").read_text())
+        assert (manifest["epsilon"], manifest["delta"]) == (2.0, 1e-3)
+
+    def test_unlearn_epsilon_outside_the_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, base_config_doc(str(out)))
+        assert run_cli("unlearn", "--config", str(config_path), "--epsilon", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epsilon 0.5 ") and "(epsilon 1)" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # it failed before the seed was split
+
+    def test_unlearn_has_no_delta_flag(self, tmp_path, capsys):
+        # a delta other than the budget's would write over the budget's cell
+        config_path = write_config(tmp_path, base_config_doc(str(tmp_path / "out")))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("unlearn", "--config", str(config_path), "--delta", "0.001")
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"], ["retrain", "--seed", "-1"],
         ["unlearn", "--seed", "-1"],

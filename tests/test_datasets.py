@@ -53,6 +53,15 @@ class TestBlobs:
         with pytest.raises(DomainError):
             ds.generate_blobs(1, 2, 3, 1.0, seed=0)
 
+    @pytest.mark.parametrize("args,field", [
+        ((10, 1, 3, 1.0), "classes"), ((2, 3, 3, 1.0), "n"), ((10, 2, 0, 1.0), "dim"),
+        ((10, 2, 3, float("nan")), "separation"), ((10, 2, 3, float("inf")), "separation"),
+    ])
+    def test_field_out_of_range_is_named(self, args, field):
+        # the config loader runs the same check, so it names the same field
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            ds.generate_blobs(*args, seed=0)
+
 
 class TestSubset:
     DATA = ds.generate_blobs(50, classes=2, dim=3, separation=1.0, seed=0)

@@ -87,7 +87,8 @@ class TestNftStep:
         draws = eng.gaussian_noise(7, 0.3, rng)
         assert np.array_equal(draws, np.random.default_rng(5).standard_normal(7) * np.sqrt(0.3))
 
-    @pytest.mark.parametrize("sigma2", [float("nan"), -1.0])
+    # an infinite variance would draw [inf, -inf, ...] and void every step
+    @pytest.mark.parametrize("sigma2", [float("nan"), -1.0, float("inf"), float("-inf")])
     def test_sigma2_below_zero_or_nan_rejected(self, sigma2):
         params = mdl.init_params(ARCH, seed=1)
         batch = mdl.Batch(BLOBS.inputs[:16], BLOBS.labels[:16])

@@ -194,6 +194,31 @@ class TestConfig:
         (lambda doc: doc.update(step_cap=-1), DomainError, "step_cap"),
         # the k = 2 cells take 2 noisy steps in each block
         (lambda doc: doc.update(step_cap=3), DomainError, "step_cap 3 .* 4 noisy steps"),
+        # Python's JSON reader accepts Infinity and NaN; an infinite premise
+        # gave every plan sigma2 = inf
+        (lambda doc: doc["unlearn"].update(c1=float("inf")), DomainError,
+         "unlearn.c1 must be finite"),
+        (lambda doc: doc["unlearn"].update(delta_rho=float("inf")), DomainError,
+         "unlearn.delta_rho must be finite"),
+        (lambda doc: doc["unlearn"].update(q=float("inf")), DomainError,
+         "unlearn.q must be finite"),
+        (lambda doc: doc["budgets"][0].update(epsilon=float("inf")), DomainError,
+         "budgets.epsilon must be finite"),
+        (lambda doc: doc["unlearn"].update(gamma=float("-inf")), DomainError,
+         "unlearn.gamma must be finite"),
+        (lambda doc: doc.update(test_fraction=float("nan")), DomainError,
+         "test_fraction must be finite"),
+        # blob fields and the deleted class, which failed only in each seed
+        (lambda doc: doc["dataset"].update(classes=1), DomainError,
+         "dataset.classes must be >= 2"),
+        (lambda doc: doc["dataset"].update(n=2), DomainError, "dataset.n must be >= classes"),
+        (lambda doc: doc["dataset"].update(dim=0), DomainError, "dataset.dim must be >= 1"),
+        (lambda doc: doc["dataset"].update(separation=float("nan")), DomainError,
+         "dataset.separation must be finite"),
+        (lambda doc: doc.update(deletion={"kind": "classwise", "class_id": 3}), DomainError,
+         r"deletion.class_id must be < dataset.classes \(3\)"),
+        (lambda doc: doc.update(deletion={"kind": "classwise", "class_id": -1}), DomainError,
+         "deletion.class_id must be >= 0"),
     ], ids=["fraction-above-one", "deletion-kind", "negative-epsilon", "both-radii",
             "unlearn-steps", "unlearn-batch-size", "finetune-lr", "negative-train-steps",
             "negative-finetune-steps", "zero-unlearn-steps", "zero-train-batch-size",
@@ -202,12 +227,25 @@ class TestConfig:
             "null-unlearn-steps", "null-finetune-steps", "scale-c0", "nan-train-lr",
             "negative-train-lr", "train-momentum-above-one", "infinite-train-weight-decay",
             "infinite-finetune-lr", "finetune-momentum-one", "negative-finetune-weight-decay",
-            "negative-step-cap", "step-cap-below-noisy-steps"])
+            "negative-step-cap", "step-cap-below-noisy-steps", "infinite-unlearn-c1",
+            "infinite-unlearn-delta-rho", "infinite-unlearn-q", "infinite-budget-epsilon",
+            "infinite-unlearn-gamma", "nan-test-fraction", "one-blob-class",
+            "fewer-rows-than-classes", "zero-blob-dim", "nan-blob-separation",
+            "class-id-past-the-classes", "negative-class-id"])
     def test_config_errors_fail_at_load(self, edit, error, field):
         doc = base_config_doc("x")
         edit(doc)
         with pytest.raises(error, match=field):
             harness.config_from_dict(doc)
+
+    def test_negative_class_id_fails_at_load_for_any_dataset_kind(self):
+        doc = base_config_doc("x")
+        doc["dataset"] = {"kind": "mnist_idx", "train_images": "a", "train_labels": "b"}
+        doc["deletion"] = {"kind": "classwise", "class_id": -1}
+        with pytest.raises(DomainError, match="deletion.class_id must be >= 0"):
+            harness.config_from_dict(doc)
+        doc["deletion"]["class_id"] = 9  # IDX labels are read with the data
+        harness.config_from_dict(doc)
 
     def test_step_cap_below_a_shipped_plan_fails_at_load(self):
         # at load, before any seed trains, not as an error in each cell

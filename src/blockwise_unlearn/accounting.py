@@ -204,7 +204,11 @@ def optimize_q(epsilon: float, delta: float) -> float:
     if not 0 < delta < 1:
         raise DomainError(f"delta must be in (0,1), got {delta}")
     big_l = math.log(1.0 / delta)
-    return ((epsilon + big_l) + math.sqrt(big_l * (epsilon + big_l))) / epsilon
+    q = ((epsilon + big_l) + math.sqrt(big_l * (epsilon + big_l))) / epsilon
+    if not 1 < q < math.inf:
+        raise DomainError(f"epsilon = {epsilon} with delta = {delta} leaves the float "
+                          f"range: the optimal Renyi order q = {q} is not finite and > 1")
+    return q
 
 
 def _prefactor(budget: BlockBudget) -> float:
@@ -393,5 +397,9 @@ def make_plan(spec: BudgetSpec, k: int, steps: int | None = None,
                          eps_renyi=per_block[0])
     t = min_noise_steps(budget) if steps is None else int(steps)
     sigma2 = noise_for_steps(t, budget)
+    if not sigma2 < math.inf:
+        raise DomainError(f"epsilon = {spec.epsilon} with delta = {spec.delta} leaves the "
+                          f"float range: the noise variance sigma2 = {sigma2} for "
+                          f"eps_renyi = {budget.eps_renyi} per block is not finite")
     return NoisePlan(budget=budget, k=k, sigma2=sigma2, steps_per_block=t,
                      epsilon=spec.epsilon, delta=spec.delta)

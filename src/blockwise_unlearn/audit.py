@@ -207,7 +207,7 @@ def estimate_delta(
             swapped_inputs[target] = inputs[source]
             swapped_labels[target] = labels[source]
         perturbed = eng.train(arch, (swapped_inputs, swapped_labels), seeds, train_config)
-        samples.append(float(np.linalg.norm(base.values - perturbed.values)))
+        samples.append(mdl.vector_norm(base.values - perturbed.values))
     samples.sort()
     order = max(1, math.ceil((1.0 - rho) * n_runs))
     return DeltaEstimate(

@@ -27,12 +27,12 @@ from .errors import DomainError, UnlearnError
 
 
 def _write_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """`doc` to the file at `path` as the package's JSON artifacts hold it, or
+    else printed in the same form."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        ds.write_json(path, doc)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _add_plan_parser(sub_parsers) -> None:

@@ -134,7 +134,11 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"image/label count mismatch: {count} vs {label_count}")
     if labels.size and labels.max() > 9:
         raise FormatError(f"label {labels.max()} out of range for 10 classes")
-    return Dataset(images.astype(np.float64) / 255.0, labels, 10)
+    # scaled in place, so one float64 copy of the pixels is made whether or
+    # not numpy elides the temporary of `images.astype(np.float64) / 255.0`
+    x = images.astype(np.float64)
+    x /= 255.0
+    return Dataset(x, labels, 10)
 
 
 @dataclass(frozen=True)

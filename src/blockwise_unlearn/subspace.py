@@ -303,12 +303,18 @@ def lift_block(b, basis: BlockBasis, i: int) -> np.ndarray:
     return w
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a real vector (the root of its dot product with
+    itself), without the wrapper's argument handling."""
+    return math.sqrt(x.dot(x))
+
+
 def gap(w, w_other, basis: BlockBasis) -> np.ndarray:
     """Per-block Euclidean distances z_i = ||B_i - B_i'|| between two vectors."""
     w = _check_dim(w, basis)
     w_other = _check_dim(w_other, basis)
     diff = decompose(w - w_other, basis)
-    return np.array([np.linalg.norm(b) for b in diff])
+    return np.array([vector_norm(b) for b in diff])
 
 
 def orthogonality_defect(basis: BlockBasis) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -805,6 +806,17 @@ class TestDomainGuards:
         b = acc.BlockBudget(gamma=0.5, lam=1.0, c0=1.7e308, c1=1.0, q=2.0, eps_renyi=1.0)
         with pytest.raises(DomainError, match="gap"):
             acc.noise_for_steps(10**7, b)
+
+    @pytest.mark.parametrize("epsilon, delta, derived", [
+        (1e308, 1e-5, "Renyi order q = inf"),  # big_l * (epsilon + big_l) overflows
+        (4e-216, 0.5, "sigma2 = inf"),  # q is about 3.4e215, and sigma2 overflows
+    ])
+    def test_budget_past_the_floats_names_epsilon(self, epsilon, delta, derived):
+        spec = acc.BudgetSpec(epsilon=epsilon, delta=delta, gamma=0.1, lam=1.0,
+                              c1=2.0, c0=1.0)
+        named = re.escape(f"epsilon = {epsilon} with delta = {delta} leaves the float range")
+        with pytest.raises(DomainError, match=f"^{named}.*{derived}"):
+            acc.make_plan(spec, k=2)
 
     def test_least_noise_step_count_past_the_floats_is_infeasible(self):
         # T* = ln(1 - lam*c0/c1) / ln(1 - gamma*lam) = -23 / -5e-324 is inf,

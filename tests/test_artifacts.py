@@ -1,6 +1,14 @@
 """Byte-stable artifacts: every file `run_experiment` writes for the shipped
 configs, pinned by SHA-256 in artifact_digests.json.
 
+Matrix products round differently under different BLAS kernels, and those
+ulps carry through hundreds of training steps, so each config runs in a child
+process on one fixed OpenBLAS kernel (PINNED_BLAS): AVX2 `Haswell`, which
+every AVX2 x86-64 host can run, on one thread.  The file records the
+environment the digests were pinned in (numpy, OpenBLAS, core type, threads),
+and a mismatch prints it next to the child's, so a host that differs there
+does not read as a change of behaviour.
+
 report.txt is hashed without its seconds column and timings.json is left out;
 both hold wall times.  Next to the digests the file keeps, for each CSV column
 and each checkpoint, the min, max and sum of its values, so a mismatch says
@@ -11,11 +19,16 @@ of behaviour far more.  After a deliberate change, re-pin with
 """
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockwise_unlearn import harness
@@ -25,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).parent / "artifact_digests.json"
 CONFIGS = ("blobs_random10", "blobs_classwise")
 SECONDS_COLUMN = 10  # the report's last column: a space and a 9-wide field
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def report_without_seconds(text: str) -> bytes:
@@ -103,18 +117,55 @@ def describe(expected: dict, got: dict) -> str:
     return "\n".join(lines)
 
 
-def run(name: str, out: Path) -> dict:
-    config = harness.load_config(ROOT / "configs" / f"{name}.json")
-    harness.run_experiment(config, output_dir=str(out))
-    return fingerprint(out)
+def _openblas(query: str, restype):
+    """The result of OpenBLAS's `openblas_<query>` in the library bundled
+    with numpy, or None where there is no such library or symbol."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (f"scipy_openblas_{query}64_", f"scipy_openblas_{query}"):
+            if hasattr(lib, symbol):
+                fn = getattr(lib, symbol)
+                fn.restype = restype
+                return fn()
+    return None
+
+
+def blas_environment() -> dict:
+    """numpy's version, its BLAS and that BLAS's core type and thread count
+    as this process runs them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas.get('version')}",
+        "core_type": core.decode() if core is not None else None,
+        "threads": _openblas("get_num_threads", ctypes.c_int),
+    }
+
+
+def run(name: str, out: Path) -> tuple[dict, dict]:
+    """The BLAS environment of a child process that ran config `name` into
+    `out` under PINNED_BLAS, and the fingerprint of what it wrote."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, __file__, "--child", name, str(out)],
+        env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    if child.returncode != 0:
+        pytest.fail(f"{name}: the child run failed:\n{child.stderr}")
+    return json.loads(child.stdout.splitlines()[-1]), fingerprint(out)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_artifacts_match_digests(name, tmp_path):
-    expected = json.loads(DIGESTS.read_text())[name]
-    got = run(name, tmp_path)
+    pinned = json.loads(DIGESTS.read_text())
+    environment, got = run(name, tmp_path)
+    expected = pinned[name]
     if got != expected:
-        pytest.fail(f"{name} artifacts moved:\n{describe(expected, got)}")
+        pytest.fail(f"{name} artifacts moved:\n{describe(expected, got)}\n"
+                    f"pinned in: {pinned['environment']}\n"
+                    f"run in:    {environment}")
 
 
 def test_report_seconds_column_cut():
@@ -128,10 +179,16 @@ def test_report_seconds_column_cut():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        config_name, out = sys.argv[2:4]
+        config = harness.load_config(ROOT / "configs" / f"{config_name}.json")
+        harness.run_experiment(config, output_dir=out)
+        print(json.dumps(blas_environment()))
+        sys.exit()
     import tempfile
 
     pinned = {}
     for config_name in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            pinned[config_name] = run(config_name, Path(tmp))
+            pinned["environment"], pinned[config_name] = run(config_name, Path(tmp))
     DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")

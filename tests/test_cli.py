@@ -242,6 +242,8 @@ class TestPipelineCommands:
             "--out", str(out_file),
         ) == 0
         est = json.loads(out_file.read_text())
+        # written as every JSON artifact is, by datasets.write_json
+        assert out_file.read_text() == json.dumps(est, indent=2, sort_keys=True)
         assert est["n_runs"] == 3
         assert len(est["samples"]) == 3
         assert est["delta_rho"] >= 0

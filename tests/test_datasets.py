@@ -115,6 +115,23 @@ class TestIdx:
         assert np.allclose(data.inputs[0], self.IMAGES[0].ravel() / 255.0)
         assert data.inputs[0][1] == 128 / 255.0
 
+    def test_pixels_are_scaled_in_place(self, tmp_path):
+        # 500 MNIST-sized rows: their float64 pixels take 3.1 MB, and a
+        # second float64 copy would take as much again (CPython's numpy
+        # elides the temporary of `astype(...) / 255.0`; the bound must not
+        # rest on that)
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(500, 28, 28), dtype=np.uint8)
+        img, lbl = write_idx_fixture(tmp_path, images, np.zeros(500, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            data = ds.load_idx(img, lbl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.inputs.nbytes
+        assert np.array_equal(data.inputs, images.reshape(500, -1) / 255.0)
+
     def test_bad_magic(self, tmp_path):
         img, lbl = write_idx_fixture(tmp_path, self.IMAGES, self.LABELS,
                                      image_magic=0x00000802)

@@ -537,6 +537,16 @@ def reference_predict(params, x):
     return np.argmax(reference_forward(params, x)[1], axis=1)
 
 
+def both_first_layer_paths(layer_map, sets):
+    """Two scorers of `sets`: one that takes the first layer as one GEMM over
+    its kept feature-major copy of the inputs, and one made to take the
+    per-set path that wider first layers take."""
+    folded, per_set = mdl.Scorer(layer_map, sets), mdl.Scorer(layer_map, sets)
+    assert folded._xt1 is not None
+    per_set._xt1 = None
+    return folded, per_set
+
+
 class TestScoring:
     @pytest.mark.parametrize("widths, sizes", [
         ((3, 5, 2), (1,)), ((3, 5, 2), (17, 1, 4)), ((8, 16, 5), (64, 1, 1)),
@@ -616,7 +626,7 @@ class TestScoring:
         counts = scorer.count(logits)
         assert counts == hits(params, sets)
         layers = mdl._weights(params)
-        direct = mdl._later_layers(layers, mdl._first_layer(*layers[0], [x for x, _ in sets]))
+        direct = mdl._later_layers(layers, scorer._product(*layers[0]))
         assert np.array_equal(logits, direct)
         # the kept first-layer buffer that `hits` writes into changes nothing
         assert scorer.hits(params) == counts
@@ -678,7 +688,62 @@ class TestScoring:
         # scores p3 as it is
         assert scorer.step_hits(p3, None) == hits(p3, sets)
         w, b = mdl._weights(p3)[0]
-        assert np.array_equal(scorer._h1, mdl._first_layer(w, b, scorer.inputs))
+        assert np.array_equal(scorer._h1, scorer._product(w, b))
+
+    @pytest.mark.parametrize("widths, copied", [
+        ((8, 16, 5), True), ((8, 12, 4), True), ((8, 9, 3), True), ((2, 3, 4), True),
+        ((8, 8, 3), False), ((64, 8, 3), False), ((784, 256, 10), False),
+    ])
+    def test_inputs_are_copied_exactly_when_fan_in_plus_one_fits_the_hidden_width(
+            self, widths, copied):
+        rng = np.random.default_rng(sum(widths))
+        sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
+                for n in (3, 1, 5)]
+        scorer = mdl.Scorer(mdl.layer_map(mdl.MlpSpec(widths)), sets)
+        assert all(x is kept for (x, _), kept in zip(sets, scorer.inputs))
+        if not copied:
+            assert scorer._xt1 is None
+            return
+        # feature-major rows of every set in order, then a row of ones, in
+        # no more bytes than the (hidden, rows) pre-activations
+        stacked = np.concatenate([x for x, _ in sets])
+        assert np.array_equal(scorer._xt1, np.vstack([stacked.T, np.ones((1, 9))]))
+        assert scorer._xt1.flags.c_contiguous
+        assert scorer._xt1.nbytes <= widths[1] * 9 * 8
+
+    @pytest.mark.parametrize("widths", [(8, 16, 5), (8, 12, 4), (3, 5, 2), (6, 9, 7, 4)])
+    def test_both_first_layer_paths_score_alike(self, widths):
+        spec = mdl.MlpSpec(widths)
+        rng = np.random.default_rng(sum(widths) + 1)
+        params = mdl.ParamVector(rng.standard_normal(dim(spec)), mdl.layer_map(spec))
+        sets = [(rng.standard_normal((n, widths[0])), rng.integers(0, widths[-1], size=n))
+                for n in (40, 1, 17)]
+        folded, per_set = both_first_layer_paths(params.layer_map, sets)
+        # the folded bias is summed inside the product, so logits agree to rounding
+        ref = per_set.logits(params)
+        np.testing.assert_allclose(folded.logits(params), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+        counts = per_set.hits(params)
+        assert folded.hits(params) == counts
+        assert folded.step_hits(params, None) == counts
+        assert counts == [int(np.count_nonzero(reference_predict(params, x) == y))
+                          for x, y in sets]
+
+    def test_both_first_layer_paths_break_ties_and_reject_nan_alike(self):
+        spec = mdl.MlpSpec((2, 3, 4))
+        params = mdl.ParamVector(np.zeros(dim(spec)), mdl.layer_map(spec))
+        params.view("fc2.b")[:] = [0.0, 2.0, 1.0, 2.0]
+        sets = [(np.ones((3, 2)), np.full(3, c)) for c in range(4)]
+        for scorer in both_first_layer_paths(params.layer_map, sets):
+            assert scorer.hits(params) == [0, 3, 0, 0]
+        for name in ("fc1.w", "fc1.b"):
+            bad = params.copy()
+            bad.view(name)[0] = np.nan
+            for scorer in both_first_layer_paths(bad.layer_map, sets):
+                for score in (scorer.hits, scorer.logits,
+                              lambda p: scorer.step_hits(p, None)):
+                    with pytest.raises(NumericalError):
+                        score(bad)
 
     def test_scorer_rejects_another_layer_map(self):
         scorer = mdl.Scorer(mdl.layer_map(TINY), [(np.ones((3, 2)), np.zeros(3))])

@@ -313,6 +313,13 @@ class TestGap:
         others = np.delete(z, 2)
         assert np.all(others <= 1e-9)
 
+    def test_each_block_distance_is_the_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, MAP_D64, 4, seed=5)
+        w, w2 = rng.standard_normal(64), rng.standard_normal(64)
+        blocks = sub.decompose(w - w2, basis)
+        assert sub.gap(w, w2, basis).tolist() == [np.linalg.norm(b) for b in blocks]
+
     def test_pythagoras(self):
         rng = np.random.default_rng(6)
         basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, MAP_D64, 4, seed=5)

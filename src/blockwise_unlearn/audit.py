@@ -66,10 +66,9 @@ def _predict_member(mean, std, w, x: np.ndarray) -> np.ndarray:
 
 def _attack_features(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row (max softmax probability, cross-entropy loss) features of
-    (classes, rows) logits, from a row-wise log-softmax of a (rows, classes)
-    copy, as the row-major forward pass lays its logits out."""
-    log_probs = mdl.log_softmax(np.ascontiguousarray(logits.T))
-    max_prob = np.exp(log_probs.max(axis=1))
+    (classes, rows) logits, each reduction taken over the class axis."""
+    log_probs = mdl.log_softmax(logits)
+    max_prob = np.exp(np.maximum.reduce(log_probs, axis=0))
     ce = -log_probs.take(mdl.label_entries(log_probs, labels))
     return np.column_stack([max_prob, ce])
 
@@ -104,9 +103,12 @@ def _score(params, retain, forget, test, seed):
     member_rows = rng.permutation(n_retain)[:n_attack]
     non_member_rows = rng.permutation(n_test)[:n_attack]
     retain_y, test_y, forget_y = (np.asarray(y, dtype=np.int64) for _, y in sets)
+    # `take` gathers C-ordered columns; `logits[:, rows]` would return them
+    # F-ordered, and a reduction over their classes then runs once per row
     mia = _attack(
-        _attack_features(logits[:, member_rows], retain_y[member_rows]),
-        _attack_features(logits[:, n_retain + non_member_rows], test_y[non_member_rows]),
+        _attack_features(logits.take(member_rows, axis=1), retain_y[member_rows]),
+        _attack_features(logits.take(n_retain + non_member_rows, axis=1),
+                         test_y[non_member_rows]),
         _attack_features(logits[:, n_retain + n_test :], forget_y),
     )
     return ra, ta, ua, mia

@@ -192,18 +192,56 @@ def _forward_cached(params: ParamVector, batch: Batch):
     return layers, activations, logits
 
 
+# numpy's pairwise sum keeps eight running sums over a run of at most this
+# many elements, and splits a longer run in two
+_PAIRWISE_BLOCK = 128
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of (classes, rows) `e`, adding the class rows in the
+    order numpy's pairwise sum adds one contiguous row of a (rows, classes)
+    array, so each column's sum is that row's sum bit for bit.
+
+    Below 8 classes the rows are added in order.  Up to 128, eight running
+    sums take the rows 8 apart, are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rows past the
+    last multiple of 8 are added in order.  Above 128 the rows split at half
+    their count rounded down to a multiple of 8, and the two halves' sums are
+    added.
+    """
+    n = e.shape[0]
+    if n < 8:
+        return np.add.reduce(e, axis=0)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(e[:half]) + _class_sum(e[half:])
+    stop = n - n % 8
+    r = e[:8].copy()
+    for s in range(8, stop, 8):
+        r += e[s : s + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for c in range(stop, n):
+        total += e[c]
+    return total
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    # np.maximum.reduce and np.add.reduce are what `max` and `sum` call, minus
-    # their Python-level argument handling
-    log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
+    """Log-softmax over the classes of (classes, rows) logits, the layout
+    `Scorer.logits` returns: each column equals the row-wise log-softmax of
+    the (rows, classes) transpose bit for bit, without a per-row reduction."""
+    # np.maximum.reduce is what `max` calls, minus its Python-level argument
+    # handling; a maximum is exact in any order
+    log_probs = logits - np.maximum.reduce(logits, axis=0)
+    log_probs -= np.log(_class_sum(np.exp(log_probs)))
     return log_probs
 
 
 def label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat position of each row's label entry in (rows, classes) log_probs."""
-    rows, classes = log_probs.shape
-    return np.arange(0, rows * classes, classes) + labels
+    """Flat position of each row's label entry in (classes, rows) log_probs."""
+    rows = log_probs.shape[1]
+    return labels * rows + np.arange(rows)
 
 
 def _mean_nll(log_probs: np.ndarray, at: np.ndarray) -> float:
@@ -218,7 +256,7 @@ def _mean_nll(log_probs: np.ndarray, at: np.ndarray) -> float:
 def forward(params: ParamVector, batch: Batch):
     """Logits and mean softmax cross-entropy loss."""
     _, _, logits = _forward_cached(params, batch)
-    log_probs = log_softmax(logits)
+    log_probs = log_softmax(np.ascontiguousarray(logits.T))
     return logits, _mean_nll(log_probs, label_entries(log_probs, batch.labels))
 
 
@@ -231,13 +269,16 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector
     `(delta @ w) * (a > 0)` chain, so the result is the same bit for bit.
     """
     layers, activations, logits = _forward_cached(params, batch)
-    delta = log_softmax(logits)
+    delta = log_softmax(np.ascontiguousarray(logits.T))
     at = label_entries(delta, batch.labels)
     loss = _mean_nll(delta, at)
     np.exp(delta, out=delta)  # softmax probabilities
     flat = delta.reshape(-1)  # a view: delta is C-contiguous
     flat[at] -= 1.0
     delta /= len(at)
+    # back to (rows, classes): the bias gradient's reduction over axis 0 adds
+    # the rows in order only on a row-major delta
+    delta = np.ascontiguousarray(delta.T)
 
     grad = np.empty_like(params.values)
     layer_slots = _layout(params.layer_map).layers
@@ -335,7 +376,9 @@ class Scorer:
 
     A row is a hit when its label's logit equals the column maximum and every
     lower class's logit is strictly below it: the argmax with ties going to
-    the lowest class, without building the argmax.  A NaN logit raises.
+    the lowest class, without building the argmax.  `logits`, `hits` and
+    `step_hits` raise on non-finite parameters, as `forward` does, and
+    `count` on a NaN logit.
 
     `inputs` holds the caller's arrays.  When the first layer's fan-in + 1 is
     at most its width, as at the blob configs' 8-12 and 8-16 layers, the
@@ -395,8 +438,11 @@ class Scorer:
         self._h1 = self._prev = None
 
     def _layers(self, params: ParamVector):
+        """The layer views of `params`, which must have the scorer's layer map
+        and be finite, as in `forward`."""
         if params.layer_map != self.layer_map:
             raise DomainError("parameters do not match the scorer's layer map")
+        _check_finite(params)
         return _weights(params)
 
     def _product(self, w, b, out=None) -> np.ndarray:
@@ -408,9 +454,7 @@ class Scorer:
         return np.matmul(np.concatenate((w, b[:, None]), axis=1), self._xt1, out=out)
 
     def logits(self, params: ParamVector) -> np.ndarray:
-        """(classes, rows) logits of every set's rows, in order.  The
-        parameters must be finite, as in `forward`."""
-        _check_finite(params)
+        """(classes, rows) logits of every set's rows, in order."""
         layers = self._layers(params)
         return _later_layers(layers, self._product(*layers[0]))
 

@@ -5,9 +5,10 @@ Matrix products round differently under different BLAS kernels, and those
 ulps carry through hundreds of training steps, so each config runs in a child
 process on one fixed OpenBLAS kernel (PINNED_BLAS): AVX2 `Haswell`, which
 every AVX2 x86-64 host can run, on one thread.  The file records the
-environment the digests were pinned in (numpy, OpenBLAS, core type, threads),
-and a mismatch prints it next to the child's, so a host that differs there
-does not read as a change of behaviour.
+environment the digests were pinned in (numpy, OpenBLAS, core type, threads,
+and scipy, whose `expit` feeds the attacker fit behind `mia_efficacy`), and a
+mismatch prints it next to the child's, so a host that differs there does
+not read as a change of behaviour.
 
 report.txt is hashed without its seconds column and timings.json is left out;
 both hold wall times.  Next to the digests the file keeps, for each CSV column
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from blockwise_unlearn import harness
 from blockwise_unlearn import model as mdl
@@ -130,9 +132,9 @@ def _openblas(query: str, restype):
     return None
 
 
-def blas_environment() -> dict:
+def run_environment() -> dict:
     """numpy's version, its BLAS and that BLAS's core type and thread count
-    as this process runs them."""
+    as this process runs them, and scipy's version."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = _openblas("get_corename", ctypes.c_char_p)
     return {
@@ -140,11 +142,12 @@ def blas_environment() -> dict:
         "blas": f"{blas['name']} {blas.get('version')}",
         "core_type": core.decode() if core is not None else None,
         "threads": _openblas("get_num_threads", ctypes.c_int),
+        "scipy": scipy.__version__,
     }
 
 
 def run(name: str, out: Path) -> tuple[dict, dict]:
-    """The BLAS environment of a child process that ran config `name` into
+    """The environment of a child process that ran config `name` into
     `out` under PINNED_BLAS, and the fingerprint of what it wrote."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
@@ -183,7 +186,7 @@ if __name__ == "__main__":
         config_name, out = sys.argv[2:4]
         config = harness.load_config(ROOT / "configs" / f"{config_name}.json")
         harness.run_experiment(config, output_dir=out)
-        print(json.dumps(blas_environment()))
+        print(json.dumps(run_environment()))
         sys.exit()
     import tempfile
 

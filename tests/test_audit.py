@@ -204,6 +204,35 @@ class TestFusedAudit:
             params, retain, forget, test, 3
         )
 
+    @pytest.mark.parametrize("classes", [10, 150])
+    def test_more_classes_equal_per_set_scoring(self, classes):
+        # 8 classes and more take the blocked class sum, more than 128 its
+        # split into halves
+        rng = np.random.default_rng(classes)
+        spec = mdl.MlpSpec((8, 16, classes))
+        params = mdl.ParamVector(rng.standard_normal(mdl.init_params(spec, seed=0).d),
+                                 mdl.layer_map(spec))
+        retain, forget, test = (
+            (rng.standard_normal((n, 8)), rng.integers(0, classes, size=n))
+            for n in (120, 30, 90)
+        )
+        report = audit.compute_metrics(params, retain, forget, test, mia_seed=1)
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
+            params, retain, forget, test, 1
+        )
+
+    @pytest.mark.parametrize("classes", [4, 10, 150])
+    def test_gathered_columns_give_the_features_of_a_contiguous_copy(self, classes):
+        rng = np.random.default_rng(classes)
+        logits = 4.0 * rng.standard_normal((classes, 60))
+        rows = rng.permutation(60)[:25]
+        labels = rng.integers(0, classes, size=25)
+        gathered = logits.take(rows, axis=1)
+        assert gathered.flags.c_contiguous
+        expected = audit._attack_features(np.ascontiguousarray(logits[:, rows]), labels)
+        assert np.array_equal(audit._attack_features(gathered, labels), expected)
+        assert np.array_equal(audit._attack_features(logits[:, rows], labels), expected)
+
     def test_empty_forget_set_equals_per_set_scoring(self):
         retain, _, test = split_pairs()
         params = trained_params()

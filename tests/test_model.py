@@ -143,6 +143,31 @@ class TestForward:
         assert np.array_equal(la, lb) and sa == sb
 
 
+class TestLogSoftmax:
+    def test_class_sum_is_the_row_major_pairwise_sum(self):
+        # numpy sums each contiguous row of a (rows, classes) array pairwise;
+        # the (classes, rows) sum must add the classes in that order.  The
+        # transpose is copied: a reduction over the rows of a transposed
+        # view would add the classes in plain order instead
+        rng = np.random.default_rng(0)
+        for classes in range(1, 301):
+            e = rng.standard_normal((classes, 13)) * rng.uniform(1e-3, 1e3, (classes, 1))
+            expected = np.add.reduce(np.ascontiguousarray(e.T), axis=1)
+            assert np.array_equal(mdl._class_sum(e), expected), classes
+
+    @pytest.mark.parametrize("classes", [1, 2, 4, 7, 8, 10, 129, 300])
+    def test_equals_the_row_major_formula(self, classes):
+        rng = np.random.default_rng(classes)
+        z = 5.0 * rng.standard_normal((17, classes))
+        shifted = z - z.max(axis=1, keepdims=True)
+        expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_probs = mdl.log_softmax(np.ascontiguousarray(z.T))
+        assert np.array_equal(log_probs, expected.T)
+        labels = rng.integers(0, classes, size=17)
+        assert np.array_equal(log_probs.take(mdl.label_entries(log_probs, labels)),
+                              expected[np.arange(17), labels])
+
+
 class TestBackward:
     def test_matches_central_differences(self):
         params = mdl.init_params(TINY, seed=5)
@@ -638,6 +663,25 @@ class TestScoring:
         params.values[0] = bad
         with pytest.raises(NumericalError):
             mdl.Scorer(params.layer_map, [(np.ones((3, 2)), np.zeros(3))]).logits(params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["fc1.w", "fc1.b", "fc2.w", "fc2.b"])
+    def test_every_scoring_call_rejects_non_finite_params(self, bad, name):
+        # an infinite output bias yields no NaN logit, so only the parameter
+        # check stops it from being scored
+        spec = mdl.MlpSpec((2, 4, 3))
+        params = mdl.init_params(spec, seed=0)
+        bad_params = params.copy()
+        bad_params.view(name)[0] = bad
+        sets = [(np.ones((5, 2)), np.zeros(5))]
+        span = np.eye(4)[:, :2]
+        for scorer in both_first_layer_paths(params.layer_map, sets):
+            scorer.step_hits(params, None)  # so the next step updates H1
+            for score in (scorer.logits, scorer.hits,
+                          lambda p: scorer.step_hits(p, span),
+                          lambda p: scorer.step_hits(p, None)):
+                with pytest.raises(NumericalError):
+                    score(bad_params)
 
     def test_sets_are_scored_without_stacking_the_inputs(self):
         # the three inputs take 3 MB; a stacked or kept copy of them would too

@@ -36,7 +36,8 @@ class Seeds:
 
 @dataclass(frozen=True)
 class EvalSets:
-    """Datasets evaluated after every step; any of them may be absent."""
+    """Datasets that score every step of a run, in order, after the steps of
+    its batch are taken; any of them may be absent."""
 
     test: tuple[np.ndarray, np.ndarray] | None = None
     retain: tuple[np.ndarray, np.ndarray] | None = None
@@ -260,7 +261,9 @@ def nft_step(
 
     The update runs in place on its own temporaries, by the same operations
     as the formula (x + y == y + x exactly), so the result is the same bit
-    for bit.
+    for bit.  `params` is only read and the result is a fresh vector that
+    nothing writes afterwards: `run_blockwise` scores it after later steps,
+    and `Scorer.step_hits` keeps it by reference.
     """
     loss, grad = mdl.loss_and_grad(params, batch)
     if block is None:
@@ -297,7 +300,8 @@ def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
     allocation: it holds wd*p, then lr*v, then p'.  Each value comes from the
     same operations as the out-of-place formula (x + y == y + x exactly).
     The six operations run chunk by chunk, so each vector is streamed from
-    memory once rather than once per operation.
+    memory once rather than once per operation.  `params` is only read, and
+    p' is fresh and never written afterwards, as `run_blockwise` needs.
     """
     loss, grad = mdl.loss_and_grad(params, batch)
     g, p = grad.values, params.values
@@ -347,6 +351,16 @@ def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
         yield params, PHASE_FINETUNE, None, loss, 0.0, gnorm, gnorm
 
 
+# Steps are held and scored in batches of at most this many, and of at most
+# this many bytes of parameter vectors (8 * d each, at least one step).  A
+# gradient step and a scoring pass each evict the other's working set from
+# the cache; held, the steps run back to back and so do the passes.  Blob
+# widths hold 64 steps (117 KB at d = 229); above d = 131,072 each step is
+# scored before the next is taken.
+_PENDING_STEPS = 64
+_PENDING_BYTES = 1 << 20
+
+
 def run_blockwise(
     params0: mdl.ParamVector,
     config: RunConfig,
@@ -356,7 +370,11 @@ def run_blockwise(
     """Block schedule: T noisy steps per block in order, then fine-tuning.
 
     Only `retain` rows ever feed a gradient; accuracies in the record come
-    from the read-only eval sets, scored after every step.
+    from the read-only eval sets.  Every step is scored, in step order, once
+    the steps of its batch are taken (see `_PENDING_STEPS`); the steps yield
+    fresh vectors and never write one they yielded, so a held step scores
+    as it would have at once.  If a step raises, the held steps are scored
+    first, so an earlier step's scoring error is still the one raised.
     """
     plan = config.plan
     basis = config.basis
@@ -376,12 +394,31 @@ def run_blockwise(
 
     params = params0.copy()
     rows: list[StepRow] = []
-    for step, (params, phase, block, loss, noise, pre, post) in enumerate(
-        _schedule(params, batcher, config, ft_steps, noise_rng), 1
-    ):
-        rows.append(
-            StepRow(step, phase, block, loss, *evaluate(params, block), noise, pre, post)
-        )
+    pending: list[tuple] = []
+    hold = max(1, min(_PENDING_STEPS, _PENDING_BYTES // params0.values.nbytes))
+
+    def record():
+        """Score the held steps in order; emptied first, so a scoring error
+        that reaches the `except` below scores nothing twice."""
+        held = pending.copy()
+        pending.clear()
+        for step, stepped, phase, block, loss, noise, pre, post in held:
+            rows.append(
+                StepRow(step, phase, block, loss, *evaluate(stepped, block), noise, pre, post)
+            )
+
+    try:
+        for step, (params, *fields) in enumerate(
+            _schedule(params, batcher, config, ft_steps, noise_rng), 1
+        ):
+            pending.append((step, params, *fields))
+            if len(pending) == hold:
+                record()
+    except Exception:
+        # a held step's scoring error came first, so it is the one raised
+        record()
+        raise
+    record()
     return RunRecord(rows, params, np.flatnonzero(batcher.touched))
 
 

@@ -144,31 +144,48 @@ class TestMiaEfficacy:
 
 
 def reference_audit(params, retain, forget, test, seed):
-    """(RA, TA, UA, MIA efficacy) the way the audit used to score a model: one
-    accuracy pass per set, then row-major attacker features from `forward`
-    over the sampled members, the sampled non-members and the forget rows."""
+    """((RA, TA, UA, MIA efficacy), features) the way the audit used to score
+    a model: one accuracy pass per set, then row-major attacker features from
+    `forward` over the sampled members, the sampled non-members and the
+    forget rows.  `features` holds, for those three sets in order, the
+    (rows, classes) logits, the labels and the (rows, 2) features; None for
+    an empty forget set."""
 
     def features(x, y):
         logits, _ = mdl.forward(params, mdl.Batch(x, y))
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return np.column_stack([np.exp(log_probs.max(axis=1)),
-                                -log_probs[np.arange(len(y)), y]])
+        return logits, y, np.column_stack([np.exp(log_probs.max(axis=1)),
+                                           -log_probs[np.arange(len(y)), y]])
 
     ra = 100.0 * mdl.accuracy(params, *retain)
     ta = 100.0 * mdl.accuracy(params, *test)
     if len(forget[1]) == 0:
-        return ra, ta, None, None
+        return (ra, ta, None, None), None
     ua = 100.0 * (1.0 - mdl.accuracy(params, *forget))
     rng = np.random.default_rng(seed)
     n = min(len(retain[1]), len(test[1]))
     members = rng.permutation(len(retain[1]))[:n]
     non_members = rng.permutation(len(test[1]))[:n]
-    x = np.vstack([features(retain[0][members], retain[1][members]),
-                   features(test[0][non_members], test[1][non_members])])
+    sets = (features(retain[0][members], retain[1][members]),
+            features(test[0][non_members], test[1][non_members]),
+            features(*forget))
+    x = np.vstack([sets[0][2], sets[1][2]])
     mean, std, w = audit._fit_logistic(x, np.concatenate([np.ones(n), np.zeros(n)]))
-    called_member = audit._predict_member(mean, std, w, features(*forget))
-    return ra, ta, ua, 100.0 * int(np.sum(~called_member)) / len(forget[1])
+    called_member = audit._predict_member(mean, std, w, sets[2][2])
+    return (ra, ta, ua, 100.0 * int(np.sum(~called_member)) / len(forget[1])), sets
+
+
+def assert_same_features(sets):
+    """`audit._attack_features` of each reference set's logits, in the
+    audit's (classes, rows) layout, equals the row-major features bit for
+    bit.  The attacker's threshold can hide a last-bit move in them, and the
+    scorer's logits may differ from `forward`'s in their last bits, so the
+    features are compared over the reference's own logits."""
+    assert len(sets) == 3
+    for logits, labels, expected in sets:
+        got = audit._attack_features(np.ascontiguousarray(logits.T), labels)
+        assert got.tobytes() == expected.tobytes()
 
 
 def classwise_pairs():
@@ -185,9 +202,10 @@ class TestFusedAudit:
         retain, forget, test = split_pairs() if scenario == "random" else classwise_pairs()
         models = [trained_params(), mdl.init_params(ARCH, seed=seed)]
         for params in models:
-            expected = reference_audit(params, retain, forget, test, seed)
+            expected, features = reference_audit(params, retain, forget, test, seed)
             report = audit.compute_metrics(params, retain, forget, test, mia_seed=seed)
             assert (report.ra, report.ta, report.ua, report.mia_efficacy) == expected
+            assert_same_features(features)
             assert audit.mia_efficacy(params, retain, forget, test, seed=seed) == expected[3]
 
     def test_wider_model_equals_per_set_scoring(self):
@@ -199,12 +217,12 @@ class TestFusedAudit:
         retain, forget, test = (
             (rng.standard_normal((n, 20)), rng.integers(0, 5, size=n)) for n in (90, 13, 140)
         )
+        expected, features = reference_audit(params, retain, forget, test, 3)
         report = audit.compute_metrics(params, retain, forget, test, mia_seed=3)
-        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
-            params, retain, forget, test, 3
-        )
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == expected
+        assert_same_features(features)
 
-    @pytest.mark.parametrize("classes", [10, 150])
+    @pytest.mark.parametrize("classes", [4, 5, 10, 150])
     def test_more_classes_equal_per_set_scoring(self, classes):
         # 8 classes and more take the blocked class sum, more than 128 its
         # split into halves
@@ -216,10 +234,10 @@ class TestFusedAudit:
             (rng.standard_normal((n, 8)), rng.integers(0, classes, size=n))
             for n in (120, 30, 90)
         )
+        expected, features = reference_audit(params, retain, forget, test, 1)
         report = audit.compute_metrics(params, retain, forget, test, mia_seed=1)
-        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
-            params, retain, forget, test, 1
-        )
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == expected
+        assert_same_features(features)
 
     @pytest.mark.parametrize("classes", [4, 10, 150])
     def test_gathered_columns_give_the_features_of_a_contiguous_copy(self, classes):
@@ -238,9 +256,9 @@ class TestFusedAudit:
         params = trained_params()
         empty = (np.empty((0, 8)), np.empty(0, dtype=np.int64))
         report = audit.compute_metrics(params, retain, empty, test)
-        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == reference_audit(
-            params, retain, empty, test, 0
-        )
+        expected, features = reference_audit(params, retain, empty, test, 0)
+        assert (report.ra, report.ta, report.ua, report.mia_efficacy) == expected
+        assert features is None
         assert report.ua is None and report.mia_efficacy is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from blockwise_unlearn import harness
 from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.accounting import BlockBudget, NoisePlan
-from blockwise_unlearn.errors import DomainError
+from blockwise_unlearn.errors import DomainError, NumericalError
 
 from test_benchmark_contract import counting
 from test_model import dim, hits
@@ -298,20 +299,24 @@ class TestEvaluation:
         assert len({scorer for scorer, _ in calls}) == 1
 
 
-def spy_step_params(monkeypatch) -> list:
+def spy_step_params(monkeypatch, copy=False) -> list:
     """The parameters after every step of a run, noisy or fine-tune, in
-    order, while the patch holds."""
+    order, while the patch holds; with `copy`, each as (vector, a copy of
+    its values taken when its step returned)."""
     params = []
     nft_step, momentum_step = eng.nft_step, eng._momentum_step
 
+    def keep(stepped):
+        params.append((stepped, stepped.values.copy()) if copy else stepped)
+
     def nft_spy(*args, **kwargs):
         out = nft_step(*args, **kwargs)
-        params.append(out[0])
+        keep(out[0])
         return out
 
     def momentum_spy(*args):
         out = momentum_step(*args)
-        params.append(out[0])
+        keep(out[0])
         return out
 
     monkeypatch.setattr(eng, "nft_step", nft_spy)
@@ -442,6 +447,117 @@ class TestRankUpdates:
         update_peak, updated = peak(spans)
         assert [r[4:7] for r in updated.rows] == [r[4:7] for r in direct.rows]
         assert update_peak <= direct_peak + 256 * mdl._SCRATCH_COLUMNS * 8
+
+
+def spy_events(monkeypatch, fail_score=None, fail_step=None) -> list:
+    """"step" as each step of a run returns and "score" as each scoring call
+    returns, in order, while the patch holds.  The scoring call numbered
+    `fail_score` (1-based) raises NumericalError("non-finite logits") and
+    the step numbered `fail_step` raises DomainError("step failed")."""
+    events = []
+    wrapped = [(eng, "nft_step", "step", fail_step, DomainError("step failed")),
+               (eng, "_momentum_step", "step", fail_step, DomainError("step failed"))]
+    wrapped += [(mdl.Scorer, name, "score", fail_score, NumericalError("non-finite logits"))
+                for name in ("hits", "step_hits")]
+    for owner, name, event, fail, error in wrapped:
+        def wrapper(*args, _original=getattr(owner, name), _event=event, _fail=fail,
+                    _error=error, **kwargs):
+            if events.count(_event) + 1 == _fail:
+                raise _error
+            out = _original(*args, **kwargs)
+            events.append(_event)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return events
+
+
+def runs(events) -> list:
+    """(event, count) of each run of equal events."""
+    return [(event, len(list(group))) for event, group in itertools.groupby(events)]
+
+
+def held_run(k, fine_tune_steps=150, spec=ARCH):
+    """(record, [test, retain, forget]) of a run of `spec` with a rotated
+    basis of k blocks, 2 noisy steps per block and `fine_tune_steps`
+    fine-tune steps on blobs, scored on those three sets."""
+    data = ds.generate_blobs(300, classes=spec.widths[-1], dim=spec.widths[0],
+                             separation=4.0, seed=5)
+    test, retain, forget = ((data.inputs[rows], data.labels[rows])
+                            for rows in (slice(50), slice(50, None), slice(9)))
+    params0 = mdl.init_params(spec, seed=1)
+    basis = sub.build_basis(sub.RANDOM_ORTHONORMAL, params0.layer_map, k, seed=7)
+    config = small_config(k=k, basis=basis, fine_tune_steps=fine_tune_steps)
+    record = eng.run_blockwise(params0, config, retain, eng.EvalSets(test, retain, forget))
+    return record, [test, retain, forget]
+
+
+class TestHeldScoring:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_equal_per_step_scoring_across_flushes(self, monkeypatch, k):
+        stepped = spy_step_params(monkeypatch, copy=True)
+        rec, sets = held_run(k)
+        assert len(stepped) == len(rec.rows) == 2 * k + 150  # three flushes
+        for row, (params, values) in zip(rec.rows, stepped):
+            # no step wrote a vector after it was yielded
+            assert params.values.tobytes() == values.tobytes()
+            copy = mdl.ParamVector(values, params.layer_map)
+            expected = [n / len(y) for n, (_, y) in zip(hits(copy, sets), sets)]
+            assert [row.test_acc, row.retain_acc, row.forget_acc] == expected
+        assert np.array_equal(rec.final_params.values, stepped[-1][1])
+        monkeypatch.setattr(eng, "_PENDING_STEPS", 1)
+        at_once, _ = held_run(k)
+        assert rec.rows == at_once.rows
+        assert np.array_equal(rec.final_params.values, at_once.final_params.values)
+
+    def test_blob_width_steps_are_scored_64_at_a_time(self, monkeypatch):
+        events = spy_events(monkeypatch)
+        rec, _ = held_run(3)
+        assert len(rec.rows) == 156
+        assert runs(events) == [("step", 64), ("score", 64)] * 2 + [("step", 28), ("score", 28)]
+
+    @pytest.mark.parametrize("spec, hold", [
+        (mdl.MlpSpec((200, 190, 10)), 3),  # d = 40,100: 3 steps in 1 MiB
+        (mdl.MlpSpec((600, 224, 3)), 1),  # d = 135,299: one step is over 1 MiB
+    ])
+    def test_wide_steps_are_held_within_one_mebibyte(self, monkeypatch, spec, hold):
+        d = dim(spec)
+        assert hold == max(1, (1 << 20) // (8 * d))
+        events = spy_events(monkeypatch)
+        rec, _ = held_run(1, fine_tune_steps=5, spec=spec)
+        assert len(rec.rows) == 7
+        full, rest = divmod(7, hold)
+        expected = [("step", hold), ("score", hold)] * full
+        if rest:
+            expected += [("step", rest), ("score", rest)]
+        assert runs(events) == expected
+
+    def test_a_scoring_error_is_raised_after_the_batch_is_taken(self, monkeypatch):
+        # step 70 lies between the flushes after steps 64 and 128
+        events = spy_events(monkeypatch, fail_score=70)
+        with pytest.raises(NumericalError, match="^non-finite logits$"):
+            held_run(3)
+        assert events.count("step") == 128 and events.count("score") == 69
+
+    def test_an_earlier_scoring_error_wins_over_a_later_step_error(self, monkeypatch):
+        events = spy_events(monkeypatch, fail_score=70, fail_step=75)
+        with pytest.raises(NumericalError, match="^non-finite logits$") as caught:
+            held_run(3)
+        assert events.count("step") == 74 and events.count("score") == 69
+        assert str(caught.value.__context__) == "step failed"
+        # scored at once, step 70 raises before step 75 is taken
+        monkeypatch.undo()
+        monkeypatch.setattr(eng, "_PENDING_STEPS", 1)
+        events = spy_events(monkeypatch, fail_score=70, fail_step=75)
+        with pytest.raises(NumericalError, match="^non-finite logits$"):
+            held_run(3)
+        assert events.count("step") == 70 and events.count("score") == 69
+
+    def test_a_step_error_scores_the_held_steps_first(self, monkeypatch):
+        events = spy_events(monkeypatch, fail_step=75)
+        with pytest.raises(DomainError, match="^step failed$"):
+            held_run(3)
+        assert runs(events) == [("step", 64), ("score", 64), ("step", 10), ("score", 10)]
 
 
 class TestCsv:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from . import model as mdl
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """UA/RA/TA in percent; ua and mia_efficacy are None for an empty forget
     set.  Deltas are signed differences against the retrain baseline."""
 
@@ -29,8 +28,7 @@ class AuditReport:
     ta_delta: float | None = None
 
 
-@dataclass(frozen=True)
-class DeltaEstimate:
+class DeltaEstimate(NamedTuple):
     """Empirical (1-rho)-quantile of coupled retraining distances."""
 
     samples: tuple[float, ...]
@@ -162,8 +160,8 @@ def against_baseline(report: AuditReport, base: AuditReport) -> AuditReport:
     ua_delta = None
     if report.ua is not None and base.ua is not None:
         ua_delta = report.ua - base.ua
-    return replace(
-        report, ua_delta=ua_delta, ra_delta=report.ra - base.ra, ta_delta=report.ta - base.ta
+    return report._replace(
+        ua_delta=ua_delta, ra_delta=report.ra - base.ra, ta_delta=report.ta - base.ta
     )
 
 

@@ -12,14 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import accounting as acc
 from . import audit
 from . import datasets as ds
-from . import divergence as dv
 from . import harness
 from . import model as mdl
 from . import subspace as sub
@@ -121,7 +119,7 @@ def _cmd_audit(args) -> int:
         params, sets.retain, sets.forget, sets.test,
         retrain_params=retrain_params, mia_seed=split.seed,
     )
-    _write_json(asdict(report), args.out)
+    _write_json(report._asdict(), args.out)
     ua = "--" if report.ua is None else f"{report.ua:.2f}"
     mia = "--" if report.mia_efficacy is None else f"{report.mia_efficacy:.2f}"
     print(
@@ -144,11 +142,13 @@ def _cmd_calibrate_delta(args) -> int:
         seeds=harness.cell_seeds(config, args.seed),
         train_config=harness.train_config(config),
     )
-    _write_json(asdict(est), args.out)
+    _write_json(est._asdict(), args.out)
     return 0
 
 
 def _cmd_divergence_check(args) -> int:
+    from . import divergence as dv  # loaded on first use: only this command needs it
+
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
     if args.specs < 1:

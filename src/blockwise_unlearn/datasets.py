@@ -8,6 +8,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
+    """Rows of inputs and their class labels, checked at construction."""
+
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
@@ -152,8 +155,7 @@ class RandomFraction:
             raise DomainError(f"fraction must be in (0,1), got {self.fraction}")
 
 
-@dataclass(frozen=True)
-class ClassWise:
+class ClassWise(NamedTuple):
     """Delete every training row of one class."""
 
     class_id: int
@@ -161,6 +163,8 @@ class ClassWise:
 
 @dataclass(frozen=True)
 class ScenarioSplit:
+    """Disjoint retain, forget and test row indices of a dataset."""
+
     retain_idx: np.ndarray
     forget_idx: np.ndarray
     test_idx: np.ndarray
@@ -175,9 +179,10 @@ class ScenarioSplit:
         object.__setattr__(self, "retain_idx", r)
         object.__setattr__(self, "forget_idx", f)
         object.__setattr__(self, "test_idx", t)
-        for a, b in ((r, f), (r, t), (f, t)):
-            if np.intersect1d(a, b).size:
-                raise DomainError("split index sets overlap")
+        # one sorted pass finds an index met twice, within a set or across sets
+        every = np.sort(np.concatenate((r, f, t)))
+        if np.any(every[1:] == every[:-1]):
+            raise DomainError("split index sets overlap or repeat an index")
 
 
 def save_split(split: ScenarioSplit, path) -> None:

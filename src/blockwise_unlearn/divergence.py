@@ -144,6 +144,8 @@ def numeric_renyi(mu: Density1D, nu: Density1D, q: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseEquivalenceReport:
+    """Whether block-wise noise matches full-vector noise in covariance and KS tests."""
+
     max_cov_deviation: float
     cov_threshold: float
     ks_pvalues: tuple[float, ...]
@@ -203,6 +205,8 @@ def check_block_noise_equivalence(
 
 @dataclass(frozen=True)
 class TrajectoryBoundReport:
+    """A numeric trajectory divergence against its closed form and certified bound."""
+
     numeric: float
     closed_form: float
     certified: float

@@ -27,15 +27,13 @@ from .errors import DomainError
 PHASE_FINETUNE = "finetune"
 
 
-@dataclass(frozen=True)
-class Seeds:
+class Seeds(NamedTuple):
     init: int = 0
     data_order: int = 0
     noise: int = 0
 
 
-@dataclass(frozen=True)
-class EvalSets:
+class EvalSets(NamedTuple):
     """Datasets that score every step of a run, in order, after the steps of
     its batch are taken; any of them may be absent."""
 
@@ -56,6 +54,8 @@ def _check_optimizer(what: str, lr: float, momentum: float, weight_decay: float)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Momentum SGD settings of a training run."""
+
     steps: int
     lr: float = 0.01
     momentum: float = 0.9
@@ -72,6 +72,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One unlearning run: its noise plan, basis, fine-tuning and seeds."""
+
     plan: NoisePlan
     basis: sub.BlockBasis | None
     batch_size: int = 64
@@ -121,6 +123,8 @@ CSV_HEADER = ",".join(StepRow._fields)
 
 @dataclass
 class RunRecord:
+    """What a run did: its step rows, final parameters and gradient rows."""
+
     rows: list[StepRow]
     final_params: mdl.ParamVector
     touched_rows: np.ndarray  # sorted unique indices that fed a gradient

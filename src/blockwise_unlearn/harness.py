@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,8 @@ METHODS = (METHOD_BLOCKWISE, METHOD_RETRAIN)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config file: dataset, deletion, model and the cell grid."""
+
     dataset: dict
     deletion: dict
     model_hidden: tuple[int, ...]
@@ -301,8 +304,7 @@ def cell_key(method: str, epsilon: float, k: int, seed_index: int) -> str:
     return f"{method}_eps{epsilon:g}_k{k}_seed{seed_index}"
 
 
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     key: str
     method: str
     epsilon: float
@@ -314,13 +316,14 @@ class CellResult:
 
 @dataclass
 class ExperimentResult:
+    """The cells of a grid, the errors of failed cells, and the summary."""
+
     cells: list[CellResult] = field(default_factory=list)
     errors: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PreparedSeed:
+class PreparedSeed(NamedTuple):
     """One seed of the grid, split, and the output directory of its files."""
 
     config: ExperimentConfig
@@ -457,7 +460,7 @@ def run_cell(
         "delta": delta,
         "k": k,
         "seed_index": seed.index,
-        "seeds": asdict(seed.seeds),
+        "seeds": seed.seeds._asdict(),
         "plan": plan.to_dict(),
         "checkpoint": f"{key}.ckpt",
         "csv": f"{key}.csv",

@@ -39,6 +39,8 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Batch:
+    """A non-empty minibatch of inputs and labels, checked at construction."""
+
     inputs: np.ndarray
     labels: np.ndarray
 

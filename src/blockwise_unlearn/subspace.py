@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ STRATEGIES = (RANDOM_ORTHONORMAL, PERMUTATION, LAYER_CYCLIC, HEAD_BODY)
 LayerMap = tuple[tuple[str, tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """One rotation unit: an (m, cols) view spliced out of the flat vector.
 
     parts are (flat_offset, col_start, col_end) spans; the weight matrix
@@ -61,8 +61,7 @@ class _Group:
             self.part(w, offset, ce - cs)[:] = x[:, cs:ce]
 
 
-@dataclass(frozen=True)
-class _Rotation:
+class _Rotation(NamedTuple):
     q: np.ndarray | None  # (m, m) orthonormal; None is the identity
     row_groups: tuple[np.ndarray, ...]  # k index arrays into the m rows of B
 

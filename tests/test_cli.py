@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import blockwise_unlearn
-from blockwise_unlearn import cli
+from blockwise_unlearn import audit, cli, harness
+from blockwise_unlearn import datasets as ds
+from blockwise_unlearn import model as mdl
 
 from test_datasets import write_idx_fixture
 from test_harness import base_config_doc, write_config
@@ -248,6 +250,55 @@ class TestPipelineCommands:
         assert len(est["samples"]) == 3
         assert est["delta_rho"] >= 0
 
+    def test_audit_out_holds_the_report_fields(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        for stage in ("train", "retrain"):
+            assert run_cli(stage, "--config", str(config_path)) == 0
+        report_path = tmp_path / "audit.json"
+        assert run_cli(
+            "audit", "--config", str(config_path),
+            "--checkpoint", str(out / "model_full_seed0.ckpt"),
+            "--splits", str(out / "split_seed0.json"),
+            "--retrain-checkpoint", str(out / "model_retrain_seed0.ckpt"),
+            "--out", str(report_path),
+        ) == 0
+        config = harness.load_config(config_path)
+        data, external_test = harness.load_dataset(config)
+        split = ds.load_split(out / "split_seed0.json")
+        sets = harness.evaluation_sets(data, external_test, split)
+        report = audit.compute_metrics(
+            mdl.load_params(out / "model_full_seed0.ckpt"), sets.retain, sets.forget,
+            sets.test, retrain_params=mdl.load_params(out / "model_retrain_seed0.ckpt"),
+            mia_seed=split.seed,
+        )
+        fields = ["ua", "ra", "ta", "mia_efficacy", "rte_minutes", "ua_delta", "ra_delta",
+                  "ta_delta"]
+        assert json.loads(report_path.read_text()) == {f: getattr(report, f) for f in fields}
+
+    def test_calibrate_delta_out_holds_the_estimate_fields(self, tmp_path, capsys):
+        doc = base_config_doc(str(tmp_path / "out"))
+        doc["train"]["steps"] = 60
+        config_path = write_config(tmp_path, doc)
+        out_file = tmp_path / "delta.json"
+        assert run_cli(
+            "calibrate-delta", "--config", str(config_path),
+            "--runs", "3", "--rho", "0.5", "--frac", "0.1", "--seed", "1",
+            "--out", str(out_file),
+        ) == 0
+        config = harness.load_config(config_path)
+        data, _ = harness.load_dataset(config)
+        est = audit.estimate_delta(
+            harness.architecture(config, data), data, perturbation_frac=0.1, n_runs=3,
+            rho=0.5, seeds=harness.cell_seeds(config, 1), train_config=harness.train_config(config),
+        )
+        assert json.loads(out_file.read_text()) == {
+            "samples": list(est.samples), "rho": est.rho, "delta_rho": est.delta_rho,
+            "n_runs": est.n_runs,
+        }
+
     def test_run_command(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = base_config_doc(str(out))
@@ -331,6 +382,26 @@ class TestMalformedCheckpoint:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_audit_split_repeating_a_retain_index(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        split = json.loads((out / "split_seed0.json").read_text())
+        split["retain_idx"].append(split["retain_idx"][0])
+        bad_split = tmp_path / "split.json"
+        bad_split.write_text(json.dumps(split))
+        capsys.readouterr()
+        rc = run_cli(
+            "audit", "--config", str(config_path),
+            "--checkpoint", str(out / "model_full_seed0.ckpt"), "--splits", str(bad_split),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: split index sets overlap or repeat")
+        assert "Traceback" not in err
 
     def test_audit_checkpoint_without_fc_layers(self, tmp_path, capsys):
         # load_params accepts any contiguous layer map; the model needs fc layers
@@ -480,6 +551,27 @@ def test_package_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["blockwise_unlearn", "blockwise_unlearn.cli"])
+def test_import_loads_neither_divergence_nor_scipy(module):
+    # divergence loads on first use, and still resolves from the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockwise_unlearn.__file__)))
+    code = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'blockwise_unlearn.divergence' or m.split('.')[0] == 'scipy'))\n"
+        "import blockwise_unlearn\n"
+        "print(blockwise_unlearn.divergence.__name__)\n"
+        "names = {}\n"
+        "exec('from blockwise_unlearn import *', names)\n"
+        "print(names['divergence'] is sys.modules['blockwise_unlearn.divergence'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "blockwise_unlearn.divergence", "True"]
 
 
 def readme_commands() -> list[list[str]]:

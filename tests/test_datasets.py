@@ -246,6 +246,11 @@ class TestSplits:
                 test_idx=np.array([3]), seed=0,
             )
 
+    def test_repeated_retain_index_rejected(self):
+        # RA would count row 0 twice
+        with pytest.raises(DomainError, match="overlap or repeat"):
+            ds.ScenarioSplit(retain_idx=[0, 0, 1], forget_idx=[2], test_idx=[3], seed=0)
+
 
 class TestLoadSplitFields:
     GOOD = {"retain_idx": [0, 2], "forget_idx": [1], "test_idx": [], "seed": 4}
@@ -268,6 +273,10 @@ class TestLoadSplitFields:
     def test_bad_index_field(self, tmp_path, value):
         with pytest.raises(FormatError):
             ds.load_split(self.write(tmp_path, retain_idx=value))
+
+    def test_repeated_retain_index(self, tmp_path):
+        with pytest.raises(DomainError, match="overlap or repeat"):
+            ds.load_split(self.write(tmp_path, retain_idx=[0, 0, 2]))
 
     @pytest.mark.parametrize("seed", ["x", 1.5, None, True, [0]])
     def test_bad_seed(self, tmp_path, seed):

@@ -421,7 +421,7 @@ class TestSerialization:
             del rotations[0]
         else:
             rg = rotations[1].row_groups
-            rotations[1] = dataclasses.replace(rotations[1], row_groups=(rg[1],) + rg[1:])
+            rotations[1] = rotations[1]._replace(row_groups=(rg[1],) + rg[1:])
         with pytest.raises(DomainError):
             dataclasses.replace(basis, rotations=tuple(rotations))
 
@@ -448,7 +448,7 @@ class TestRotationChecks:
 
     def test_rotation_must_be_square_over_the_rows(self):
         rot = self.BASIS.rotations[0]
-        bad = dataclasses.replace(rot, q=rot.q[:, :-1])
+        bad = rot._replace(q=rot.q[:, :-1])
         with pytest.raises(DomainError):
             self.rebuilt(rotations=(bad,) + self.BASIS.rotations[1:])
 
@@ -459,6 +459,6 @@ class TestRotationChecks:
     ])
     def test_row_groups_must_partition_the_rows(self, row_groups):
         rot = self.BASIS.rotations[0]
-        bad = dataclasses.replace(rot, row_groups=row_groups(rot.row_groups))
+        bad = rot._replace(row_groups=row_groups(rot.row_groups))
         with pytest.raises(DomainError):
             self.rebuilt(rotations=(bad,) + self.BASIS.rotations[1:])

@@ -178,8 +178,9 @@ def estimate_delta(
 
     Each run replaces a seeded random fraction of the rows with other rows of
     the dataset (resampled with replacement from the untouched remainder) and
-    retrains under the same coupled seeds; the reported radius is the
-    conservative ceil((1-rho) n)-th order statistic of the distances.
+    retrains under the same coupled seeds; the base model and every run train
+    in lockstep.  The reported radius is the conservative ceil((1-rho) n)-th
+    order statistic of the distances.
     """
     if n_runs < 2:
         raise DomainError(f"need at least 2 runs, got {n_runs}")
@@ -192,22 +193,24 @@ def estimate_delta(
             f"n_runs={n_runs} is small for rho={rho}; the quantile is vacuous",
             stacklevel=2,
         )
-    inputs, labels = data.inputs, data.labels
-    n = len(labels)
-    base = eng.train(arch, (inputs, labels), seeds, train_config)
-    samples = []
+    n = len(data.labels)
+    n_swap = int(np.floor(perturbation_frac * n))
+    # each perturbed dataset is a row map into the data: row i reads row rows[i]
+    runs = [(None, seeds)]
     for j in range(n_runs):
         rng = np.random.default_rng((seeds.noise, j))
-        n_swap = int(np.floor(perturbation_frac * n))
-        swapped_inputs, swapped_labels = inputs.copy(), labels.copy()
+        rows = np.arange(n)
         if n_swap > 0:
             target = rng.permutation(n)[:n_swap]
-            keep = np.setdiff1d(np.arange(n), target)
-            source = keep[rng.integers(0, len(keep), size=n_swap)]
-            swapped_inputs[target] = inputs[source]
-            swapped_labels[target] = labels[source]
-        perturbed = eng.train(arch, (swapped_inputs, swapped_labels), seeds, train_config)
-        samples.append(mdl.vector_norm(base.values - perturbed.values))
+            keep = np.setdiff1d(rows, target)
+            rows[target] = keep[rng.integers(0, len(keep), size=n_swap)]
+        runs.append((rows, seeds))
+    models = eng.train_lockstep(arch, data.pair(), runs, train_config)
+    for params in models:
+        if isinstance(params, Exception):
+            raise params
+    base = models[0]
+    samples = [mdl.vector_norm(base.values - perturbed.values) for perturbed in models[1:]]
     samples.sort()
     order = max(1, math.ceil((1.0 - rho) * n_runs))
     return DeltaEstimate(

@@ -13,6 +13,7 @@ a rerun with equal seeds reproduces the trajectory bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -156,14 +157,17 @@ def _fmt(value) -> str:
 
 
 class _Batcher:
-    """Epoch-shuffled minibatches with a deterministic order stream."""
+    """Epoch-shuffled minibatches with a deterministic order stream, over the
+    rows `rows` of the inputs (all of them for None): each epoch draws a
+    permutation of their positions, as over a copy of those rows alone."""
 
-    def __init__(self, inputs, labels, batch_size, rng):
+    def __init__(self, inputs, labels, batch_size, rng, rows=None):
         self.inputs = np.asarray(inputs, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        if len(self.inputs) < 1:
+        self.rows = np.arange(len(self.inputs)) if rows is None else rows
+        if len(self.rows) < 1:
             raise DomainError("empty dataset")
-        self.batch_size = min(batch_size, len(self.inputs))
+        self.batch_size = min(batch_size, len(self.rows))
         self.rng = rng
         self._order = None
         self._pos = 0
@@ -171,7 +175,7 @@ class _Batcher:
 
     def next(self) -> mdl.Batch:
         if self._order is None or self._pos >= len(self._order):
-            self._order = self.rng.permutation(len(self.inputs))
+            self._order = self.rows[self.rng.permutation(len(self.rows))]
             self._pos = 0
         ids = self._order[self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
@@ -301,15 +305,23 @@ def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
     """v = m*v + (g + wd*p), then p' = p - lr*v; returns (p', v, loss, ||g||).
 
     `velocity` is updated in place and the new parameter vector is the only
-    allocation: it holds wd*p, then lr*v, then p'.  Each value comes from the
-    same operations as the out-of-place formula (x + y == y + x exactly).
-    The six operations run chunk by chunk, so each vector is streamed from
-    memory once rather than once per operation.  `params` is only read, and
-    p' is fresh and never written afterwards, as `run_blockwise` needs.
+    allocation (see `_momentum_update`).  `params` is only read, and p' is
+    fresh and never written afterwards, as `run_blockwise` needs.
     """
     loss, grad = mdl.loss_and_grad(params, batch)
-    g, p = grad.values, params.values
+    g = grad.values
     gnorm = mdl.vector_norm(g)
+    new = _momentum_update(params.values, g, velocity, lr, momentum, weight_decay)
+    return mdl.ParamVector(new, params.layer_map), velocity, loss, gnorm
+
+
+def _momentum_update(p, g, velocity, lr, momentum, weight_decay):
+    """The momentum update of flat vectors: `velocity` in place, and p' in
+    the one allocation, which holds wd*p, then lr*v, then p'.  Each value
+    comes from the same operations as the out-of-place formula (x + y == y + x
+    exactly), element by element, so a stack of models updates as one vector.
+    The six operations run chunk by chunk, so each vector is streamed from
+    memory once rather than once per operation."""
     new = np.empty(p.shape)
     for lo in range(0, p.size, _CHUNK):
         hi = lo + _CHUNK
@@ -320,7 +332,7 @@ def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
         v += out
         np.multiply(v, lr, out=out)
         np.subtract(w, out, out=out)
-    return mdl.ParamVector(new, params.layer_map), velocity, loss, gnorm
+    return new
 
 
 def _momentum_steps(params, batcher: _Batcher, steps, lr, momentum, weight_decay):
@@ -360,7 +372,8 @@ def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
 # gradient step and a scoring pass each evict the other's working set from
 # the cache; held, the steps run back to back and so do the passes.  Blob
 # widths hold 64 steps (117 KB at d = 229); above d = 131,072 each step is
-# scored before the next is taken.
+# scored before the next is taken.  The byte budget also caps a lockstep
+# stack of models (`train_lockstep`): above d = 65,536 each model trains alone.
 _PENDING_STEPS = 64
 _PENDING_BYTES = 1 << 20
 
@@ -432,15 +445,100 @@ def train(
     seeds: Seeds,
     config: TrainConfig,
 ) -> mdl.ParamVector:
-    """SGD-with-momentum training, deterministic in the seeds."""
-    params = mdl.init_params(arch, seeds.init)
-    order_rng = np.random.default_rng(seeds.data_order)
-    batcher = _Batcher(data[0], data[1], config.batch_size, order_rng)
-    for params, _, _ in _momentum_steps(
-        params, batcher, config.steps, config.lr, config.momentum, config.weight_decay
-    ):
-        pass
+    """SGD-with-momentum training, deterministic in the seeds: the one-model
+    case of `train_lockstep`."""
+    (params,) = train_lockstep(arch, data, [(None, seeds)], config)
+    if isinstance(params, Exception):
+        raise params
     return params
+
+
+def train_lockstep(arch: mdl.MlpSpec, data, runs, config: TrainConfig) -> list:
+    """Per (rows, seeds) run, the model `train` gives on a copy of the rows
+    `rows` of `data` (all of them for None), or the exception it raises.
+
+    Consecutive runs with equal row counts train in lockstep, in stacks of
+    at most as many models as fit in `_PENDING_BYTES` (8 * d bytes each):
+    their parameters, velocities and batches gain a leading model axis, and
+    a step is one `model.backprop` and one `_momentum_update` for them all,
+    paying numpy's per-call cost once rather than once per model.  A stack
+    of one takes the flat path of `_momentum_steps`.
+    """
+    inputs = np.asarray(data[0], dtype=np.float64)
+    labels = np.asarray(data[1], dtype=np.int64)
+    cap = max(1, _PENDING_BYTES // (8 * sub.layer_map_dim(mdl.layer_map(arch))))
+    results = []
+    for n, group in itertools.groupby(runs, lambda run: len(inputs if run[0] is None else run[0])):
+        group = list(group)
+        size = cap if n else 1  # an empty pool fails in `_Batcher`
+        for lo in range(0, len(group), size):
+            stack = group[lo : lo + size]
+            if len(stack) == 1:
+                results.append(_train_one(arch, inputs, labels, stack[0], config))
+            else:
+                results += _train_stack(arch, inputs, labels, stack, config)
+    return results
+
+
+def _train_one(arch, inputs, labels, run, config):
+    """The model of one (rows, seeds) run, trained on flat vectors, or the
+    exception that fails it."""
+    rows, seeds = run
+    try:
+        params = mdl.init_params(arch, seeds.init)
+        batcher = _Batcher(inputs, labels, config.batch_size,
+                           np.random.default_rng(seeds.data_order), rows)
+        for params, _, _ in _momentum_steps(
+            params, batcher, config.steps, config.lr, config.momentum, config.weight_decay
+        ):
+            pass
+    except Exception as exc:  # noqa: BLE001 - this run's result
+        return exc
+    return params
+
+
+def _train_stack(arch, inputs, labels, stack, config) -> list:
+    """`train_lockstep` of a stack of models with one row count.
+
+    Before each step's pass the stack checks what `model.loss_and_grad`
+    checks for each model (finite parameters, labels in range), and after
+    it each model's loss.  If a model's step would fail, or a shared
+    operation raises, every model of the stack trains again alone, from the
+    start, and so gets exactly its own result or exception.  The shared
+    operations ignore floating-point errors, so one model's overflow warns
+    or raises only when that model trains alone.
+    """
+    lm, classes = mdl.layer_map(arch), arch.widths[-1]
+    n = len(inputs if stack[0][0] is None else stack[0][0])
+    row_maps = [np.arange(n) if rows is None else rows for rows, _ in stack]
+    rngs = [np.random.default_rng(seeds.data_order) for _, seeds in stack]
+    params = np.stack([mdl.init_params(arch, seeds.init).values for _, seeds in stack])
+    velocity = np.zeros_like(params)
+    batch_size, pos = min(config.batch_size, n), n
+    try:
+        with np.errstate(all="ignore"):
+            for _ in range(config.steps):
+                if pos >= n:
+                    orders = np.stack([m[rng.permutation(n)] for m, rng in zip(row_maps, rngs)])
+                    pos = 0
+                ids = orders[:, pos : pos + batch_size]
+                pos += batch_size
+                x, y = inputs[ids], labels[ids]
+                if not (np.logical_and.reduce(np.isfinite(params), axis=None)
+                        and y.min() >= 0 and y.max() < classes):
+                    break
+                losses, grad = mdl.backprop(params, lm, x, y)
+                if not np.logical_and.reduce(np.isfinite(losses)):
+                    break
+                params = _momentum_update(
+                    params.reshape(-1), grad.reshape(-1), velocity.reshape(-1),
+                    config.lr, config.momentum, config.weight_decay,
+                ).reshape(params.shape)
+            else:
+                return [mdl.ParamVector(values.copy(), lm) for values in params]
+    except Exception:  # noqa: BLE001 - met again, or not, by each model alone
+        pass
+    return [_train_one(arch, inputs, labels, run, config) for run in stack]
 
 
 def coupled_retrain(

@@ -346,22 +346,29 @@ def evaluation_sets(data, external_test, split) -> eng.EvalSets:
     )
 
 
-def prepare_seed(config, out, data, external_test, seed_index) -> PreparedSeed:
-    """Split one seed and write its split under `out`.  Rows are held out for
-    testing only when no external test set was loaded.  The test set, held
-    out or external, needs at least one row."""
+def split_seed(config, out, data, external_test, seed_index):
+    """The coupled seeds and the split of one seed, with the split written
+    under `out`.  Rows are held out for testing only when no external test
+    set was loaded.  The test set, held out or external, needs at least one
+    row."""
     seeds = cell_seeds(config, seed_index)
     test_fraction = config.test_fraction if external_test is None else 0.0
     split = ds.make_split(
         data, deletion_request(config), seed=seeds.init, test_fraction=test_fraction
     )
-    eval_sets = evaluation_sets(data, external_test, split)
-    if not len(eval_sets.test[1]):
+    if not (len(split.test_idx) if external_test is None else len(external_test)):
         source = ("dataset.test_images holds no row" if external_test is not None else
                   f"test_fraction {config.test_fraction} holds out no row of {len(data)}")
         raise DomainError(f"{source}; the test set needs at least one")
     ds.save_split(split, os.path.join(out, f"split_seed{seed_index}.json"))
-    return PreparedSeed(config, out, data, seed_index, seeds, split, eval_sets)
+    return seeds, split
+
+
+def prepare_seed(config, out, data, external_test, seed_index) -> PreparedSeed:
+    """One seed split by `split_seed`, with its evaluation sets."""
+    seeds, split = split_seed(config, out, data, external_test, seed_index)
+    return PreparedSeed(config, out, data, seed_index, seeds, split,
+                        evaluation_sets(data, external_test, split))
 
 
 def model_path(seed: PreparedSeed, name: str) -> str:
@@ -385,15 +392,23 @@ def _timed(out, key, fn, *args):
     return result, minutes
 
 
-def train_full(seed: PreparedSeed) -> mdl.ParamVector:
-    """Train the seed's full model on its retain and forget rows, in index
-    order, and save it."""
-    split = seed.split
-    pool = seed.data.subset(np.sort(np.concatenate([split.retain_idx, split.forget_idx])))
-    params = eng.train(
-        architecture(seed.config, seed.data), pool.pair(), seed.seeds,
-        train_config(seed.config),
+def train_full_models(config, data, seeds_and_splits) -> list:
+    """The full model of each (seeds, split) pair, trained on its retain and
+    forget rows in index order, all in lockstep (`engine.train_lockstep`):
+    the model, or the exception that failed it alone."""
+    return eng.train_lockstep(
+        architecture(config, data), data.pair(),
+        [(np.sort(np.concatenate([split.retain_idx, split.forget_idx])), seeds)
+         for seeds, split in seeds_and_splits],
+        train_config(config),
     )
+
+
+def train_full(seed: PreparedSeed) -> mdl.ParamVector:
+    """Train the seed's full model (see `train_full_models`) and save it."""
+    (params,) = train_full_models(seed.config, seed.data, [(seed.seeds, seed.split)])
+    if isinstance(params, Exception):
+        raise params
     mdl.save_params(params, model_path(seed, "full"))
     return params
 
@@ -479,10 +494,22 @@ def run_experiment(
     data, external_test = load_dataset(config)
     result = ExperimentResult()
 
+    splits = {}
     for seed_index in range(config.n_seeds):
         try:
-            seed = prepare_seed(config, out, data, external_test, seed_index)
-            full_params = train_full(seed)
+            splits[seed_index] = split_seed(config, out, data, external_test, seed_index)
+        except Exception as exc:  # noqa: BLE001 - recorded, other seeds proceed
+            result.errors[f"seed{seed_index}"] = f"{type(exc).__name__}: {exc}"
+    # every seed's full model first, in lockstep; then each seed in turn, its
+    # evaluation sets alive only while it runs
+    full_models = train_full_models(config, data, splits.values())
+    for (seed_index, (seeds, split)), full_params in zip(splits.items(), full_models):
+        try:
+            if isinstance(full_params, Exception):
+                raise full_params
+            seed = PreparedSeed(config, out, data, seed_index, seeds, split,
+                                evaluation_sets(data, external_test, split))
+            mdl.save_params(full_params, model_path(seed, "full"))
             retrain_params, retrain_minutes = retrain(seed)
         except Exception as exc:  # noqa: BLE001 - recorded, other seeds proceed
             result.errors[f"seed{seed_index}"] = f"{type(exc).__name__}: {exc}"

@@ -145,24 +145,34 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks), layer_map(spec))
 
 
-def _weights(params: ParamVector):
-    layers = _layout(params.layer_map).layers
+def _weights(values: np.ndarray, lm: tuple):
+    """(w, b) views of each fc layer of the flat vector `values`; of a
+    (models, d) stack, (models, out, in) weights and (models, 1, out) biases,
+    which broadcast over each model's rows."""
+    layers = _layout(lm).layers
     if not layers:
         raise DomainError("layer map has no fc layers")
-    v = params.values
+    if values.ndim == 1:
+        return [
+            (values[ws:we].reshape(w_shape), values[bs:be])
+            for (ws, we, w_shape), (bs, be, _) in layers
+        ]
+    models = len(values)
     return [
-        (v[ws:we].reshape(w_shape), v[bs:be])
+        (values[:, ws:we].reshape(models, *w_shape), values[:, None, bs:be])
         for (ws, we, w_shape), (bs, be, _) in layers
     ]
 
 
 def _check_finite(params: ParamVector) -> None:
-    if not np.isfinite(params.values).all():
+    # the ufunc reduction, without `all`'s Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(params.values)):
         raise NumericalError("non-finite parameter values")
 
 
 def _forward_pass(layers, inputs: np.ndarray):
-    """Input of every layer and the logits.
+    """Input of every layer and the logits, of one model or of a stack (see
+    `_weights`).
 
     Each layer allocates one array: the bias add and the ReLU run in place on
     the matmul's result, the same operations in the same order as
@@ -171,12 +181,12 @@ def _forward_pass(layers, inputs: np.ndarray):
     activations = [inputs]
     h = inputs
     for w, b in layers[:-1]:
-        h = h @ w.T
+        h = h @ w.mT
         h += b
         np.maximum(h, 0.0, out=h)
         activations.append(h)
     w, b = layers[-1]
-    logits = h @ w.T
+    logits = h @ w.mT
     logits += b
     return activations, logits
 
@@ -185,7 +195,7 @@ def _forward_cached(params: ParamVector, batch: Batch):
     """Layer views, every layer's input and the logits, after checking that
     the parameters are finite and every label lies in [0, classes)."""
     _check_finite(params)
-    layers = _weights(params)
+    layers = _weights(params.values, params.layer_map)
     labels = batch.labels
     # a Batch holds at least one int64 label, so both reductions are defined
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= layers[-1][0].shape[0]:
@@ -200,9 +210,9 @@ _PAIRWISE_BLOCK = 128
 
 
 def _class_sum(e: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of (classes, rows) `e`, adding the class rows in the
-    order numpy's pairwise sum adds one contiguous row of a (rows, classes)
-    array, so each column's sum is that row's sum bit for bit.
+    """Sum over the class axis (-2) of (..., classes, rows) `e`, adding the
+    class rows in the order numpy's pairwise sum adds one contiguous row of a
+    (rows, classes) array, so each column's sum is that row's sum bit for bit.
 
     Below 8 classes the rows are added in order.  Up to 128, eight running
     sums take the rows 8 apart, are combined as
@@ -211,44 +221,53 @@ def _class_sum(e: np.ndarray) -> np.ndarray:
     their count rounded down to a multiple of 8, and the two halves' sums are
     added.
     """
-    n = e.shape[0]
+    n = e.shape[-2]
     if n < 8:
-        return np.add.reduce(e, axis=0)
+        return np.add.reduce(e, axis=-2)
     if n > _PAIRWISE_BLOCK:
         half = n // 2 - n // 2 % 8
-        return _class_sum(e[:half]) + _class_sum(e[half:])
+        return _class_sum(e[..., :half, :]) + _class_sum(e[..., half:, :])
     stop = n - n % 8
-    r = e[:8].copy()
+    r = e[..., :8, :].copy()
     for s in range(8, stop, 8):
-        r += e[s : s + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
+        r += e[..., s : s + 8, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    total = r[..., 0, :] + r[..., 1, :]
     for c in range(stop, n):
-        total += e[c]
+        total += e[..., c, :]
     return total
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the classes of (classes, rows) logits, the layout
+    """Log-softmax over the classes of (..., classes, rows) logits, the layout
     `Scorer.logits` returns: each column equals the row-wise log-softmax of
     the (rows, classes) transpose bit for bit, without a per-row reduction."""
     # np.maximum.reduce is what `max` calls, minus its Python-level argument
     # handling; a maximum is exact in any order
-    log_probs = logits - np.maximum.reduce(logits, axis=0)
-    log_probs -= np.log(_class_sum(np.exp(log_probs)))
+    log_probs = logits - np.maximum.reduce(logits, axis=-2, keepdims=True)
+    log_probs -= np.log(_class_sum(np.exp(log_probs)))[..., None, :]
     return log_probs
 
 
 def label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat position of each row's label entry in (classes, rows) log_probs."""
-    rows = log_probs.shape[1]
-    return labels * rows + np.arange(rows)
+    """Flat position of each row's label entry in (classes, rows) log_probs;
+    of (models, classes, rows) log_probs and (models, rows) labels, each
+    model's entries in its own slice."""
+    rows = log_probs.shape[-1]
+    at = labels * rows + np.arange(rows)
+    if labels.ndim > 1:
+        at += np.arange(0, log_probs.size, log_probs[0].size)[:, None]
+    return at
 
 
-def _mean_nll(log_probs: np.ndarray, at: np.ndarray) -> float:
+def _mean_nll(log_probs: np.ndarray, at: np.ndarray):
     """Mean negative log-likelihood of the entries at flat positions `at`;
-    `mean` is this sum divided by the count."""
+    `mean` is this sum divided by the count.  Of (models, rows) positions,
+    each model's, unchecked: the caller fails each model with a non-finite
+    one."""
+    if at.ndim > 1:
+        return -(np.add.reduce(log_probs.take(at), axis=-1) / at.shape[-1])
     loss = -float(np.add.reduce(log_probs.take(at)) / len(at))
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss")
@@ -263,35 +282,54 @@ def forward(params: ParamVector, batch: Batch):
 
 
 def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
-    """Mean loss and its gradient from a single forward/backward pass.
+    """Mean loss and its gradient from a single forward/backward pass."""
+    layers, activations, logits = _forward_cached(params, batch)
+    loss, grad = _backward(params.values, params.layer_map, layers, activations, logits,
+                           batch.labels)
+    return loss, ParamVector(grad, params.layer_map)
 
-    The backward pass writes each layer's gradient straight into its slot of
+
+def backprop(values: np.ndarray, lm: tuple, inputs: np.ndarray, labels: np.ndarray):
+    """`loss_and_grad` of each model of a stack, unchecked: (models, d)
+    values and each model's batch in (models, rows, in) inputs and (models,
+    rows) labels; returns (models,) losses, possibly non-finite, and
+    (models, d) gradients.  A matmul makes the same GEMM call for each
+    model's slice and every other operation stays inside it, so each model
+    gets the values of its own `loss_and_grad` bit for bit."""
+    layers = _weights(values, lm)
+    activations, logits = _forward_pass(layers, inputs)
+    return _backward(values, lm, layers, activations, logits, labels)
+
+
+def _backward(values, lm, layers, activations, logits, labels):
+    """The loss and the gradient from the forward pass of one model or of a
+    stack (see `backprop`).  The backward pass writes each layer's gradient straight into its slot of
     the flat result and reuses its intermediates in place; every value is
     computed by the same operations in the same order as the textbook
     `(delta @ w) * (a > 0)` chain, so the result is the same bit for bit.
     """
-    layers, activations, logits = _forward_cached(params, batch)
-    delta = log_softmax(np.ascontiguousarray(logits.T))
-    at = label_entries(delta, batch.labels)
+    delta = log_softmax(np.ascontiguousarray(logits.mT))
+    at = label_entries(delta, labels)
     loss = _mean_nll(delta, at)
     np.exp(delta, out=delta)  # softmax probabilities
     flat = delta.reshape(-1)  # a view: delta is C-contiguous
     flat[at] -= 1.0
-    delta /= len(at)
-    # back to (rows, classes): the bias gradient's reduction over axis 0 adds
-    # the rows in order only on a row-major delta
-    delta = np.ascontiguousarray(delta.T)
+    delta /= at.shape[-1]
+    # back to (rows, classes): the bias gradient's reduction over the rows
+    # adds them in order only on a row-major delta
+    delta = np.ascontiguousarray(delta.mT)
 
-    grad = np.empty_like(params.values)
-    layer_slots = _layout(params.layer_map).layers
+    grad = np.empty_like(values)
+    lead = values.shape[:-1]
+    layer_slots = _layout(lm).layers
     for i in range(len(layers) - 1, -1, -1):
         (ws, we, w_shape), (bs, be, _) = layer_slots[i]
-        np.matmul(delta.T, activations[i], out=grad[ws:we].reshape(w_shape))
-        np.add.reduce(delta, axis=0, out=grad[bs:be])
+        np.matmul(delta.mT, activations[i], out=grad[..., ws:we].reshape(lead + w_shape))
+        np.add.reduce(delta, axis=-2, out=grad[..., bs:be])
         if i > 0:
             delta = delta @ layers[i][0]
             delta *= activations[i] > 0.0
-    return loss, ParamVector(grad, params.layer_map)
+    return loss, grad
 
 
 def clip(v: np.ndarray, c: float) -> np.ndarray:
@@ -445,7 +483,7 @@ class Scorer:
         if params.layer_map != self.layer_map:
             raise DomainError("parameters do not match the scorer's layer map")
         _check_finite(params)
-        return _weights(params)
+        return _weights(params.values, params.layer_map)
 
     def _product(self, w, b, out=None) -> np.ndarray:
         """(len(w), rows) products w x^T + b of every set's rows, in order,

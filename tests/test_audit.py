@@ -363,6 +363,27 @@ class TestEstimateDelta:
         assert small.delta_rho > 0
         assert np.mean(large.samples) > np.mean(small.samples)
 
+    def test_samples_equal_training_each_perturbed_copy(self):
+        # the lockstep runs read row maps into the data; each must train as
+        # the perturbed copy of the data does alone
+        seeds, arch, cfg = eng.Seeds(3, 4, 5), self.SMALL_ARCH, self.CFG
+        est = audit.estimate_delta(arch, self.SMALL, 0.2, n_runs=4, rho=0.5,
+                                   seeds=seeds, train_config=cfg)
+        x, y = self.SMALL.pair()
+        n = len(y)
+        base = eng.train(arch, (x, y), seeds, cfg)
+        samples = []
+        for j in range(4):
+            rng = np.random.default_rng((seeds.noise, j))
+            target = rng.permutation(n)[: n // 5]
+            keep = np.setdiff1d(np.arange(n), target)
+            source = keep[rng.integers(0, len(keep), size=len(target))]
+            xs, ys = x.copy(), y.copy()
+            xs[target], ys[target] = x[source], y[source]
+            perturbed = eng.train(arch, (xs, ys), seeds, cfg)
+            samples.append(mdl.vector_norm(base.values - perturbed.values))
+        assert est.samples == tuple(sorted(samples))
+
     def test_too_few_runs(self):
         with pytest.raises(DomainError):
             audit.estimate_delta(

@@ -540,19 +540,6 @@ class TestMalformedConfig:
         assert not (tmp_path / "out").exists()  # it failed before any seed trained
 
 
-def test_package_import_leaves_scipy_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(blockwise_unlearn.__file__)))
-    code = (
-        "import sys, blockwise_unlearn; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
-
-
 @pytest.mark.parametrize("module", ["blockwise_unlearn", "blockwise_unlearn.cli"])
 def test_import_loads_neither_divergence_nor_scipy(module):
     # divergence loads on first use, and still resolves from the package

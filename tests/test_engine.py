@@ -416,7 +416,8 @@ class TestRankUpdates:
         for row, params in zip(rec.rows, stepped):
             counts = scorer.step_hits(params, spans[row.block - 1])
             assert counts == hits(params, sets)
-            direct = mdl._first_layer(*mdl._weights(params)[0], scorer.inputs)
+            w, b = mdl._weights(params.values, params.layer_map)[0]
+            direct = mdl._first_layer(w, b, scorer.inputs)
             worst = max(worst, np.abs(scorer._h1 - direct).max() / np.abs(direct).max())
         assert len(stepped) == 210  # one direct pass, then 209 updates
         assert 0.0 < worst <= 1e-12
@@ -678,3 +679,113 @@ class TestCoupledRetrain:
         retr = eng.coupled_retrain(ARCH, BLOBS.subset(split.retain_idx).pair(), seeds, cfg)
         dist = np.linalg.norm(full.values - retr.values)
         assert np.isfinite(dist) and dist > 0
+
+
+def lockstep_data(classes, rows=150, seed=0):
+    """`rows` + 30 rows of 6-dim inputs and labels below `classes`."""
+    rng = np.random.default_rng(seed)
+    return 3.0 * rng.standard_normal((rows + 30, 6)), rng.integers(0, classes, rows + 30)
+
+
+def lockstep_runs(models, rows=150, seed=1):
+    """`models` (rows, seeds) runs, each on its own `rows` of the data."""
+    rng = np.random.default_rng(seed)
+    return [(np.sort(rng.permutation(rows + 30)[:rows]), eng.Seeds(m, 100 + m, 200 + m))
+            for m in range(models)]
+
+
+def solo(arch, data, run, cfg):
+    """`train` on a copy of the run's rows: its parameters or what it raises."""
+    rows, seeds = run
+    try:
+        return eng.train(arch, (data[0][rows], data[1][rows]), seeds, cfg)
+    except Exception as exc:  # noqa: BLE001 - compared with the lockstep result
+        return exc
+
+
+class TestLockstep:
+    # 150 rows: two full 64-row batches and a partial 22-row one per epoch
+    @pytest.mark.parametrize("models", [1, 2, 5])
+    @pytest.mark.parametrize("widths", [(6, 9, 3), (6, 9, 7, 3), (6, 9, 12), (6, 9, 150)],
+                             ids=lambda w: "-".join(map(str, w)))
+    @pytest.mark.parametrize("steps", [0, 8])
+    def test_equals_one_model_at_a_time(self, monkeypatch, widths, models, steps):
+        data, runs = lockstep_data(widths[-1]), lockstep_runs(models)
+        arch, cfg = mdl.MlpSpec(widths), eng.TrainConfig(steps=steps, lr=0.05)
+        passes = counting(monkeypatch, mdl, "backprop")
+        alone = counting(monkeypatch, mdl, "loss_and_grad")
+        trained = eng.train_lockstep(arch, data, runs, cfg)
+        # one pass per step for the whole stack; one model steps alone
+        assert (len(passes), len(alone)) == ((steps, 0) if models > 1 else (0, steps))
+        monkeypatch.undo()
+        assert len(trained) == models
+        for run, params in zip(runs, trained):
+            assert params.values.tobytes() == solo(arch, data, run, cfg).values.tobytes()
+
+    # the overflowing model warns when it steps alone
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_model_fails_alone(self, monkeypatch):
+        x, y = lockstep_data(3)
+        x[150:170] *= 1e200  # logits overflow: a non-finite loss
+        y[175] = 3  # out of range for 3 classes
+        runs = [(np.arange(0, 100), eng.Seeds(1, 2, 3)),
+                (np.arange(70, 170), eng.Seeds(4, 5, 6)),
+                (np.append(np.arange(0, 99), 175), eng.Seeds(7, 8, 9)),
+                (np.arange(30, 130), eng.Seeds(10, 11, 12)),
+                (np.arange(20, 120), eng.Seeds(13, 14, 15))]
+        init_params = mdl.init_params
+
+        def nan_init(spec, seed):
+            params = init_params(spec, seed)
+            if seed == 10:
+                params.values[5] = np.nan
+            return params
+
+        monkeypatch.setattr(mdl, "init_params", nan_init)
+        arch, cfg = mdl.MlpSpec((6, 9, 3)), eng.TrainConfig(steps=12, lr=0.05)
+        trained = eng.train_lockstep(arch, (x, y), runs, cfg)
+        alone = [solo(arch, (x, y), run, cfg) for run in runs]
+        assert [(type(a), str(a)) for a in alone[1:4]] == [
+            (NumericalError, "non-finite loss"),
+            (DomainError, "label out of range for the output layer"),
+            (NumericalError, "non-finite parameter values"),
+        ]
+        assert [(type(t), str(t)) for t in trained[1:4]] == [
+            (type(a), str(a)) for a in alone[1:4]]
+        for i in (0, 4):
+            assert trained[i].values.tobytes() == alone[i].values.tobytes()
+
+    def test_stacks_hold_at_most_the_byte_cap(self, monkeypatch):
+        arch = mdl.MlpSpec((6, 9, 3))
+        d = mdl.init_params(arch, 0).d
+        monkeypatch.setattr(eng, "_PENDING_BYTES", 3 * 8 * d)
+        passes = counting(monkeypatch, mdl, "backprop")
+        data, runs = lockstep_data(3), lockstep_runs(5)
+        cfg = eng.TrainConfig(steps=4, lr=0.05)
+        trained = eng.train_lockstep(arch, data, runs, cfg)
+        # a stack of 3, then one of 2
+        assert len(passes) == 2 * 4 and [len(p[0]) for p in passes] == [3] * 4 + [2] * 4
+        monkeypatch.undo()
+        for run, params in zip(runs, trained):
+            assert params.values.tobytes() == solo(arch, data, run, cfg).values.tobytes()
+
+    def test_a_large_model_trains_alone(self, monkeypatch):
+        # 784-256-256-10 has d = 269,322: 8 * d bytes exceed the cap
+        assert 8 * mdl.init_params(MNIST_SHAPE, 0).d > eng._PENDING_BYTES
+        rng = np.random.default_rng(3)
+        data = (rng.random((100, 784)), rng.integers(0, 10, 100))
+        runs = [(np.arange(0, 70), eng.Seeds(1, 2, 3)), (np.arange(30, 100), eng.Seeds(4, 5, 6))]
+        steps = spy_momentum_steps(monkeypatch)
+        passes = counting(monkeypatch, mdl, "backprop")
+        eng.train_lockstep(MNIST_SHAPE, data, runs, eng.TrainConfig(steps=2))
+        # each model steps alone, through the flat vectors of `_momentum_step`
+        assert len(steps) == 4 and not passes
+
+    def test_a_stack_whose_every_model_fails(self, monkeypatch):
+        init_params = mdl.init_params
+        monkeypatch.setattr(mdl, "init_params", lambda spec, seed: mdl.ParamVector(
+            np.full(init_params(spec, seed).d, np.inf), init_params(spec, seed).layer_map))
+        arch, cfg = mdl.MlpSpec((6, 9, 3)), eng.TrainConfig(steps=3)
+        trained = eng.train_lockstep(arch, lockstep_data(3), lockstep_runs(3), cfg)
+        assert [(type(t), str(t)) for t in trained] == [
+            (NumericalError, "non-finite parameter values")] * 3

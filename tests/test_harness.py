@@ -11,6 +11,7 @@ from blockwise_unlearn import accounting as acc
 from blockwise_unlearn import audit, harness
 from blockwise_unlearn import datasets as ds
 from blockwise_unlearn import engine as eng
+from blockwise_unlearn import model as mdl
 from blockwise_unlearn import subspace as sub
 from blockwise_unlearn.errors import DomainError, FormatError
 
@@ -623,6 +624,34 @@ class TestRunExperiment:
         assert not harness.run_experiment(harness.config_from_dict(doc)).errors
         manifest = json.loads((out / "blockwise_eps1_k2_seed0_manifest.json").read_text())
         assert manifest["plan"]["c0_per_block"] == c0_per_block
+
+    def test_a_seed_failing_full_training_fails_alone(self, tmp_path, monkeypatch):
+        doc = base_config_doc(str(tmp_path / "clean"))
+        doc["n_seeds"] = 3
+        clean = harness.run_experiment(harness.config_from_dict(doc))
+        assert not clean.errors
+        init_params = mdl.init_params
+
+        def nan_init(spec, seed):
+            # seed 1's init: its full model fails in the lockstep stack
+            params = init_params(spec, seed)
+            if seed == 1:
+                params.values[0] = np.nan
+            return params
+
+        monkeypatch.setattr(mdl, "init_params", nan_init)
+        doc["output_dir"] = str(tmp_path / "failed")
+        result = harness.run_experiment(harness.config_from_dict(doc))
+        assert result.errors == {"seed1": "NumericalError: non-finite parameter values"}
+        assert {c.seed_index for c in result.cells} == {0, 2}
+        others = sorted(p.name for p in (tmp_path / "clean").iterdir()
+                        if re.search(r"seed[02][._]", p.name))
+        # the split, two models, and three files per cell
+        assert len(others) == 2 * (3 + 3 * 2)
+        for name in others:
+            assert (tmp_path / "failed" / name).read_bytes() == \
+                (tmp_path / "clean" / name).read_bytes(), name
+        assert not (tmp_path / "failed" / "model_full_seed1.ckpt").exists()
 
     def test_forget_rows_never_fed_gradients(self, tmp_path):
         out = str(tmp_path / "out")

@@ -410,7 +410,7 @@ class TestInPlaceForward:
         params = mdl.ParamVector(rng.standard_normal(dim(spec)),
                                  mdl.layer_map(spec))
         x = rng.standard_normal((rows, widths[0]))
-        activations, logits = mdl._forward_pass(mdl._weights(params), x)
+        activations, logits = mdl._forward_pass(mdl._weights(params.values, params.layer_map), x)
         ref_activations, ref_logits = reference_forward(params, x)
         assert np.array_equal(logits, ref_logits)
         # the backward pass reads every layer's input after the whole forward
@@ -650,7 +650,7 @@ class TestScoring:
         logits = scorer.logits(params)
         counts = scorer.count(logits)
         assert counts == hits(params, sets)
-        layers = mdl._weights(params)
+        layers = mdl._weights(params.values, params.layer_map)
         direct = mdl._later_layers(layers, scorer._product(*layers[0]))
         assert np.array_equal(logits, direct)
         # the kept first-layer buffer that `hits` writes into changes nothing
@@ -709,7 +709,7 @@ class TestScoring:
         spec = mdl.MlpSpec((784, 256, 256, 10))
         params = mdl.init_params(spec, seed=0)
         rng = np.random.default_rng(0)
-        layers = mdl._weights(params)
+        layers = mdl._weights(params.values, params.layer_map)
         h = mdl._first_layer(*layers[0], [rng.random((2500, 784))])
         kept = h.copy()
         chunked = mdl._later_layers(layers, h, np.empty((256, 512)))
@@ -731,7 +731,7 @@ class TestScoring:
         # None claims that p3's first layer equals p1's; only a fresh start
         # scores p3 as it is
         assert scorer.step_hits(p3, None) == hits(p3, sets)
-        w, b = mdl._weights(p3)[0]
+        w, b = mdl._weights(p3.values, p3.layer_map)[0]
         assert np.array_equal(scorer._h1, scorer._product(w, b))
 
     @pytest.mark.parametrize("widths, copied", [

@@ -13,7 +13,6 @@ a rerun with equal seeds reproduces the trajectory bit for bit.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -157,29 +156,37 @@ def _fmt(value) -> str:
 
 
 class _Batcher:
-    """Epoch-shuffled minibatches with a deterministic order stream, over the
-    rows `rows` of the inputs (all of them for None): each epoch draws a
-    permutation of their positions, as over a copy of those rows alone."""
+    """Epoch-shuffled minibatches of a stack of models over shared inputs:
+    model j's epochs draw permutations of the positions of its rows
+    `rows[j]` (all of them for None) from its own generator `rngs[j]`, as
+    over a copy of those rows alone.  `ids` is a step's (models, batch) row
+    indices, `next` a lone model's batch.  An empty map is a DomainError;
+    maps of unequal lengths fail the first draw."""
 
-    def __init__(self, inputs, labels, batch_size, rng, rows=None):
+    def __init__(self, inputs, labels, batch_size, rngs, rows=(None,)):
         self.inputs = np.asarray(inputs, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.rows = np.arange(len(self.inputs)) if rows is None else rows
-        if len(self.rows) < 1:
+        self.rows = [np.arange(len(self.inputs)) if m is None else m for m in rows]
+        if min(map(len, self.rows)) < 1:
             raise DomainError("empty dataset")
-        self.batch_size = min(batch_size, len(self.rows))
-        self.rng = rng
-        self._order = None
-        self._pos = 0
+        self.batch_size = min(batch_size, len(self.rows[0]))
+        self.rngs = rngs
+        self._pos = len(self.rows[0])  # the first draw starts an epoch
         self.touched = np.zeros(len(self.inputs), dtype=bool)
 
-    def next(self) -> mdl.Batch:
-        if self._order is None or self._pos >= len(self._order):
-            self._order = self.rows[self.rng.permutation(len(self.rows))]
+    def ids(self) -> np.ndarray:
+        if self._pos >= len(self.rows[0]):
+            self._order = np.stack(
+                [m[rng.permutation(len(m))] for m, rng in zip(self.rows, self.rngs)]
+            )
             self._pos = 0
-        ids = self._order[self._pos : self._pos + self.batch_size]
+        ids = self._order[:, self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
         self.touched[ids] = True
+        return ids
+
+    def next(self) -> mdl.Batch:
+        ids = self.ids()[0]
         return mdl.Batch(self.inputs[ids], self.labels[ids])
 
 
@@ -406,7 +413,7 @@ def run_blockwise(
 
     order_rng = np.random.default_rng(config.seeds.data_order)
     noise_rng = np.random.default_rng(config.seeds.noise)
-    batcher = _Batcher(retain[0], retain[1], config.batch_size, order_rng)
+    batcher = _Batcher(retain[0], retain[1], config.batch_size, [order_rng])
     evaluate = _evaluator(params0.layer_map, eval_sets, basis)
 
     params = params0.copy()
@@ -457,26 +464,23 @@ def train_lockstep(arch: mdl.MlpSpec, data, runs, config: TrainConfig) -> list:
     """Per (rows, seeds) run, the model `train` gives on a copy of the rows
     `rows` of `data` (all of them for None), or the exception it raises.
 
-    Consecutive runs with equal row counts train in lockstep, in stacks of
-    at most as many models as fit in `_PENDING_BYTES` (8 * d bytes each):
-    their parameters, velocities and batches gain a leading model axis, and
-    a step is one `model.backprop` and one `_momentum_update` for them all,
-    paying numpy's per-call cost once rather than once per model.  A stack
-    of one takes the flat path of `_momentum_steps`.
+    The runs train in lockstep, in stacks of at most as many models as fit
+    in `_PENDING_BYTES` (8 * d bytes each): their parameters, velocities and
+    batches gain a leading model axis, and a step is one `model.backprop`
+    and one `_momentum_update` for them all, paying numpy's per-call cost
+    once rather than once per model.  A stack of one takes the flat path of
+    `_momentum_steps`.
     """
     inputs = np.asarray(data[0], dtype=np.float64)
     labels = np.asarray(data[1], dtype=np.int64)
     cap = max(1, _PENDING_BYTES // (8 * sub.layer_map_dim(mdl.layer_map(arch))))
     results = []
-    for n, group in itertools.groupby(runs, lambda run: len(inputs if run[0] is None else run[0])):
-        group = list(group)
-        size = cap if n else 1  # an empty pool fails in `_Batcher`
-        for lo in range(0, len(group), size):
-            stack = group[lo : lo + size]
-            if len(stack) == 1:
-                results.append(_train_one(arch, inputs, labels, stack[0], config))
-            else:
-                results += _train_stack(arch, inputs, labels, stack, config)
+    for lo in range(0, len(runs), cap):
+        stack = runs[lo : lo + cap]
+        if len(stack) == 1:
+            results.append(_train_one(arch, inputs, labels, stack[0], config))
+        else:
+            results += _train_stack(arch, inputs, labels, stack, config)
     return results
 
 
@@ -487,7 +491,7 @@ def _train_one(arch, inputs, labels, run, config):
     try:
         params = mdl.init_params(arch, seeds.init)
         batcher = _Batcher(inputs, labels, config.batch_size,
-                           np.random.default_rng(seeds.data_order), rows)
+                           [np.random.default_rng(seeds.data_order)], [rows])
         for params, _, _ in _momentum_steps(
             params, batcher, config.steps, config.lr, config.momentum, config.weight_decay
         ):
@@ -498,47 +502,31 @@ def _train_one(arch, inputs, labels, run, config):
 
 
 def _train_stack(arch, inputs, labels, stack, config) -> list:
-    """`train_lockstep` of a stack of models with one row count.
-
-    Before each step's pass the stack checks what `model.loss_and_grad`
-    checks for each model (finite parameters, labels in range), and after
-    it each model's loss.  If a model's step would fail, or a shared
-    operation raises, every model of the stack trains again alone, from the
-    start, and so gets exactly its own result or exception.  The shared
-    operations ignore floating-point errors, so one model's overflow warns
-    or raises only when that model trains alone.
+    """`train_lockstep` of a stack of models.  If anything raises (a model's
+    step, which `model.backprop` checks as `loss_and_grad` checks one
+    model's, or an empty or unequal row map), every model trains again
+    alone, from the start, and so gets exactly its own result or exception.
+    The shared operations ignore floating-point errors, so one model's
+    overflow warns or raises only when that model trains alone.
     """
-    lm, classes = mdl.layer_map(arch), arch.widths[-1]
-    n = len(inputs if stack[0][0] is None else stack[0][0])
-    row_maps = [np.arange(n) if rows is None else rows for rows, _ in stack]
-    rngs = [np.random.default_rng(seeds.data_order) for _, seeds in stack]
-    params = np.stack([mdl.init_params(arch, seeds.init).values for _, seeds in stack])
-    velocity = np.zeros_like(params)
-    batch_size, pos = min(config.batch_size, n), n
+    lm = mdl.layer_map(arch)
     try:
+        batcher = _Batcher(inputs, labels, config.batch_size,
+                           [np.random.default_rng(seeds.data_order) for _, seeds in stack],
+                           [rows for rows, _ in stack])
+        params = np.stack([mdl.init_params(arch, seeds.init).values for _, seeds in stack])
+        velocity = np.zeros_like(params)
         with np.errstate(all="ignore"):
             for _ in range(config.steps):
-                if pos >= n:
-                    orders = np.stack([m[rng.permutation(n)] for m, rng in zip(row_maps, rngs)])
-                    pos = 0
-                ids = orders[:, pos : pos + batch_size]
-                pos += batch_size
-                x, y = inputs[ids], labels[ids]
-                if not (np.logical_and.reduce(np.isfinite(params), axis=None)
-                        and y.min() >= 0 and y.max() < classes):
-                    break
-                losses, grad = mdl.backprop(params, lm, x, y)
-                if not np.logical_and.reduce(np.isfinite(losses)):
-                    break
+                ids = batcher.ids()
+                _, grad = mdl.backprop(params, lm, inputs[ids], labels[ids])
                 params = _momentum_update(
                     params.reshape(-1), grad.reshape(-1), velocity.reshape(-1),
                     config.lr, config.momentum, config.weight_decay,
                 ).reshape(params.shape)
-            else:
-                return [mdl.ParamVector(values.copy(), lm) for values in params]
     except Exception:  # noqa: BLE001 - met again, or not, by each model alone
-        pass
-    return [_train_one(arch, inputs, labels, run, config) for run in stack]
+        return [_train_one(arch, inputs, labels, run, config) for run in stack]
+    return [mdl.ParamVector(values.copy(), lm) for values in params]
 
 
 def coupled_retrain(

@@ -164,9 +164,9 @@ def _weights(values: np.ndarray, lm: tuple):
     ]
 
 
-def _check_finite(params: ParamVector) -> None:
+def _check_finite(values: np.ndarray) -> None:
     # the ufunc reduction, without `all`'s Python-level wrapper
-    if not np.logical_and.reduce(np.isfinite(params.values)):
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise NumericalError("non-finite parameter values")
 
 
@@ -191,16 +191,17 @@ def _forward_pass(layers, inputs: np.ndarray):
     return activations, logits
 
 
-def _forward_cached(params: ParamVector, batch: Batch):
-    """Layer views, every layer's input and the logits, after checking that
-    the parameters are finite and every label lies in [0, classes)."""
-    _check_finite(params)
-    layers = _weights(params.values, params.layer_map)
-    labels = batch.labels
-    # a Batch holds at least one int64 label, so both reductions are defined
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= layers[-1][0].shape[0]:
+def _forward_cached(values: np.ndarray, lm: tuple, inputs: np.ndarray, labels: np.ndarray):
+    """Layer views, every layer's input and the logits, of one model or of a
+    stack (see `_weights`), after checking that every model's parameters are
+    finite and every label lies in [0, classes)."""
+    _check_finite(values)
+    layers = _weights(values, lm)
+    # a batch holds at least one int64 label, so both reductions are defined
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= layers[-1][0].shape[-2]):
         raise DomainError("label out of range for the output layer")
-    activations, logits = _forward_pass(layers, batch.inputs)
+    activations, logits = _forward_pass(layers, inputs)
     return layers, activations, logits
 
 
@@ -264,50 +265,46 @@ def label_entries(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _mean_nll(log_probs: np.ndarray, at: np.ndarray):
     """Mean negative log-likelihood of the entries at flat positions `at`;
     `mean` is this sum divided by the count.  Of (models, rows) positions,
-    each model's, unchecked: the caller fails each model with a non-finite
-    one."""
+    each model's.  A non-finite loss, of any model, is a NumericalError."""
     if at.ndim > 1:
-        return -(np.add.reduce(log_probs.take(at), axis=-1) / at.shape[-1])
-    loss = -float(np.add.reduce(log_probs.take(at)) / len(at))
-    if not math.isfinite(loss):
+        loss = -(np.add.reduce(log_probs.take(at), axis=-1) / at.shape[-1])
+        finite = np.logical_and.reduce(np.isfinite(loss))
+    else:
+        loss = -float(np.add.reduce(log_probs.take(at)) / len(at))
+        finite = math.isfinite(loss)
+    if not finite:
         raise NumericalError("non-finite loss")
     return loss
 
 
 def forward(params: ParamVector, batch: Batch):
     """Logits and mean softmax cross-entropy loss."""
-    _, _, logits = _forward_cached(params, batch)
+    _, _, logits = _forward_cached(params.values, params.layer_map, batch.inputs, batch.labels)
     log_probs = log_softmax(np.ascontiguousarray(logits.T))
     return logits, _mean_nll(log_probs, label_entries(log_probs, batch.labels))
 
 
 def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
     """Mean loss and its gradient from a single forward/backward pass."""
-    layers, activations, logits = _forward_cached(params, batch)
-    loss, grad = _backward(params.values, params.layer_map, layers, activations, logits,
-                           batch.labels)
+    loss, grad = _backprop(params.values, params.layer_map, batch.inputs, batch.labels)
     return loss, ParamVector(grad, params.layer_map)
 
 
 def backprop(values: np.ndarray, lm: tuple, inputs: np.ndarray, labels: np.ndarray):
-    """`loss_and_grad` of each model of a stack, unchecked: (models, d)
-    values and each model's batch in (models, rows, in) inputs and (models,
-    rows) labels; returns (models,) losses, possibly non-finite, and
-    (models, d) gradients.  A matmul makes the same GEMM call for each
-    model's slice and every other operation stays inside it, so each model
-    gets the values of its own `loss_and_grad` bit for bit."""
-    layers = _weights(values, lm)
-    activations, logits = _forward_pass(layers, inputs)
-    return _backward(values, lm, layers, activations, logits, labels)
+    """`loss_and_grad` of each model of a stack: (models, d) values and each
+    model's batch in (models, rows, in) inputs and (models, rows) labels;
+    returns (models,) losses and (models, d) gradients.  It raises what
+    `loss_and_grad` raises for a model whose step fails.  A matmul makes the
+    same GEMM call for each model's slice and every other operation stays
+    inside it, so each model gets the values of its own `loss_and_grad` bit
+    for bit.  Of (d,) values and one batch it is `loss_and_grad`'s pass.
 
-
-def _backward(values, lm, layers, activations, logits, labels):
-    """The loss and the gradient from the forward pass of one model or of a
-    stack (see `backprop`).  The backward pass writes each layer's gradient straight into its slot of
+    The backward pass writes each layer's gradient straight into its slot of
     the flat result and reuses its intermediates in place; every value is
     computed by the same operations in the same order as the textbook
     `(delta @ w) * (a > 0)` chain, so the result is the same bit for bit.
     """
+    layers, activations, logits = _forward_cached(values, lm, inputs, labels)
     delta = log_softmax(np.ascontiguousarray(logits.mT))
     at = label_entries(delta, labels)
     loss = _mean_nll(delta, at)
@@ -330,6 +327,10 @@ def _backward(values, lm, layers, activations, logits, labels):
             delta = delta @ layers[i][0]
             delta *= activations[i] > 0.0
     return loss, grad
+
+
+# `loss_and_grad`'s name for the pass, untouched by a patch of `backprop`
+_backprop = backprop
 
 
 def clip(v: np.ndarray, c: float) -> np.ndarray:
@@ -482,7 +483,7 @@ class Scorer:
         and be finite, as in `forward`."""
         if params.layer_map != self.layer_map:
             raise DomainError("parameters do not match the scorer's layer map")
-        _check_finite(params)
+        _check_finite(params.values)
         return _weights(params.values, params.layer_map)
 
     def _product(self, w, b, out=None) -> np.ndarray:

@@ -158,7 +158,7 @@ class TestRuns:
         # replay manually with the same batch order
         order_rng = np.random.default_rng(2)
         replay = params.copy()
-        batcher = eng._Batcher(BLOBS.inputs, BLOBS.labels, 32, order_rng)
+        batcher = eng._Batcher(BLOBS.inputs, BLOBS.labels, 32, [order_rng])
         for _ in range(6):
             batch = batcher.next()
             g = mdl.loss_and_grad(replay, batch)[1].values
@@ -780,6 +780,92 @@ class TestLockstep:
         eng.train_lockstep(MNIST_SHAPE, data, runs, eng.TrainConfig(steps=2))
         # each model steps alone, through the flat vectors of `_momentum_step`
         assert len(steps) == 4 and not passes
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_an_empty_row_map_fails_alone(self, steps, at):
+        data, runs = lockstep_data(3), lockstep_runs(3)
+        runs.insert(at, (np.arange(0), eng.Seeds(7, 8, 9)))
+        arch, cfg = mdl.MlpSpec((6, 9, 3)), eng.TrainConfig(steps=steps, lr=0.05)
+        for batch in ([runs[at]], runs):
+            trained = eng.train_lockstep(arch, data, batch, cfg)
+            assert len(trained) == len(batch)
+            for run, params in zip(batch, trained):
+                if len(run[0]):
+                    assert params.values.tobytes() == solo(arch, data, run, cfg).values.tobytes()
+                else:
+                    assert (type(params), str(params)) == (DomainError, "empty dataset")
+
+    @pytest.mark.parametrize("steps", [0, 8])
+    def test_unequal_row_counts_each_equal_their_own_train(self, steps):
+        # 150 rows take 64 + 64 + 22 an epoch, 110 take 64 + 46, 40 one batch
+        data = lockstep_data(3)
+        runs = [(np.arange(0, 150), eng.Seeds(1, 2, 3)),
+                (np.arange(10, 120), eng.Seeds(4, 5, 6)),
+                (np.arange(20, 170), eng.Seeds(7, 8, 9)),
+                (np.arange(100, 140), eng.Seeds(10, 11, 12))]
+        arch, cfg = mdl.MlpSpec((6, 9, 3)), eng.TrainConfig(steps=steps, lr=0.05)
+        trained = eng.train_lockstep(arch, data, runs, cfg)
+        assert len(trained) == len(runs)
+        for run, params in zip(runs, trained):
+            assert params.values.tobytes() == solo(arch, data, run, cfg).values.tobytes()
+
+    @pytest.mark.parametrize("fault, error", [
+        (None, None),
+        ("parameter", (NumericalError, "non-finite parameter values")),
+        ("label", (DomainError, "label out of range for the output layer")),
+        ("loss", (NumericalError, "non-finite loss")),
+    ])
+    def test_backprop_checks_each_model_as_loss_and_grad(self, fault, error):
+        arch = mdl.MlpSpec((6, 9, 3))
+        lm = mdl.layer_map(arch)
+        x, y = lockstep_data(3)
+        values = np.stack([mdl.init_params(arch, seed).values for seed in range(3)])
+        ids = np.stack([np.arange(20 * m, 20 * m + 40) for m in range(3)])
+        inputs, labels = x[ids], y[ids]
+        if fault == "parameter":
+            values[1, 5] = np.nan
+        elif fault == "label":
+            labels[1, 7] = 3  # out of range for 3 classes
+        elif fault == "loss":
+            inputs[1, 3] = np.inf  # non-finite logits
+        alone = []
+        with np.errstate(all="ignore"):  # as in a stack
+            for m in range(3):
+                try:
+                    alone.append(mdl.loss_and_grad(mdl.ParamVector(values[m], lm),
+                                                   mdl.Batch(inputs[m], labels[m])))
+                except Exception as exc:  # noqa: BLE001 - compared with the stack's
+                    alone.append(exc)
+            if fault is None:
+                losses, grads = mdl.backprop(values, lm, inputs, labels)
+            else:
+                with pytest.raises(error[0]) as raised:
+                    mdl.backprop(values, lm, inputs, labels)
+        if fault is None:
+            for m, (loss, grad) in enumerate(alone):
+                assert losses[m].tobytes() == np.float64(loss).tobytes()
+                assert grads[m].tobytes() == grad.values.tobytes()
+        else:
+            assert isinstance(alone[0], tuple) and isinstance(alone[2], tuple)
+            assert (type(alone[1]), str(alone[1])) == error
+            assert (type(raised.value), str(raised.value)) == error
+
+    def test_stacked_batches_are_each_models_own(self):
+        # 150 rows: 64, 64 and a partial 22, then the next epoch's 64 and 64
+        x, y = lockstep_data(3)
+        rows = [r for r, _ in lockstep_runs(3)]
+        stacked = eng._Batcher(x, y, 64, [np.random.default_rng(s) for s in range(3)], rows)
+        alone = [eng._Batcher(x, y, 64, [np.random.default_rng(s)], [r])
+                 for s, r in enumerate(rows)]
+        for step in range(5):
+            ids = stacked.ids()
+            assert ids.shape == (3, 22 if step == 2 else 64)
+            for m, batcher in enumerate(alone):
+                batch = batcher.next()
+                assert np.array_equal(batch.inputs, x[ids[m]])
+                assert np.array_equal(batch.labels, y[ids[m]])
+                assert np.isin(ids[m], rows[m]).all()
 
     def test_a_stack_whose_every_model_fails(self, monkeypatch):
         init_params = mdl.init_params

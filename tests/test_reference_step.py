@@ -131,7 +131,7 @@ def ref_accuracy(params, x, y):
 def ref_train(arch, data, seeds, config):
     params = mdl.init_params(arch, seeds.init)
     batcher = eng._Batcher(data[0], data[1], config.batch_size,
-                           np.random.default_rng(seeds.data_order))
+                           [np.random.default_rng(seeds.data_order)])
     velocity = np.zeros(params.d)
     rows = []
     for _ in range(config.steps):
@@ -149,7 +149,7 @@ def ref_run_blockwise(params0, config, retain, eval_sets=()):
     plan, basis = config.plan, config.basis
     noise_rng = np.random.default_rng(config.seeds.noise)
     batcher = eng._Batcher(retain[0], retain[1], config.batch_size,
-                           np.random.default_rng(config.seeds.data_order))
+                           [np.random.default_rng(config.seeds.data_order)])
     params, rows = params0.copy(), []
     for i in range(plan.k):
         for _ in range(plan.steps_per_block):
@@ -190,7 +190,7 @@ def batches(widths, seed):
     rng = np.random.default_rng(seed)
     x = 3.0 * rng.standard_normal((100, widths[0]))
     y = rng.integers(0, widths[-1], 100)
-    batcher = eng._Batcher(x, y, 64, rng)
+    batcher = eng._Batcher(x, y, 64, [rng])
     return [mdl.Batch(x[:1], y[:1]), batcher.next(), batcher.next()]
 
 

@@ -19,7 +19,6 @@ from . import accounting as acc
 from . import audit
 from . import datasets as ds
 from . import harness
-from . import model as mdl
 from . import subspace as sub
 from .errors import DomainError, UnlearnError
 
@@ -110,10 +109,10 @@ def _cmd_audit(args) -> int:
     config = harness.load_config(args.config)
     data, external_test = harness.load_dataset(config)
     split = ds.load_split(args.splits)
-    params = mdl.load_params(args.checkpoint)
+    params = harness.load_model(args.checkpoint, config, data)
     retrain_params = None
     if args.retrain_checkpoint:
-        retrain_params = mdl.load_params(args.retrain_checkpoint)
+        retrain_params = harness.load_model(args.retrain_checkpoint, config, data)
     sets = harness.evaluation_sets(data, external_test, split)
     report = audit.compute_metrics(
         params, sets.retain, sets.forget, sets.test,

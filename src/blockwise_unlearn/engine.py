@@ -308,18 +308,23 @@ def nft_step(
 _CHUNK = 32_768
 
 
-def _momentum_step(params, velocity, batch, lr, momentum, weight_decay):
-    """v = m*v + (g + wd*p), then p' = p - lr*v; returns (p', v, loss, ||g||).
+def _momentum_step(values, velocity, lm, inputs, labels, lr, momentum, weight_decay):
+    """v = m*v + (g + wd*p), then p' = p - lr*v, of one model's (d,) values
+    or a stack's (models, d); returns (p', loss, g).
 
-    `velocity` is updated in place and the new parameter vector is the only
-    allocation (see `_momentum_update`).  `params` is only read, and p' is
+    One model's gradient is `model.loss_and_grad`'s, a stack's
+    `model.backprop`'s.  `velocity` is updated in place and p' is the one
+    allocation (see `_momentum_update`).  `values` is only read, and p' is
     fresh and never written afterwards, as `run_blockwise` needs.
     """
-    loss, grad = mdl.loss_and_grad(params, batch)
-    g = grad.values
-    gnorm = mdl.vector_norm(g)
-    new = _momentum_update(params.values, g, velocity, lr, momentum, weight_decay)
-    return mdl.ParamVector(new, params.layer_map), velocity, loss, gnorm
+    if values.ndim == 1:
+        loss, grad = mdl.loss_and_grad(mdl.ParamVector(values, lm), mdl.Batch(inputs, labels))
+        g = grad.values
+    else:
+        loss, g = mdl.backprop(values, lm, inputs, labels)
+    new = _momentum_update(values.reshape(-1), g.reshape(-1), velocity.reshape(-1),
+                           lr, momentum, weight_decay)
+    return new.reshape(values.shape), loss, g
 
 
 def _momentum_update(p, g, velocity, lr, momentum, weight_decay):
@@ -342,15 +347,20 @@ def _momentum_update(p, g, velocity, lr, momentum, weight_decay):
     return new
 
 
-def _momentum_steps(params, batcher: _Batcher, steps, lr, momentum, weight_decay):
-    """SGD with momentum from zero velocity, one batch per step: yields
-    (params, loss, ||g||) after each of `steps` steps."""
-    velocity = np.zeros_like(params.values)
+def _momentum_steps(values, lm, batcher: _Batcher, steps, lr, momentum, weight_decay):
+    """SGD with momentum from zero velocity, one batch per step, of one
+    model's (d,) values or a stack's (models, d): yields (values, loss, g)
+    after each of `steps` steps.  A caller drops g before the next step, as
+    the loop does: a g kept through it is one more live vector."""
+    velocity = np.zeros_like(values)
     for _ in range(steps):
-        params, velocity, loss, gnorm = _momentum_step(
-            params, velocity, batcher.next(), lr, momentum, weight_decay
+        ids = batcher.ids().reshape(values.shape[:-1] + (-1,))
+        values, loss, grad = _momentum_step(
+            values, velocity, lm, batcher.inputs[ids], batcher.labels[ids],
+            lr, momentum, weight_decay,
         )
-        yield params, loss, gnorm
+        yield values, loss, grad
+        del grad
 
 
 def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
@@ -367,10 +377,13 @@ def _schedule(params, batcher: _Batcher, config: RunConfig, ft_steps: int, rng):
                 plan.sigma2, rng, basis, block,
             )
             yield params, phase, i + 1, loss, noise, pre, post
-    for params, loss, gnorm in _momentum_steps(
-        params, batcher, ft_steps, config.fine_tune_lr, config.fine_tune_momentum,
-        config.fine_tune_weight_decay,
+    lm = params.layer_map
+    for values, loss, grad in _momentum_steps(
+        params.values, lm, batcher, ft_steps, config.fine_tune_lr,
+        config.fine_tune_momentum, config.fine_tune_weight_decay,
     ):
+        params, gnorm = mdl.ParamVector(values, lm), mdl.vector_norm(grad)
+        del grad
         yield params, PHASE_FINETUNE, None, loss, 0.0, gnorm, gnorm
 
 
@@ -466,67 +479,43 @@ def train_lockstep(arch: mdl.MlpSpec, data, runs, config: TrainConfig) -> list:
 
     The runs train in lockstep, in stacks of at most as many models as fit
     in `_PENDING_BYTES` (8 * d bytes each): their parameters, velocities and
-    batches gain a leading model axis, and a step is one `model.backprop`
-    and one `_momentum_update` for them all, paying numpy's per-call cost
-    once rather than once per model.  A stack of one takes the flat path of
-    `_momentum_steps`.
+    batches gain a leading model axis, so a step pays numpy's per-call cost
+    once rather than once per model.  A stack ignores floating-point errors.
+    If it raises (a model fails `model.backprop`'s checks, or a row map is
+    empty or unequal), and always for a stack of one, each model trains
+    alone from the start on (d,) values, to its own result or exception.
     """
-    inputs = np.asarray(data[0], dtype=np.float64)
-    labels = np.asarray(data[1], dtype=np.int64)
-    cap = max(1, _PENDING_BYTES // (8 * sub.layer_map_dim(mdl.layer_map(arch))))
+    lm = mdl.layer_map(arch)
+    cap = max(1, _PENDING_BYTES // (8 * sub.layer_map_dim(lm)))
+
+    def trained(stack):
+        """The final values of the stack's models: (d,) for a stack of one."""
+        values = [mdl.init_params(arch, seeds.init).values for _, seeds in stack]
+        batcher = _Batcher(data[0], data[1], config.batch_size,
+                           [np.random.default_rng(seeds.data_order) for _, seeds in stack],
+                           [rows for rows, _ in stack])
+        values = values[0] if len(stack) == 1 else np.stack(values)
+        for values, _, grad in _momentum_steps(values, lm, batcher, config.steps, config.lr,
+                                               config.momentum, config.weight_decay):
+            del grad
+        return values
+
     results = []
     for lo in range(0, len(runs), cap):
         stack = runs[lo : lo + cap]
-        if len(stack) == 1:
-            results.append(_train_one(arch, inputs, labels, stack[0], config))
-        else:
-            results += _train_stack(arch, inputs, labels, stack, config)
+        if len(stack) > 1:
+            try:
+                with np.errstate(all="ignore"):
+                    results += [mdl.ParamVector(v.copy(), lm) for v in trained(stack)]
+                continue
+            except Exception:  # noqa: BLE001 - met again, or not, by each model alone
+                pass
+        for run in stack:
+            try:
+                results.append(mdl.ParamVector(trained([run]), lm))
+            except Exception as exc:  # noqa: BLE001 - this run's result
+                results.append(exc)
     return results
-
-
-def _train_one(arch, inputs, labels, run, config):
-    """The model of one (rows, seeds) run, trained on flat vectors, or the
-    exception that fails it."""
-    rows, seeds = run
-    try:
-        params = mdl.init_params(arch, seeds.init)
-        batcher = _Batcher(inputs, labels, config.batch_size,
-                           [np.random.default_rng(seeds.data_order)], [rows])
-        for params, _, _ in _momentum_steps(
-            params, batcher, config.steps, config.lr, config.momentum, config.weight_decay
-        ):
-            pass
-    except Exception as exc:  # noqa: BLE001 - this run's result
-        return exc
-    return params
-
-
-def _train_stack(arch, inputs, labels, stack, config) -> list:
-    """`train_lockstep` of a stack of models.  If anything raises (a model's
-    step, which `model.backprop` checks as `loss_and_grad` checks one
-    model's, or an empty or unequal row map), every model trains again
-    alone, from the start, and so gets exactly its own result or exception.
-    The shared operations ignore floating-point errors, so one model's
-    overflow warns or raises only when that model trains alone.
-    """
-    lm = mdl.layer_map(arch)
-    try:
-        batcher = _Batcher(inputs, labels, config.batch_size,
-                           [np.random.default_rng(seeds.data_order) for _, seeds in stack],
-                           [rows for rows, _ in stack])
-        params = np.stack([mdl.init_params(arch, seeds.init).values for _, seeds in stack])
-        velocity = np.zeros_like(params)
-        with np.errstate(all="ignore"):
-            for _ in range(config.steps):
-                ids = batcher.ids()
-                _, grad = mdl.backprop(params, lm, inputs[ids], labels[ids])
-                params = _momentum_update(
-                    params.reshape(-1), grad.reshape(-1), velocity.reshape(-1),
-                    config.lr, config.momentum, config.weight_decay,
-                ).reshape(params.shape)
-    except Exception:  # noqa: BLE001 - met again, or not, by each model alone
-        return [_train_one(arch, inputs, labels, run, config) for run in stack]
-    return [mdl.ParamVector(values.copy(), lm) for values in params]
 
 
 def coupled_retrain(

@@ -413,16 +413,23 @@ def train_full(seed: PreparedSeed) -> mdl.ParamVector:
     return params
 
 
+def load_model(path, config: ExperimentConfig, data: ds.Dataset) -> mdl.ParamVector:
+    """The checkpoint at `path`, which must hold the config's architecture on
+    `data`: a map of no fc layers is a DomainError, any other a FormatError."""
+    params = mdl.load_params(path)
+    mdl.fc_layers(params.layer_map)
+    if params.layer_map != mdl.layer_map(architecture(config, data)):
+        raise FormatError(f"{path} holds a model of another architecture than the config's")
+    return params
+
+
 def full_model(seed: PreparedSeed) -> mdl.ParamVector:
-    """The seed's full model: its checkpoint, which must hold the config's
-    architecture, or trained and saved when there is none."""
+    """The seed's full model: its checkpoint (see `load_model`), or trained
+    and saved when there is none."""
     path = model_path(seed, "full")
     if not os.path.exists(path):
         return train_full(seed)
-    params = mdl.load_params(path)
-    if params.layer_map != mdl.layer_map(architecture(seed.config, seed.data)):
-        raise FormatError(f"{path} holds a model of another architecture than the config's")
-    return params
+    return load_model(path, seed.config, seed.data)
 
 
 def retrain(seed: PreparedSeed) -> tuple[mdl.ParamVector, float]:

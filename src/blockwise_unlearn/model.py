@@ -145,13 +145,19 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks), layer_map(spec))
 
 
+def fc_layers(lm: tuple) -> tuple:
+    """The (weight, bias) slots of each fc layer of `lm`: a DomainError if none."""
+    layers = _layout(lm).layers
+    if not layers:
+        raise DomainError("layer map has no fc layers")
+    return layers
+
+
 def _weights(values: np.ndarray, lm: tuple):
     """(w, b) views of each fc layer of the flat vector `values`; of a
     (models, d) stack, (models, out, in) weights and (models, 1, out) biases,
     which broadcast over each model's rows."""
-    layers = _layout(lm).layers
-    if not layers:
-        raise DomainError("layer map has no fc layers")
+    layers = fc_layers(lm)
     if values.ndim == 1:
         return [
             (values[ws:we].reshape(w_shape), values[bs:be])
@@ -440,9 +446,7 @@ class Scorer:
     __slots__ = ("layer_map", "inputs", "_at", "_ends", "_xt1", "_h1", "_prev")
 
     def __init__(self, layer_map: tuple, sets) -> None:
-        layers = _layout(layer_map).layers
-        if not layers:
-            raise DomainError("layer map has no fc layers")
+        layers = fc_layers(layer_map)
         (_, _, (hidden, width)), _ = layers[0]
         (_, _, (classes, _)), _ = layers[-1]
         self.layer_map = layer_map

@@ -124,19 +124,25 @@ def test_benchmark_workload_config_loads(tmp_path, name):
     harness.load_config(path)
 
 
-@pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
-def test_benchmark_runs_and_its_checks_pass(tmp_path, name):
+@pytest.mark.parametrize("name, trace", [
+    *(pytest.param(name, 0, id=name) for name in sorted(perfbench_module("workloads").WORKLOADS)),
+    pytest.param("blobs-random10", 1, id="blobs-random10-trace"),
+])
+def test_benchmark_runs_and_its_checks_pass(tmp_path, name, trace):
     # one shortest run (two rounds) of each workload from a copy of the
     # checkout, as the benchmark is run: its own scratch files stay inside
-    # the copy
+    # the copy; traced, the tracer's wrappers and counters run as well
     skip = shutil.ignore_patterns("__pycache__", "_scratch", "_out")
     for dirname in ("src", "perfbench", "configs"):
         shutil.copytree(ROOT / dirname, tmp_path / dirname, ignore=skip)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name,
-         "--seed", "1", "--seconds", "0"],
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    if trace:
+        per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        assert {metric["name"] for metric in per_layer} <= set(result["metrics"])

@@ -423,6 +423,32 @@ class TestMalformedCheckpoint:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--retrain-checkpoint"])
+    @pytest.mark.parametrize("layer_map", [
+        [["fc1.w", [96], 0], ["fc1.b", [16], 96], ["fc2.w", [3, 16], 112], ["fc2.b", [3], 160]],
+        [["fc1.w", [16, 6], 0], ["fc1.b", [16], 96], ["fc2.w", [4, 5], 112], ["fc2.b", [4], 132]],
+    ], ids=["1-d-weight", "unchained-layers"])
+    def test_audit_checkpoint_of_another_architecture(self, tmp_path, capsys, flag, layer_map):
+        # fc layers that load, but are not the config's 6-16-3 MLP
+        out = tmp_path / "out"
+        doc = base_config_doc(str(out))
+        doc["n_seeds"] = 1
+        config_path = write_config(tmp_path, doc)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        odd = tmp_path / "odd.ckpt"
+        d = layer_map[-1][2] + layer_map[-1][1][0]
+        write_checkpoint(odd, {"d": d, "layer_map": layer_map}, b"\x00" * (8 * d))
+        full = str(out / "model_full_seed0.ckpt")
+        checkpoints = {"--checkpoint": full, "--retrain-checkpoint": full, flag: str(odd)}
+        capsys.readouterr()
+        rc = run_cli("audit", "--config", str(config_path),
+                     "--splits", str(out / "split_seed0.json"),
+                     *[arg for pair in checkpoints.items() for arg in pair])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {odd} holds a model of another architecture")
+        assert "Traceback" not in err
+
 def _drop_unlearn_gamma(doc):
     del doc["unlearn"]["gamma"]
     return doc

@@ -314,9 +314,9 @@ def spy_step_params(monkeypatch, copy=False) -> list:
         keep(out[0])
         return out
 
-    def momentum_spy(*args):
-        out = momentum_step(*args)
-        keep(out[0])
+    def momentum_spy(values, velocity, lm, *args):
+        out = momentum_step(values, velocity, lm, *args)
+        keep(mdl.ParamVector(out[0], lm))
         return out
 
     monkeypatch.setattr(eng, "nft_step", nft_spy)
@@ -781,6 +781,27 @@ class TestLockstep:
         # each model steps alone, through the flat vectors of `_momentum_step`
         assert len(steps) == 4 and not passes
 
+    def test_no_gradient_is_kept_through_the_next_step(self):
+        # at 784-256-256-10 a momentum step holds the parameters, the
+        # velocity, the gradient and the fresh parameters, plus a batch; a
+        # noisy step holds five vectors, so a fine-tune step that kept the
+        # last gradient or the last noisy step's vector would set the peak
+        rng = np.random.default_rng(3)
+        x, y = rng.random((100, 784)), rng.integers(0, 10, 100)
+        params0 = mdl.init_params(MNIST_SHAPE, 0)
+        vector = params0.values.nbytes
+        tracemalloc.start()
+        try:
+            eng.train(MNIST_SHAPE, (x, y), eng.Seeds(1, 2, 3), eng.TrainConfig(steps=3))
+            train_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            eng.run_blockwise(params0, small_config(fine_tune_steps=3), (x, y),
+                              eng.EvalSets(test=(x[:50], y[:50])))
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train_peak < 4.5 * vector and run_peak < 5.5 * vector
+
     @pytest.mark.parametrize("at", [0, 1, 3])
     @pytest.mark.parametrize("steps", [0, 2])
     def test_an_empty_row_map_fails_alone(self, steps, at):
@@ -866,6 +887,20 @@ class TestLockstep:
                 assert np.array_equal(batch.inputs, x[ids[m]])
                 assert np.array_equal(batch.labels, y[ids[m]])
                 assert np.isin(ids[m], rows[m]).all()
+
+    def test_every_trainer_steps_through_one_momentum_step(self, monkeypatch):
+        # a lone model, a stack of 3 and the fine-tuning after the noisy
+        # blocks: one `_momentum_step` call per step each
+        steps = spy_momentum_steps(monkeypatch)
+        data, runs = lockstep_data(3), lockstep_runs(3)
+        arch, cfg = mdl.MlpSpec((6, 9, 3)), eng.TrainConfig(steps=4, lr=0.05)
+        eng.train(arch, data, eng.Seeds(1, 2, 3), cfg)
+        eng.train_lockstep(arch, data, runs, cfg)
+        params0 = mdl.init_params(arch, 0)
+        rec = eng.run_blockwise(params0, small_config(fine_tune_steps=5), data)
+        d = params0.d
+        assert [new.shape for new, *_ in steps] == [(d,)] * 4 + [(3, d)] * 4 + [(d,)] * 5
+        assert steps[-1][0].tobytes() == rec.final_params.values.tobytes()
 
     def test_a_stack_whose_every_model_fails(self, monkeypatch):
         init_params = mdl.init_params

@@ -1,10 +1,14 @@
 """The gradient step against its textbook formulation, bit for bit.
 
-`model.loss_and_grad`, `engine._momentum_step`, `engine.nft_step` and
-`subspace.project_block`/`lift_block` reuse buffers and skip per-call set-up,
-and `model.Scorer` counts hits without building the argmax; each function
-below computes the same values out of place, the plain way.  Every
-comparison is exact: the same bytes, not a tolerance.
+`model.loss_and_grad`, `engine.nft_step` and `subspace.project_block`/
+`lift_block` reuse buffers and skip per-call set-up, and `model.Scorer`
+counts hits without building the argmax; each function below computes the
+same values out of place, the plain way.  `engine._momentum_step` is the one
+momentum-SGD step of every model the package trains (a lone model, a
+lockstep stack and the fine-tuning after the noisy blocks); it is checked on
+one model's (d,) values against `ref_momentum_step`, and on a stack's
+(models, d) values against each model's step alone.  Every comparison is
+exact: the same bytes, not a tolerance.
 """
 
 import numpy as np
@@ -206,16 +210,25 @@ def trained_8_12_4():
                      eng.Seeds(1, 2, 3), eng.TrainConfig(steps=30, lr=0.05))
 
 
-def spy_momentum_steps(monkeypatch) -> list:
-    """Every result (p', v, loss, ||g||) of `engine._momentum_step` while the
-    patch holds: the per-step record that `engine.train` does not keep."""
-    outputs = []
-    momentum_step = eng._momentum_step
+def momentum_step(params, velocity, batch, lr, momentum, weight_decay):
+    """`engine._momentum_step` of one model, in `ref_momentum_step`'s terms:
+    (p', v, loss, ||g||)."""
+    new, loss, grad = eng._momentum_step(params.values, velocity, params.layer_map,
+                                         batch.inputs, batch.labels, lr, momentum, weight_decay)
+    return mdl.ParamVector(new, params.layer_map), velocity, loss, mdl.vector_norm(grad)
 
-    def spy(*args):
-        out = momentum_step(*args)
-        outputs.append(out)
-        return out
+
+def spy_momentum_steps(monkeypatch) -> list:
+    """Every result of `engine._momentum_step` while the patch holds, with the
+    velocity it updated, as (p', v, loss, g): the per-step record that
+    `engine.train` does not keep."""
+    outputs = []
+    step = eng._momentum_step
+
+    def spy(values, velocity, *args):
+        new, loss, grad = step(values, velocity, *args)
+        outputs.append((new, velocity, loss, grad))
+        return new, loss, grad
 
     monkeypatch.setattr(eng, "_momentum_step", spy)
     return outputs
@@ -249,7 +262,7 @@ class TestMomentumStep:
         params = perturbed_params(widths, 4)
         velocity = np.random.default_rng(5).standard_normal(params.d)
         for batch in batches(widths, 6):
-            new, v, loss, gnorm = eng._momentum_step(
+            new, v, loss, gnorm = momentum_step(
                 params, velocity.copy(), batch, 0.01, 0.9, 1e-5)
             ref_new, ref_v, ref_loss, ref_gnorm = ref_momentum_step(
                 params, velocity, batch, 0.01, 0.9, 1e-5)
@@ -263,18 +276,36 @@ class TestMomentumStep:
         monkeypatch.setattr(eng, "_CHUNK", params.d if chunk is None else chunk)
         velocity = np.random.default_rng(5).standard_normal(params.d)
         batch = batches(widths, 6)[1]
-        new, v, loss, gnorm = eng._momentum_step(params, velocity.copy(), batch, 0.01, 0.9, 1e-5)
+        new, v, loss, gnorm = momentum_step(params, velocity.copy(), batch, 0.01, 0.9, 1e-5)
         ref_new, ref_v, ref_loss, ref_gnorm = ref_momentum_step(
             params, velocity, batch, 0.01, 0.9, 1e-5)
         assert same_bits(new.values, ref_new.values) and same_bits(v, ref_v)
         assert same_bits(loss, ref_loss) and same_bits(gnorm, ref_gnorm)
 
+    @pytest.mark.parametrize("widths", WIDTHS, ids=lambda w: "-".join(map(str, w)))
+    def test_a_stack_steps_as_each_model_alone(self, widths):
+        # a (models, d) stack, each model with its own 36-row batch
+        models = [perturbed_params(widths, seed) for seed in (4, 5, 6)]
+        alone = [batches(widths, seed)[2] for seed in (6, 7, 8)]
+        velocity = np.random.default_rng(5).standard_normal((3, models[0].d))
+        v = velocity.copy()
+        new, loss, grad = eng._momentum_step(
+            np.stack([p.values for p in models]), v, models[0].layer_map,
+            np.stack([b.inputs for b in alone]), np.stack([b.labels for b in alone]),
+            0.01, 0.9, 1e-5)
+        for m, (params, batch) in enumerate(zip(models, alone)):
+            ref_new, ref_v, ref_loss, ref_gnorm = ref_momentum_step(
+                params, velocity[m], batch, 0.01, 0.9, 1e-5)
+            assert same_bits(new[m], ref_new.values) and same_bits(v[m], ref_v)
+            assert same_bits(loss[m], ref_loss)
+            assert same_bits(mdl.vector_norm(grad[m]), ref_gnorm)
+
     def test_inputs_kept_and_result_owns_its_memory(self):
         params = perturbed_params((8, 12, 4), 7)
         before = params.values.copy()
         velocity = np.ones(params.d)
-        new, v, _, _ = eng._momentum_step(params, velocity, batches((8, 12, 4), 8)[1],
-                                          0.01, 0.9, 1e-5)
+        new, v, _, _ = momentum_step(params, velocity, batches((8, 12, 4), 8)[1],
+                                     0.01, 0.9, 1e-5)
         assert same_bits(params.values, before)
         assert not np.shares_memory(new.values, params.values)
         assert not np.shares_memory(new.values, v)
@@ -288,7 +319,7 @@ class TestTrain:
         params = eng.train(arch, data, seeds, config)
         ref_params, ref_rows = ref_train(arch, data, seeds, config)
         assert same_bits(params.values, ref_params.values)
-        assert same_bits([(loss, gnorm) for _, _, loss, gnorm in steps], ref_rows)
+        assert same_bits([(loss, mdl.vector_norm(g)) for _, _, loss, g in steps], ref_rows)
 
     def test_several_chunks_equal_reference(self, monkeypatch):
         arch = mdl.MlpSpec((784, 64, 10))
@@ -301,7 +332,7 @@ class TestTrain:
         params = eng.train(arch, data, seeds, config)
         ref_params, ref_rows = ref_train(arch, data, seeds, config)
         assert same_bits(params.values, ref_params.values)
-        assert same_bits([(loss, gnorm) for _, _, loss, gnorm in steps], ref_rows)
+        assert same_bits([(loss, mdl.vector_norm(g)) for _, _, loss, g in steps], ref_rows)
 
     def test_inputs_kept_and_result_owns_its_memory(self, monkeypatch):
         steps = spy_momentum_steps(monkeypatch)
@@ -378,12 +409,11 @@ class TestRunBlockwise:
 
     def test_inputs_kept_and_result_owns_its_memory(self, monkeypatch):
         velocities = []
-        momentum_step = eng._momentum_step
+        step = eng._momentum_step
 
-        def spy(*args):
-            out = momentum_step(*args)
-            velocities.append(out[1])
-            return out
+        def spy(values, velocity, *args):
+            velocities.append(velocity)
+            return step(values, velocity, *args)
 
         params0 = trained_8_12_4()
         monkeypatch.setattr(eng, "_momentum_step", spy)
